@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -136,7 +137,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _split_csv_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+    """Split at commas outside parentheses: ``tversky(0.3,0.4)`` stays whole."""
+    return [tok.strip() for tok in re.split(r",(?![^()]*\))", raw) if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def _report_dict(report: IntervalReport) -> dict:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str]) -> str:
@@ -512,3 +514,7 @@ def _quantile_cmd(args) -> int:
         )
     _emit(text, args.output)
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

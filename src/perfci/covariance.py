@@ -1,11 +1,16 @@
 """Delta-method covariance estimation for measure estimates.
 
-Each target (rule, measure) gets an influence vector: the per-row linear
-combination ``d_za * Z*A + d_a * A + d_z * Z`` with the measure gradient
-evaluated at the sample moments.  The sample covariance of these vectors
-(denominator ``n - 1``) estimates the asymptotic covariance ``V`` of the
-scaled estimation errors ``sqrt(n) * (estimate - truth)``; dividing by
-``n`` gives standard errors.
+Each target (rule, measure) gets an influence value per table row: the
+linear combination ``d_za * Z*A + d_a * A + d_z * Z`` with the measure
+gradient evaluated at the sample moments.  The sample covariance of these
+values (denominator ``n - 1``) estimates the asymptotic covariance ``V``
+of the scaled estimation errors ``sqrt(n) * (estimate - truth)``;
+dividing by ``n`` gives standard errors.
+
+Influence values depend on a row only through its ``(z, a_1..a_R)``
+pattern, so :func:`estimate_targets` computes covariances from the counts
+of distinct rows; :func:`influence` and :func:`covariance_from_influences`
+keep the per-row form (every count 1) as a reference.
 
 Two variance choices are offered:
 
@@ -33,14 +38,29 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import BinaryDataset, EvaluationTarget, compute_moments
-from .errors import DimensionMismatchError, SingularVarianceError
-from .measures import GradientTriple, MeasureCatalog, MomentTriple, resolve_measure
-from .quantiles import inv_norm_cdf
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    PerfciError,
+    SingularVarianceError,
+    UnknownMeasureError,
+    UnknownRuleError,
+)
+from .measures import (
+    GradientTriple,
+    MeasureCatalog,
+    MeasureSpec,
+    MomentTriple,
+    resolve_measure,
+)
+from .quantiles import CorrelationMatrix, inv_norm_cdf
 
 __all__ = [
     "InfluenceVector",
     "CovarianceEstimate",
     "CorrelationMatrix",
+    "TargetEstimates",
+    "estimate_targets",
     "influence",
     "covariance_matrix",
     "covariance_from_influences",
@@ -112,32 +132,56 @@ class CovarianceEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """Validated correlation matrix: symmetric, unit diagonal, entries
-    clamped into ``[-1, 1]``."""
+class TargetEstimates:
+    """Results of :func:`estimate_targets`.  ``alive`` lists the positions of
+    the targets that produced an estimate; ``measures``, ``estimates``,
+    ``gradients`` and the rows of ``cov`` follow that order.  ``errors``
+    maps every other position to the exception that stopped it."""
 
-    values: np.ndarray
+    alive: tuple[int, ...]
+    measures: tuple[MeasureSpec, ...]
+    estimates: np.ndarray
+    gradients: tuple[GradientTriple, ...]
+    errors: dict[int, PerfciError]
+    cov: CovarianceEstimate
 
-    def __post_init__(self):
-        r = np.array(self.values, dtype=float, copy=True)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatchError(f"correlation must be square, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("correlation matrix has non-finite entries")
-        if np.max(np.abs(r - r.T)) > 1e-8:
-            raise ValueError("correlation matrix must be symmetric")
-        if np.max(np.abs(np.diagonal(r) - 1.0)) > 1e-8:
-            raise ValueError("correlation matrix diagonal must be all ones")
-        if np.max(np.abs(r)) > 1.0 + 1e-8:
-            raise ValueError("correlation entries must lie in [-1, 1]")
-        r = 0.5 * (r + r.T)
-        np.clip(r, -1.0, 1.0, out=r)
-        np.fill_diagonal(r, 1.0)
-        object.__setattr__(self, "values", r)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+def estimate_targets(
+    data: BinaryDataset,
+    targets: Sequence[EvaluationTarget],
+    catalog: MeasureCatalog | None = None,
+) -> TargetEstimates:
+    """Estimates, gradients and plug-in covariance from the distinct rows of
+    ``data`` and their counts.  ``UnknownMeasureError``, ``UnknownRuleError``
+    and ``DomainError`` fail one target without stopping the others."""
+    patterns, counts = data.row_counts()
+    alive, measures, estimates, gradients, rows = [], [], [], [], []
+    errors: dict[int, PerfciError] = {}
+    for pos, target in enumerate(targets):
+        try:
+            measure = resolve_measure(target.measure_id, catalog)
+            m = compute_moments(data, target.rule_id)
+            estimate = measure.evaluate(m)
+            gradient = measure.gradient(m)
+        except (DomainError, UnknownRuleError, UnknownMeasureError) as exc:
+            errors[pos] = exc
+            continue
+        alive.append(pos)
+        measures.append(measure)
+        estimates.append(estimate)
+        gradients.append(gradient)
+        a = patterns[:, 1 + data.rule_ids.index(target.rule_id)]
+        rows.append(_influence_values(gradient, patterns[:, 0], a))
+    rows = np.reshape(rows, (len(rows), counts.size))
+    v = _centred_covariance(rows, counts.astype(float), data.n)
+    return TargetEstimates(
+        alive=tuple(alive),
+        measures=tuple(measures),
+        estimates=np.array(estimates, dtype=float),
+        gradients=tuple(gradients),
+        errors=errors,
+        cov=CovarianceEstimate(v=v, n=data.n),
+    )
 
 
 def influence(
@@ -155,16 +199,19 @@ def influence(
     moments = compute_moments(data, target.rule_id)
     estimate = measure.evaluate(moments)
     grad = measure.gradient(moments)
-    a = data.rule(target.rule_id).astype(float)
-    z = data.z.astype(float)
-    values = grad.d_za * (z * a) + grad.d_a * a + grad.d_z * z
     return InfluenceVector(
         target=target,
-        values=values,
+        values=_influence_values(grad, data.z, data.rule(target.rule_id)),
         moments=moments,
         gradient=grad,
         estimate=estimate,
     )
+
+
+def _influence_values(grad: GradientTriple, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    z = z.astype(float)
+    a = a.astype(float)
+    return grad.d_za * (z * a) + grad.d_a * a + grad.d_z * z
 
 
 def covariance_from_influences(
@@ -178,16 +225,21 @@ def covariance_from_influences(
         raise DimensionMismatchError(
             f"influence length {rows.shape[1]} does not match n = {n}"
         )
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    v = centered @ centered.T / (n - 1)
+    return CovarianceEstimate(v=_centred_covariance(rows, np.ones(n), n), n=n)
+
+
+def _centred_covariance(rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Covariance (denominator ``n - 1``) of influence rows whose columns
+    occur ``counts`` times each; a numerically constant row is snapped to
+    an exact zero row and column."""
+    centred = rows - (rows @ counts / n)[:, np.newaxis]
+    v = (centred * counts) @ centred.T / (n - 1)
     v = 0.5 * (v + v.T)  # exact symmetry regardless of BLAS kernel paths
-    # snap numerically-constant rows to an exact zero row/column
     scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
     degenerate = np.diagonal(v) <= (_ZERO_SNAP * scale) ** 2
-    for k in np.nonzero(degenerate)[0]:
-        v[k, :] = 0.0
-        v[:, k] = 0.0
-    return CovarianceEstimate(v=v, n=n)
+    v[degenerate, :] = 0.0
+    v[:, degenerate] = 0.0
+    return v
 
 
 def covariance_matrix(
@@ -195,9 +247,11 @@ def covariance_matrix(
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
 ) -> CovarianceEstimate:
-    """Plug-in covariance estimate for an ordered target list."""
-    influences = [influence(data, t, catalog) for t in targets]
-    return covariance_from_influences(influences, data.n)
+    """Plug-in covariance for an ordered target list; raises the first failure."""
+    fit = estimate_targets(data, targets, catalog)
+    if fit.errors:
+        raise fit.errors[min(fit.errors)]
+    return fit.cov
 
 
 def blurring_matrix(

@@ -74,11 +74,12 @@ class BinaryDataset:
     to construct; the raw constructor trusts its inputs.
     """
 
-    __slots__ = ("_z", "_rules")
+    __slots__ = ("_z", "_rules", "_row_counts")
 
     def __init__(self, z: np.ndarray, rules: dict[str, np.ndarray]):
         self._z = z
         self._rules = rules
+        self._row_counts: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -135,6 +136,26 @@ class BinaryDataset:
             return self._rules[rule_id]
         except KeyError:
             raise UnknownRuleError(rule_id, self.rule_ids) from None
+
+    def row_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(m, 1 + R)`` distinct rows (``z`` first, then rules in
+        ``rule_ids`` order) and their ``(m,)`` counts, cached.  The row
+        order does not depend on the order of the table.
+        """
+        if self._row_counts is None:
+            # one bit per column in an int64 code, relabelled densely at 62 bits
+            columns = (self._z, *self._rules.values())
+            code = np.zeros(self.n, dtype=np.int64)
+            bits = 0
+            for column in columns:
+                if bits == 62:
+                    _, code = np.unique(code, return_inverse=True)
+                    bits = int(code.max()).bit_length()
+                code = (code << 1) | column
+                bits += 1
+            _, first, counts = np.unique(code, return_index=True, return_counts=True)
+            self._row_counts = (np.column_stack([c[first] for c in columns]), counts)
+        return self._row_counts
 
     def __repr__(self) -> str:
         return f"BinaryDataset(n={self.n}, rules={list(self._rules)})"
@@ -225,7 +246,8 @@ def _parse_binary_cell(token: str, row: int, col: str) -> int:
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table from a CSV file or stream."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, newline="") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports start with
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return _read_csv_stream(fh)
     return _read_csv_stream(source)
 
@@ -240,12 +262,15 @@ def _read_csv_stream(stream) -> BinaryDataset:
 
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:
-    """Plug-in moment triple for one rule: sample means of ZA, A, Z."""
-    a = data.rule(rule_id)
-    z = data.z
+    """Plug-in moment triple for one rule: sample means of ZA, A, Z, taken
+    as integer counts over the distinct rows divided by ``n``."""
+    data.rule(rule_id)  # UnknownRuleError for an unknown id
+    patterns, counts = data.row_counts()
+    z = patterns[:, 0]
+    a = patterns[:, 1 + data.rule_ids.index(rule_id)]
     n = data.n
     return MomentTriple(
-        m_za=float(np.sum(z * a)) / n,
-        m_a=float(np.sum(a)) / n,
-        m_z=float(np.sum(z)) / n,
+        m_za=int(counts @ (z & a)) / n,
+        m_a=int(counts @ a) / n,
+        m_z=int(counts @ z) / n,
     )

@@ -26,25 +26,17 @@ measure's natural range unless ``clamp`` is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .covariance import (
-    CovarianceEstimate,
-    correct,
-    correlation,
-    covariance_from_influences,
-    influence,
-)
+from .covariance import CovarianceEstimate, correct, correlation, estimate_targets
+from .covariance import influence  # noqa: F401  (bench/spans.py wraps it in this namespace)
 from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     NoUsableTargetsError,
     OutOfRangeError,
     SingularVarianceError,
-    UnknownMeasureError,
-    UnknownRuleError,
 )
 from .measures import MeasureCatalog, resolve_measure
 from .quantiles import (
@@ -186,6 +178,22 @@ def joint_cis(
         raise DimensionMismatchError(
             f"{k_all} estimates for a {cov.dim}-target covariance"
         )
+    indices = _selection(spec, k_all)
+    if targets is None:
+        targets = [EvaluationTarget(f"target{i}", "?") for i in range(k_all)]
+    chosen = [targets[i] for i in indices]
+    return _report(
+        chosen,
+        [float(estimates[i]) for i in indices],
+        # without a catalog, clamping looks measures up in the default one
+        [spec.clamp and resolve_measure(t.measure_id).unit_range for t in chosen],
+        cov.restrict(indices),
+        replace(spec, mode="joint"),
+    )
+
+
+def _selection(spec: IntervalSpec, k_all: int) -> tuple[int, ...]:
+    """``spec.target_set`` checked against ``k_all`` targets (default: all)."""
     indices = spec.target_set if spec.target_set is not None else tuple(range(k_all))
     if any(i < 0 or i >= k_all for i in indices):
         raise DimensionMismatchError(
@@ -193,62 +201,48 @@ def joint_cis(
         )
     if not indices:
         raise DimensionMismatchError("target_set must not be empty")
-    if targets is None:
-        targets = [EvaluationTarget(f"target{i}", "?") for i in range(k_all)]
+    return indices
 
-    sub = cov.restrict(indices)
-    corr = correlation(sub)  # raises SingularVarianceError on zero diagonal
-    result = max_abs_quantile(
-        QuantileRequest(alpha=spec.alpha, corr=corr, draws=spec.draws, seed=spec.seed)
-    )
+
+def _report(
+    targets: Sequence[EvaluationTarget],
+    estimates: Sequence[float],
+    unit_range: Sequence[bool],
+    cov: CovarianceEstimate,
+    spec: IntervalSpec,
+) -> IntervalReport:
+    """One interval per row of ``cov``, all with the quantile of ``spec.mode``;
+    with ``spec.clamp``, rows of unit-range measures are cut to ``[0, 1]``."""
+    if spec.mode == "individual":
+        q, mc_stderr = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0
+    else:
+        result = max_abs_quantile(
+            QuantileRequest(
+                alpha=spec.alpha, corr=correlation(cov), draws=spec.draws, seed=spec.seed
+            )
+        )
+        q, mc_stderr = result.q, result.mc_stderr
     rows = []
-    for pos, i in enumerate(indices):
+    for k, (target, estimate) in enumerate(zip(targets, estimates)):
+        variance = float(cov.v[k, k])
+        half = q * math.sqrt(variance / cov.n)
+        lower, upper = estimate - half, estimate + half
+        if spec.clamp and unit_range[k]:
+            lower, upper = max(0.0, lower), min(1.0, upper)
         rows.append(
-            _make_row(
-                targets[i],
-                float(estimates[i]),
-                float(sub.v[pos, pos]),
-                result.q,
-                cov.n,
-                spec.clamp,
+            TargetInterval(
+                target.rule_id, target.measure_id, estimate, lower, upper, half, variance
             )
         )
     return IntervalReport(
         n=cov.n,
         alpha=spec.alpha,
-        mode="joint",
+        mode=spec.mode,
         choice=spec.choice,
-        q=result.q,
-        mc_stderr=result.mc_stderr,
+        q=q,
+        mc_stderr=mc_stderr,
         seed=spec.seed,
         rows=tuple(rows),
-    )
-
-
-def _make_row(
-    target: EvaluationTarget,
-    estimate: float,
-    variance: float,
-    q: float,
-    n: int,
-    clamp: bool,
-) -> TargetInterval:
-    half = q * math.sqrt(variance / n)
-    lower = estimate - half
-    upper = estimate + half
-    if clamp:
-        measure = resolve_measure(target.measure_id)
-        if measure.unit_range:
-            lower = max(0.0, lower)
-            upper = min(1.0, upper)
-    return TargetInterval(
-        rule_id=target.rule_id,
-        measure_id=target.measure_id,
-        estimate=estimate,
-        lower=lower,
-        upper=upper,
-        half_width=half,
-        variance=variance,
     )
 
 
@@ -260,102 +254,49 @@ def analyze(
 ) -> IntervalReport:
     """End-to-end report for a dataset and an ordered target list.
 
-    Pipeline: plug-in moments and gradients per target, sample
-    covariance of the influence vectors, optional correction (choice 2),
-    then individual or simultaneous intervals.  Per-target failures
-    (unknown ids, domain violations, singular variances) become inline
-    error rows; :class:`NoUsableTargetsError` fires only if nothing
-    survives.
+    Pipeline: estimates, gradients and plug-in covariance from the counts
+    of distinct rows (:func:`~perfci.covariance.estimate_targets`), optional
+    correction (choice 2), then individual or simultaneous intervals.
+    Per-target failures (unknown ids, domain violations, singular
+    variances) become inline error rows; :class:`NoUsableTargetsError`
+    fires only if nothing survives.
     """
-    indices = (
-        spec.target_set if spec.target_set is not None else tuple(range(len(targets)))
-    )
-    if any(i < 0 or i >= len(targets) for i in indices):
-        raise DimensionMismatchError(
-            f"target_set {indices} out of bounds for {len(targets)} targets"
-        )
-    if not indices:
-        raise DimensionMismatchError("target_set must not be empty")
+    indices = _selection(spec, len(targets))
     selected = [targets[i] for i in indices]
 
-    influences = {}
-    errors: dict[int, str] = {}
-    for pos, target in enumerate(selected):
-        try:
-            influences[pos] = influence(data, target, catalog)
-        except (DomainError, UnknownRuleError, UnknownMeasureError) as exc:
-            errors[pos] = f"{type(exc).__name__}: {exc.args[0] if exc.args else exc}"
+    fit = estimate_targets(data, selected, catalog)
+    errors = {pos: _describe(exc) for pos, exc in fit.errors.items()}
+    cov = fit.cov
+    if spec.choice == CHOICE_CORRECTED:
+        cov = correct(cov, spec.alpha, fit.gradients)
 
-    alive = sorted(influences)
+    # weed out degenerate variances before the interval step
+    usable: list[int] = []
+    for r, pos in enumerate(fit.alive):
+        if cov.v[r, r] > 0.0:
+            usable.append(r)
+        else:
+            err = SingularVarianceError(indices[pos], f"choice {spec.choice}")
+            errors[pos] = _describe(err)
+    alive = [fit.alive[r] for r in usable]
     if not alive:
         raise NoUsableTargetsError(
             {selected[p].label(): msg for p, msg in errors.items()}
         )
 
-    cov = covariance_from_influences([influences[p] for p in alive], data.n)
-    if spec.choice == CHOICE_CORRECTED:
-        cov = correct(cov, spec.alpha, [influences[p].gradient for p in alive])
-
-    # weed out degenerate variances before the joint step
-    usable: list[int] = []
-    for row_idx, pos in enumerate(alive):
-        if cov.v[row_idx, row_idx] <= 0.0:
-            err = SingularVarianceError(indices[pos], f"choice {spec.choice}")
-            errors[pos] = f"SingularVarianceError: {err.args[0]}"
-        else:
-            usable.append(row_idx)
-    if not usable:
-        raise NoUsableTargetsError(
-            {selected[p].label(): msg for p, msg in errors.items()}
-        )
-    if len(usable) < len(alive):
-        keep = [alive[r] for r in usable]
-        cov = cov.restrict(usable)
-        alive = keep
-
-    if spec.mode == "individual":
-        q = inv_norm_cdf(1.0 - spec.alpha / 2.0)
-        mc_stderr = 0.0
-    else:
-        corr = correlation(cov)
-        result = max_abs_quantile(
-            QuantileRequest(
-                alpha=spec.alpha, corr=corr, draws=spec.draws, seed=spec.seed
-            )
-        )
-        q = result.q
-        mc_stderr = result.mc_stderr
-
-    row_of: dict[int, TargetInterval] = {}
-    for row_idx, pos in enumerate(alive):
-        iv = influences[pos]
-        row_of[pos] = _make_row(
-            selected[pos],
-            iv.estimate,
-            float(cov.v[row_idx, row_idx]),
-            q,
-            data.n,
-            spec.clamp,
-        )
-    rows = []
-    for pos, target in enumerate(selected):
-        if pos in row_of:
-            rows.append(row_of[pos])
-        else:
-            rows.append(
-                TargetInterval(
-                    rule_id=target.rule_id,
-                    measure_id=target.measure_id,
-                    error=errors[pos],
-                )
-            )
-    return IntervalReport(
-        n=data.n,
-        alpha=spec.alpha,
-        mode=spec.mode,
-        choice=spec.choice,
-        q=q,
-        mc_stderr=mc_stderr,
-        seed=spec.seed,
-        rows=tuple(rows),
+    report = _report(
+        [selected[p] for p in alive],
+        [float(fit.estimates[r]) for r in usable],
+        [fit.measures[r].unit_range for r in usable],
+        cov.restrict(usable),
+        spec,
     )
+    rows = dict(zip(alive, report.rows))
+    for pos, message in errors.items():
+        target = selected[pos]
+        rows[pos] = TargetInterval(target.rule_id, target.measure_id, error=message)
+    return replace(report, rows=tuple(rows[pos] for pos in range(len(selected))))
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc.args[0] if exc.args else exc}"

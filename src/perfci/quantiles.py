@@ -44,6 +44,7 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
     "sidak_quantile",
+    "CorrelationMatrix",
     "QuantileRequest",
     "QuantileResult",
     "max_abs_quantile",
@@ -174,32 +175,40 @@ _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CORR_TOL = 1e-8
 
 
-def _validate_correlation(matrix) -> np.ndarray:
-    values = getattr(matrix, "values", matrix)
-    r = np.array(values, dtype=float, copy=True)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise DimensionMismatchError(
-            f"correlation matrix must be square, got shape {r.shape}"
-        )
-    if r.shape[0] < 1:
-        raise DimensionMismatchError("correlation matrix must be at least 1x1")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("correlation matrix has non-finite entries")
-    bad = np.argwhere(np.abs(r) > 1.0 + _CORR_TOL)
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(
-            f"correlation entry ({i}, {j}) = {r[i, j]} lies outside [-1, 1]"
-        )
-    if np.max(np.abs(np.diagonal(r) - 1.0)) > _CORR_TOL:
-        raise ValueError("correlation matrix diagonal must be all ones")
-    if np.max(np.abs(r - r.T)) > _CORR_TOL:
-        raise ValueError("correlation matrix must be symmetric")
-    # tidy tiny asymmetries / spills so downstream algebra sees a clean matrix
-    r = 0.5 * (r + r.T)
-    np.clip(r, -1.0, 1.0, out=r)
-    np.fill_diagonal(r, 1.0)
-    return r
+@dataclass(frozen=True, eq=False)
+class CorrelationMatrix:
+    """Validated correlation matrix, from an array or anything with ``values``:
+    symmetric, unit diagonal, entries clamped into ``[-1, 1]``."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = getattr(self.values, "values", self.values)
+        r = np.array(values, dtype=float, copy=True)
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
+            raise DimensionMismatchError(
+                f"correlation matrix must be square and non-empty, got shape {r.shape}"
+            )
+        if not np.all(np.isfinite(r)):
+            raise ValueError("correlation matrix has non-finite entries")
+        bad = np.argwhere(np.abs(r) > 1.0 + _CORR_TOL)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"correlation entry ({i}, {j}) = {r[i, j]} lies outside [-1, 1]"
+            )
+        if np.max(np.abs(np.diagonal(r) - 1.0)) > _CORR_TOL:
+            raise ValueError("correlation matrix diagonal must be all ones")
+        if np.max(np.abs(r - r.T)) > _CORR_TOL:
+            raise ValueError("correlation matrix must be symmetric")
+        r = 0.5 * (r + r.T)
+        np.clip(r, -1.0, 1.0, out=r)
+        np.fill_diagonal(r, 1.0)
+        object.__setattr__(self, "values", r)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +225,7 @@ class QuantileRequest:
         if not (0.0 < alpha < 1.0):
             raise OutOfRangeError(alpha)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "corr", _validate_correlation(self.corr))
+        object.__setattr__(self, "corr", CorrelationMatrix(self.corr).values)
         draws = int(self.draws)
         if draws < MIN_DRAWS:
             raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")

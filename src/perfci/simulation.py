@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import blurring_matrix
+from .covariance import correct, correlation, estimate_targets
 from .dataset import BinaryDataset, EvaluationTarget, compute_moments, make_targets
 from .errors import PerfciError
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
@@ -409,7 +409,7 @@ class CoverageResult:
         raise KeyError(f"no joint set labeled {label!r}")
 
     def as_dict(self) -> dict:
-        """JSON-friendly summary (diagnostics excluded)."""
+        """JSON-friendly summary (diagnostics excluded; NaN averages as None)."""
         return {
             "meta": {
                 "n": self.n,
@@ -426,7 +426,7 @@ class CoverageResult:
                     "true_value": float(self.true_values[k]),
                     "provenance": self.provenance[k],
                     "individual_coverage": float(self.individual_coverage[k]),
-                    "avg_individual_length": float(self.avg_individual_length[k]),
+                    "avg_individual_length": _finite_or_none(self.avg_individual_length[k]),
                     "error_count": int(self.target_error_counts[k]),
                 }
                 for k, t in enumerate(self.targets)
@@ -437,13 +437,17 @@ class CoverageResult:
                     "label": js.label,
                     "indices": list(js.indices),
                     "coverage": js.coverage,
-                    "avg_length": [float(v) for v in js.avg_length],
-                    "avg_q": js.avg_q,
+                    "avg_length": [_finite_or_none(v) for v in js.avg_length],
+                    "avg_q": _finite_or_none(js.avg_q),
                     "error_rate": js.error_rate,
                 }
                 for js in self.joint_sets
             ],
         }
+
+
+def _finite_or_none(value) -> float | None:
+    return None if np.isnan(value) else float(value)
 
 
 def _resolve_joint_sets(
@@ -486,7 +490,6 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
         [r.id for r in rules], [resolve_measure(m).id for m in config.measure_ids]
     )
     n_targets = len(targets)
-    measures = {t.measure_id: resolve_measure(t.measure_id) for t in targets}
     truth = true_params(
         process,
         rules,
@@ -517,47 +520,17 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
             np.ascontiguousarray(batch.z, dtype=np.uint8),
             {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
         )
-        moments = {rid: compute_moments(data, rid) for rid in data.rule_ids}
-        z_float = data.z.astype(float)
-
-        rows = np.empty((n_targets, n))
-        grads = [None] * n_targets
-        ok = np.zeros(n_targets, dtype=bool)
-        for k, target in enumerate(targets):
-            measure = measures[target.measure_id]
-            m = moments[target.rule_id]
-            if not measure.domain_ok(m) or not measure.grad_ok(m):
-                continue
-            est[rep, k] = measure.evaluate(m)
-            g = measure.gradient(m)
-            grads[k] = g
-            a = data.rule(target.rule_id).astype(float)
-            rows[k] = g.d_za * (z_float * a) + g.d_a * a + g.d_z * z_float
-            ok[k] = True
-
-        ok_idx = np.nonzero(ok)[0]
-        if ok_idx.size:
-            sub = rows[ok_idx]
-            centered = sub - sub.mean(axis=1, keepdims=True)
-            v_plug = centered @ centered.T / (n - 1)
-            v_plug = 0.5 * (v_plug + v_plug.T)
-            scale = np.maximum(1.0, np.max(np.abs(sub), axis=1))
-            snapped = np.diagonal(v_plug) <= (1e-12 * scale) ** 2
-            for r in np.nonzero(snapped)[0]:
-                v_plug[r, :] = 0.0
-                v_plug[:, r] = 0.0
-        else:
-            v_plug = np.zeros((0, 0))
+        fit = estimate_targets(data, targets)
+        alive = np.asarray(fit.alive, dtype=int)
+        est[rep, alive] = fit.estimates
 
         for choice in choices:
-            if choice == 2 and ok_idx.size:
-                d = blurring_matrix([grads[k] for k in ok_idx], alpha, n)
-                v = v_plug + np.diag(d)
-            else:
-                v = v_plug
-            diag = np.diagonal(v) if ok_idx.size else np.zeros(0)
+            cov = fit.cov
+            if choice == 2:
+                cov = correct(cov, alpha, fit.gradients)
+            diag = np.diagonal(cov.v)
             usable_rows = np.nonzero(diag > 0.0)[0]
-            usable_targets = ok_idx[usable_rows]
+            usable_targets = alive[usable_rows]
             variances[choice][rep, usable_targets] = diag[usable_rows]
             ind_half[choice][rep, usable_targets] = z_alpha * np.sqrt(
                 diag[usable_rows] / n
@@ -566,63 +539,45 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
             for set_pos, (label, idx) in enumerate(sets):
                 members = np.asarray(idx)
                 live_mask = np.isin(members, usable_targets)
-                live = members[live_mask]
-                if live.size == 0:
+                if not live_mask.any():
                     continue
-                rows_in_v = np.searchsorted(ok_idx, live)
-                vv = v[np.ix_(rows_in_v, rows_in_v)]
-                dd = np.sqrt(np.diagonal(vv))
-                corr = vv / np.outer(dd, dd)
-                corr = 0.5 * (corr + corr.T)
-                np.clip(corr, -1.0, 1.0, out=corr)
-                np.fill_diagonal(corr, 1.0)
+                sub = cov.restrict(np.searchsorted(alive, members[live_mask]))
                 qres = max_abs_quantile(
                     QuantileRequest(
                         alpha=alpha,
-                        corr=corr,
+                        corr=correlation(sub),
                         draws=config.draws,
                         seed=_substream_seed(config.seed, rep, 1 + set_pos),
                     )
                 )
                 joint_q[choice][label][rep] = qres.q
                 joint_mc[choice][label][rep] = qres.mc_stderr
-                half = qres.q * np.sqrt(np.diagonal(vv) / n)
+                half = qres.q * np.sqrt(np.diagonal(sub.v) / n)
                 joint_half[choice][label][rep, live_mask] = half
 
     # ---- aggregate --------------------------------------------------------
     # NaN entries mean "no interval in that replication": comparisons give
-    # False (not covered) and averages skip them, warnings silenced once here.
+    # False (not covered) and averages skip them.
     results: dict[int, CoverageResult] = {}
     truth_row = truth.values[np.newaxis, :]
     for choice in choices:
-        with np.errstate(invalid="ignore"):
-            ih = ind_half[choice]
-            ind_cover = np.abs(est - truth_row) <= ih
-            individual_coverage = ind_cover.mean(axis=0)
-            joint_of_individual = float(ind_cover.all(axis=1).mean())
-            error_counts = np.isnan(ih).sum(axis=0)
-
-            set_results = []
-            for label, idx in sets:
-                jh = joint_half[choice][label]
-                members = np.asarray(idx)
-                cover = np.abs(est[:, members] - truth.values[members]) <= jh
-                set_cov = float(cover.all(axis=1).mean())
-                failed = np.isnan(jh).any(axis=1)
-                avg_len = 2.0 * np.nanmean(jh, axis=0)
-                avg_q = float(np.nanmean(joint_q[choice][label]))
-                set_results.append(
-                    JointSetCoverage(
-                        label=label,
-                        indices=tuple(int(i) for i in idx),
-                        coverage=set_cov,
-                        avg_length=avg_len,
-                        avg_q=avg_q,
-                        error_rate=float(failed.mean()),
-                    )
+        ih = ind_half[choice]
+        ind_cover = np.abs(est - truth_row) <= ih
+        set_results = []
+        for label, idx in sets:
+            jh = joint_half[choice][label]
+            members = np.asarray(idx)
+            cover = np.abs(est[:, members] - truth.values[members]) <= jh
+            set_results.append(
+                JointSetCoverage(
+                    label=label,
+                    indices=tuple(int(i) for i in idx),
+                    coverage=float(cover.all(axis=1).mean()),
+                    avg_length=2.0 * _nanmean(jh),
+                    avg_q=float(_nanmean(joint_q[choice][label])),
+                    error_rate=float(np.isnan(jh).any(axis=1).mean()),
                 )
-
-            avg_ind_len = 2.0 * np.nanmean(ih, axis=0)
+            )
         results[choice] = CoverageResult(
             choice=choice,
             n=n,
@@ -633,11 +588,11 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
             targets=targets,
             true_values=truth.values.copy(),
             provenance=truth.provenance,
-            individual_coverage=individual_coverage,
-            avg_individual_length=avg_ind_len,
-            joint_of_individual=joint_of_individual,
+            individual_coverage=ind_cover.mean(axis=0),
+            avg_individual_length=2.0 * _nanmean(ih),
+            joint_of_individual=float(ind_cover.all(axis=1).mean()),
             joint_sets=tuple(set_results),
-            target_error_counts=error_counts,
+            target_error_counts=np.isnan(ih).sum(axis=0),
             diagnostics=CoverageDiagnostics(
                 estimates=est.copy(),
                 variances=variances[choice],
@@ -648,6 +603,12 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
             ),
         )
     return results
+
+
+def _nanmean(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 of the non-NaN entries; NaN where there are none."""
+    with np.errstate(invalid="ignore"):
+        return np.nansum(values, axis=0) / np.sum(~np.isnan(values), axis=0)
 
 
 def run_coverage(config: CoverageConfig) -> CoverageResult:

@@ -1,0 +1,144 @@
+"""Property tests: the count-based core against the per-row reference.
+
+``estimate_targets`` works on the distinct ``(z, a_1..a_R)`` rows of a
+table with their counts; ``influence`` plus ``covariance_from_influences``
+is the per-row form of the same formulas.  Tables are random, with
+degenerate columns mixed in (constant ``z``, constant ``a``, ``a == z``,
+``a == 1 - z``), and every built-in measure is a target.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perfci.covariance import (
+    covariance_from_influences,
+    covariance_matrix,
+    estimate_targets,
+    influence,
+)
+from perfci.dataset import BinaryDataset, make_targets
+from perfci.errors import DomainError, UnknownMeasureError, UnknownRuleError
+from perfci.intervals import CHOICE_PLUGIN, IntervalSpec, analyze
+from perfci.measures import builtin_measures
+
+MEASURES = tuple(m.id for m in builtin_measures())
+COLUMN_KINDS = ("random", "zeros", "ones", "copy_z", "flip_z")
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    z_kind = draw(st.sampled_from(("random", "random", "zeros", "ones")))
+    z = np.array(draw(bits) if z_kind == "random" else [int(z_kind == "ones")] * n)
+    rules = {}
+    for r in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        if kind == "random":
+            rules[f"r{r}"] = np.array(draw(bits))
+        else:
+            rules[f"r{r}"] = {"zeros": 0 * z, "ones": 0 * z + 1, "copy_z": z, "flip_z": 1 - z}[kind]
+    return BinaryDataset.from_arrays(z, rules)
+
+
+def per_row_reference(data, targets):
+    """Per-row estimates, errors and covariance over the targets that work."""
+    ivs, errors = {}, {}
+    for pos, target in enumerate(targets):
+        try:
+            ivs[pos] = influence(data, target)
+        except (DomainError, UnknownRuleError, UnknownMeasureError) as exc:
+            errors[pos] = exc
+    alive = sorted(ivs)
+    cov = covariance_from_influences([ivs[p] for p in alive], data.n) if alive else None
+    return ivs, errors, alive, cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_core_matches_per_row_reference(data):
+    targets = make_targets(data.rule_ids, MEASURES)
+    fit = estimate_targets(data, targets)
+    ivs, errors, alive, ref = per_row_reference(data, targets)
+
+    assert list(fit.alive) == alive
+    assert {p: (type(e), str(e)) for p, e in fit.errors.items()} == {
+        p: (type(e), str(e)) for p, e in errors.items()
+    }
+    for r, pos in enumerate(alive):
+        assert fit.estimates[r] == ivs[pos].estimate  # bit-identical
+        assert fit.gradients[r] == ivs[pos].gradient
+    if not alive:
+        assert fit.cov.dim == 0
+        return
+    v, want = fit.cov.v, ref.v
+    assert np.max(np.abs(v - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    np.testing.assert_array_equal(np.diagonal(v) == 0.0, np.diagonal(want) == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.randoms(use_true_random=False))
+def test_row_permutation_leaves_covariance_unchanged(data, random):
+    order = list(range(data.n))
+    random.shuffle(order)
+    shuffled = BinaryDataset(
+        data.z[order], {rid: data.rule(rid)[order] for rid in data.rule_ids}
+    )
+    targets = make_targets(data.rule_ids, MEASURES)
+    a = estimate_targets(data, targets)
+    b = estimate_targets(shuffled, targets)
+    assert a.alive == b.alive
+    np.testing.assert_array_equal(a.estimates, b.estimates)
+    assert np.max(np.abs(a.cov.v - b.cov.v), initial=0.0) <= 1e-12
+
+
+def test_all_positive_labels_give_exact_zero_lift_and_overlap_variance():
+    # z == 1 everywhere: lift and overlap influence values are constant
+    data = BinaryDataset.from_arrays([1] * 6, {"a": [1, 0, 1, 1, 0, 0]})
+    targets = make_targets(["a"], ["accuracy", "lift", "overlap"])
+    for cov in (
+        estimate_targets(data, targets).cov,
+        covariance_from_influences([influence(data, t) for t in targets], data.n),
+    ):
+        assert cov.v[1, 1] == 0.0 and cov.v[2, 2] == 0.0
+        assert np.all(cov.v[1:, :] == 0.0) and np.all(cov.v[:, 1:] == 0.0)
+        assert cov.v[0, 0] > 0.0
+
+    report = analyze(data, targets, IntervalSpec(mode="individual", choice=CHOICE_PLUGIN))
+    assert report.rows[0].ok
+    for row in report.rows[1:]:
+        assert row.error.startswith("SingularVarianceError")
+
+
+def test_row_counts_match_a_direct_tally_past_the_code_width():
+    # 70 rules plus z exceed the 62 bits one int64 row code can hold;
+    # rows repeat a few random patterns, with small bit flips
+    rng = np.random.default_rng(7)
+    n, rules = 300, 70
+    grid = rng.integers(0, 2, (6, 1 + rules))[rng.integers(0, 6, n)]
+    grid[rng.random(grid.shape) < 0.002] ^= 1
+    z = grid[:, 0]
+    cols = {f"r{j}": grid[:, 1 + j] for j in range(rules)}
+    data = BinaryDataset.from_arrays(z, cols)
+    patterns, counts = data.row_counts()
+    assert data.row_counts()[0] is patterns  # cached
+    got = Counter()
+    for row, count in zip(patterns, counts):
+        got[tuple(map(int, row))] += int(count)
+    want = Counter(
+        (int(z[i]), *(int(cols[r][i]) for r in data.rule_ids)) for i in range(n)
+    )
+    assert got == want
+    assert len(got) == counts.size  # rows are distinct
+
+
+def test_covariance_matrix_raises_the_first_target_failure():
+    data = BinaryDataset.from_arrays([1, 1, 0, 0], {"tie": [0, 0, 1, 1]})
+    with pytest.raises(DomainError):
+        covariance_matrix(data, make_targets(["tie"], ["accuracy", "overlap"]))
+    with pytest.raises(UnknownRuleError):
+        covariance_matrix(data, make_targets(["nope"], ["accuracy"]))
