@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import make_targets, read_csv
+from .dataset import make_joint_sets, make_targets, read_csv
 from .errors import NoUsableTargetsError, PerfciError
 from .intervals import IntervalReport, IntervalSpec, analyze
 from .measures import resolve_measure
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--joint",
         default="per-rule",
         help="joint sets: 'all', 'per-rule' (default), 'none' for individual "
-        "intervals, or explicit index groups like '0,1;2,3'",
+        "intervals, index groups like '0,1;2,3', or mixes like 'per-rule,all;0,3'",
     )
     pa.add_argument("--draws", type=int, default=DEFAULT_DRAWS, help="quantile simulation draws (default 200000)")
     pa.add_argument("--seed", type=int, default=0, help="quantile simulation seed (default 0)")
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--replications", type=int, default=None)
     pc.add_argument("--alpha", type=float, default=None)
     pc.add_argument("--choice", type=int, choices=(1, 2), default=None)
-    pc.add_argument("--joint", default=None, help="all | per-rule | combinations (default per-rule)")
+    pc.add_argument("--joint", default=None, help="joint sets, as for analyze (default per-rule)")
     pc.add_argument("--draws", type=int, default=None)
     pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--format", choices=("json", "table"), default="table", dest="fmt")
@@ -153,7 +153,13 @@ def _analyze_cmd(args) -> int:
         raise ValueError("--measures must name at least one measure")
     targets = make_targets(data.rule_ids, measure_ids)
 
-    mode, sets = _parse_joint_option(args.joint, data.rule_ids, targets)
+    if args.joint.strip() == "none":
+        mode, sets = "individual", [tuple(range(len(targets)))]
+    else:
+        try:
+            mode, sets = "joint", [idx for _, idx in make_joint_sets(args.joint, targets)]
+        except ValueError as exc:
+            raise ValueError(f"--joint {args.joint!r}: {exc}") from None
     reports: list[IntervalReport] = []
     for target_set in sets:
         spec = IntervalSpec(
@@ -183,36 +189,6 @@ def _analyze_cmd(args) -> int:
     if any(row.ok for row in rows):
         return EXIT_PARTIAL
     return EXIT_HARD
-
-
-def _parse_joint_option(raw: str, rule_ids, targets):
-    token = raw.strip()
-    if token == "none":
-        return "individual", [tuple(range(len(targets)))]
-    if token == "all":
-        return "joint", [tuple(range(len(targets)))]
-    if token == "per-rule":
-        sets = []
-        for rid in rule_ids:
-            sets.append(tuple(k for k, t in enumerate(targets) if t.rule_id == rid))
-        return "joint", sets
-    sets = []
-    for group in token.split(";"):
-        group = group.strip()
-        if not group:
-            continue
-        try:
-            idx = tuple(int(tok) for tok in group.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--joint must be 'all', 'per-rule', 'none' or index groups; got {raw!r}"
-            ) from None
-        if any(k < 0 or k >= len(targets) for k in idx):
-            raise ValueError(f"--joint indices {idx} out of range for {len(targets)} targets")
-        sets.append(idx)
-    if not sets:
-        raise ValueError(f"--joint produced no target sets from {raw!r}")
-    return "joint", sets
 
 
 def _failed_report(n, spec, targets, exc: NoUsableTargetsError) -> IntervalReport:
@@ -322,31 +298,29 @@ def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str])
 # coverage
 # ---------------------------------------------------------------------------
 
-_COVERAGE_DEFAULTS = {
-    "process": "gaussian_mixture",
-    "replace": "true",
-    "measures": "accuracy,f1",
-    "replications": "2000",
-    "alpha": "0.05",
-    "choice": "1",
-    "joint": "per-rule",
-    "draws": "20000",
-    "seed": "0",
-    "true_mc_size": "1000000",
-}
+# defaults of the keys that only the command line reads; CoverageConfig's
+# fields keep the dataclass defaults when neither a file nor a flag sets them
+_COVERAGE_DEFAULTS = dict(
+    process="gaussian_mixture", replace="true", measures="accuracy,f1", joint="per-rule"
+)
+_COVERAGE_FIELDS = dict(n=int, replications=int, alpha=float, choice=int, draws=int, seed=int)
+_COVERAGE_KEYS = (*_COVERAGE_DEFAULTS, "population", "rules", *_COVERAGE_FIELDS)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-            key, value = text.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key not in _COVERAGE_KEYS:
+                known = ", ".join(_COVERAGE_KEYS)
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+            out[key] = value
     return out
 
 
@@ -354,11 +328,7 @@ def _coverage_cmd(args) -> int:
     settings = dict(_COVERAGE_DEFAULTS)
     if args.config:
         settings.update(_read_config_file(args.config))
-    for key in ("process", "population", "rules", "measures", "joint"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    for key in ("n", "replications", "alpha", "choice", "draws", "seed"):
+    for key in _COVERAGE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = str(value)
@@ -368,21 +338,17 @@ def _coverage_cmd(args) -> int:
     if "rules" not in settings:
         raise ValueError("coverage needs rules (config key rules= or flag --rules)")
 
-    process, rules = _build_process_and_rules(settings)
+    fields = {k: cast(settings[k]) for k, cast in _COVERAGE_FIELDS.items() if k in settings}
+    seed = fields.get("seed", CoverageConfig.seed)
+    process, rules = _build_process_and_rules(settings, seed)
     config = CoverageConfig(
         process=process,
         rules=tuple(rules),
         measure_ids=tuple(
             resolve_measure(m).id for m in _split_csv_list(settings["measures"])
         ),
-        n=int(settings["n"]),
-        replications=int(settings["replications"]),
-        alpha=float(settings["alpha"]),
-        choice=int(settings["choice"]),
         joint_sets=settings["joint"],
-        draws=int(settings["draws"]),
-        seed=int(settings["seed"]),
-        true_mc_size=int(settings["true_mc_size"]),
+        **fields,
     )
     result = run_coverage(config)
 
@@ -394,10 +360,9 @@ def _coverage_cmd(args) -> int:
     return EXIT_OK
 
 
-def _build_process_and_rules(settings: dict[str, str]):
+def _build_process_and_rules(settings: dict[str, str], seed: int):
     kind = settings["process"].strip().lower()
     rule_tokens = _split_csv_list(settings["rules"])
-    seed = int(settings["seed"])
     if kind in ("gaussian_mixture", "mixture"):
         process = GaussianMixtureProcess()
         rules = []

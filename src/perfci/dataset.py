@@ -35,6 +35,7 @@ __all__ = [
     "BinaryDataset",
     "EvaluationTarget",
     "make_targets",
+    "make_joint_sets",
     "validate_table",
     "read_csv",
     "compute_moments",
@@ -65,6 +66,49 @@ def make_targets(
     return tuple(
         EvaluationTarget(r, m) for r in rule_ids for m in measure_ids
     )
+
+
+def make_joint_sets(
+    spec: str | Sequence[Sequence[int]], targets: Sequence[EvaluationTarget]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Labelled index sets into ``targets`` for simultaneous intervals.
+
+    A string spec holds sets separated by ``;``.  Each is a comma-separated
+    list either of the names ``all`` (every target, labelled ``all``) and
+    ``per-rule`` (one set per rule, labelled with the rule id), or of
+    target indices (labelled ``set<i>`` by its position ``i`` in the
+    spec).  A sequence of index sequences is read like the index form.
+    """
+    everything = tuple(range(len(targets)))
+    named = {
+        "all": [("all", everything)],
+        "per-rule": [
+            (rid, tuple(k for k in everything if targets[k].rule_id == rid))
+            for rid in dict.fromkeys(t.rule_id for t in targets)
+        ],
+    }
+    if isinstance(spec, str):
+        groups = [group.split(",") for group in spec.split(";") if group.strip()]
+    else:
+        groups = list(spec)
+    sets: list[tuple[str, tuple[int, ...]]] = []
+    for i, group in enumerate(groups):
+        names = [str(tok).strip() for tok in group]
+        if names and set(names) <= named.keys():
+            sets.extend(labelled for name in names for labelled in named[name])
+            continue
+        try:
+            idx = tuple(int(tok) for tok in group)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"joint set {','.join(names)!r} is neither 'all'/'per-rule' nor target indices"
+            ) from None
+        if not idx or not all(0 <= k < len(targets) for k in idx):
+            raise ValueError(f"joint set indices {idx} out of range for {len(targets)} targets")
+        sets.append((f"set{i}", idx))
+    if not sets:
+        raise ValueError(f"no joint sets in {spec!r}")
+    return sets
 
 
 class BinaryDataset:

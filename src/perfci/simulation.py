@@ -13,7 +13,8 @@ Three coverage notions are reported:
 Data processes
 --------------
 ``GaussianMixtureProcess`` draws labels fair-coin and a scalar feature
-``x ~ N(z, 1)``, so threshold rules have closed-form true moments.
+``x ~ N(z, 1)``, so threshold and 1-NN rules, whose predictions are
+step functions of ``x``, have closed-form true moments.
 ``EmpiricalBootstrapProcess`` resamples rows of a fixed population table
 with replacement; true values are the population plug-ins.  Setting
 ``with_replacement=False`` with test size equal to the population size
@@ -31,13 +32,16 @@ independent of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .covariance import correct, correlation, estimate_targets
-from .dataset import BinaryDataset, EvaluationTarget, compute_moments, make_targets
+from .dataset import (
+    BinaryDataset, EvaluationTarget, compute_moments, make_joint_sets, make_targets
+)
 from .errors import PerfciError
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import QuantileRequest, inv_norm_cdf, max_abs_quantile, norm_cdf
@@ -60,8 +64,6 @@ __all__ = [
     "stress_population",
 ]
 
-DEFAULT_TRUE_MC_SIZE = 1_000_000
-MIN_TRUE_MC_SIZE = 100_000
 DEFAULT_SIM_DRAWS = 20_000
 
 
@@ -230,7 +232,7 @@ class FixedPredictionRule:
 @dataclass(frozen=True, eq=False)
 class TrueParams:
     """True measure values per target, with per-target provenance
-    (``"analytic"``, ``"population"`` or ``"monte_carlo(...)"``)."""
+    (``"analytic"`` or ``"population"``)."""
 
     targets: tuple[EvaluationTarget, ...]
     values: np.ndarray
@@ -238,11 +240,18 @@ class TrueParams:
     provenance: tuple[str, ...]
 
 
-def _mixture_threshold_moments(theta: float) -> MomentTriple:
-    # P(x > t | z) = 1 - Phi(t - z) for z in {0, 1}
-    upper0 = 1.0 - norm_cdf(theta)
-    upper1 = 1.0 - norm_cdf(theta - 1.0)
-    return MomentTriple(m_za=0.5 * upper1, m_a=0.5 * (upper0 + upper1), m_z=0.5)
+def _mixture_step_moments(cuts: Sequence[float], first: int) -> MomentTriple:
+    """Moments of a rule that predicts ``first`` for ``x <= cuts[0]`` and
+    flips its prediction at each further (sorted) cut."""
+    # P(lo < x <= hi | z) = Phi(hi - z) - Phi(lo - z) for z in {0, 1}
+    edges = (-math.inf, *cuts, math.inf)
+    positive = [0.0, 0.0]  # P(a = 1 | z = 0), P(a = 1 | z = 1)
+    for k in range(1 - first, len(edges) - 1, 2):
+        for z in (0, 1):
+            positive[z] += norm_cdf(edges[k + 1] - z) - norm_cdf(edges[k] - z)
+    return MomentTriple(
+        m_za=0.5 * positive[1], m_a=0.5 * (positive[0] + positive[1]), m_z=0.5
+    )
 
 
 def true_params(
@@ -250,23 +259,16 @@ def true_params(
     rules: Sequence,
     measure_ids: Sequence[str],
     catalog: MeasureCatalog | None = None,
-    mc_size: int = DEFAULT_TRUE_MC_SIZE,
-    seed: int = 0,
 ) -> TrueParams:
-    """True measure values for every (rule, measure) target.
+    """Exact true measure values for every (rule, measure) target.
 
-    Closed forms are used where available: threshold rules under the
-    Gaussian mixture, and any rule under a bootstrap process (population
-    plug-in).  Everything else falls back to one shared Monte Carlo
-    sample of ``mc_size`` rows (at least 100000).
+    Threshold and 1-NN rules under the Gaussian mixture have closed
+    forms; any fixed-prediction rule under a bootstrap process has its
+    population plug-in.  Any other pair raises :class:`PerfciError`.
     """
-    if mc_size < MIN_TRUE_MC_SIZE:
-        raise ValueError(f"mc_size must be >= {MIN_TRUE_MC_SIZE}, got {mc_size}")
     measures = [resolve_measure(mid, catalog) for mid in measure_ids]
     moments: dict[str, MomentTriple] = {}
     how: dict[str, str] = {}
-
-    mc_rules = []
     for rule in rules:
         if isinstance(process, EmpiricalBootstrapProcess) and isinstance(
             rule, FixedPredictionRule
@@ -276,28 +278,18 @@ def true_params(
         elif isinstance(process, GaussianMixtureProcess) and isinstance(
             rule, ThresholdRule
         ):
-            moments[rule.id] = _mixture_threshold_moments(rule.theta)
+            moments[rule.id] = _mixture_step_moments((rule.theta,), 0)
+            how[rule.id] = "analytic"
+        elif isinstance(process, GaussianMixtureProcess) and isinstance(rule, OneNNRule):
+            # predictions flip only halfway between sorted training features
+            # of different labels; a query exactly halfway takes the lower one
+            xs, zs = rule._xs, rule._zs
+            flips = np.flatnonzero(zs[1:] != zs[:-1])
+            cuts = 0.5 * (xs[flips] + xs[flips + 1])
+            moments[rule.id] = _mixture_step_moments(cuts, int(zs[0]))
             how[rule.id] = "analytic"
         else:
-            mc_rules.append(rule)
-
-    if mc_rules:
-        rng = _substream(seed, 0x7A0E, 0)
-        sums = {rule.id: np.zeros(3) for rule in mc_rules}  # za, a, z sums
-        total = 0
-        chunk = 250_000
-        while total < mc_size:
-            size = min(chunk, mc_size - total)
-            batch = process.sample(size, rng)
-            zf = batch.z.astype(float)
-            for rule in mc_rules:
-                a = rule.predict(batch).astype(float)
-                sums[rule.id] += (float(zf @ a), float(a.sum()), float(zf.sum()))
-            total += size
-        for rule in mc_rules:
-            s = sums[rule.id] / total
-            moments[rule.id] = MomentTriple(m_za=s[0], m_a=s[1], m_z=s[2])
-            how[rule.id] = f"monte_carlo(size={mc_size}, seed={seed})"
+            raise PerfciError(f"no exact true value for rule {rule!r} under {process!r}")
 
     targets = make_targets([r.id for r in rules], [m.id for m in measures])
     values = np.array(
@@ -321,10 +313,9 @@ def true_params(
 class CoverageConfig:
     """Everything one coverage study needs.
 
-    ``joint_sets`` is ``"all"`` (one set spanning every target),
-    ``"per-rule"`` (one set per rule), a combination like
-    ``"per-rule,all"``, or an explicit tuple of index tuples into the
-    rule-major target list.
+    ``joint_sets`` is a spec for :func:`perfci.dataset.make_joint_sets`
+    over the rule-major target list, such as ``"all"``,
+    ``"per-rule,all"``, ``"0,1;2"`` or ``((0,), (0, 1))``.
     """
 
     process: object
@@ -337,7 +328,6 @@ class CoverageConfig:
     joint_sets: object = "all"
     draws: int = DEFAULT_SIM_DRAWS
     seed: int = 0
-    true_mc_size: int = DEFAULT_TRUE_MC_SIZE
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -450,33 +440,6 @@ def _finite_or_none(value) -> float | None:
     return None if np.isnan(value) else float(value)
 
 
-def _resolve_joint_sets(
-    spec, targets: Sequence[EvaluationTarget], rules: Sequence
-) -> list[tuple[str, tuple[int, ...]]]:
-    if isinstance(spec, str):
-        sets: list[tuple[str, tuple[int, ...]]] = []
-        for token in spec.split(","):
-            token = token.strip()
-            if token == "all":
-                sets.append(("all", tuple(range(len(targets)))))
-            elif token == "per-rule":
-                for rule in rules:
-                    idx = tuple(
-                        k for k, t in enumerate(targets) if t.rule_id == rule.id
-                    )
-                    sets.append((rule.id, idx))
-            else:
-                raise ValueError(f"unknown joint set token {token!r}")
-        return sets
-    out = []
-    for i, raw in enumerate(spec):
-        idx = tuple(int(k) for k in raw)
-        if not idx or any(k < 0 or k >= len(targets) for k in idx):
-            raise ValueError(f"joint set {raw!r} out of range")
-        out.append((f"set{i}", idx))
-    return out
-
-
 def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, CoverageResult]:
     """Shared-stream engine behind run_coverage and the stress pair.
 
@@ -490,14 +453,8 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
         [r.id for r in rules], [resolve_measure(m).id for m in config.measure_ids]
     )
     n_targets = len(targets)
-    truth = true_params(
-        process,
-        rules,
-        config.measure_ids,
-        mc_size=config.true_mc_size,
-        seed=_substream_seed(config.seed, 0x72, 0),
-    )
-    sets = _resolve_joint_sets(config.joint_sets, targets, rules)
+    truth = true_params(process, rules, config.measure_ids)
+    sets = make_joint_sets(config.joint_sets, targets)
     reps = config.replications
     n = config.n
     alpha = config.alpha

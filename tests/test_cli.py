@@ -5,6 +5,7 @@ import json
 import pytest
 
 from perfci.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
+from perfci.dataset import make_joint_sets, make_targets
 from perfci.quantiles import inv_norm_cdf
 
 TOY = "z,r\n1,1\n1,0\n0,1\n0,0\n"
@@ -310,3 +311,40 @@ def test_coverage_errors(tmp_path, capsys):
     code = main(["coverage", "--process", "gaussian_mixture", "--rules", "threshold(0.5)"])
     assert code == EXIT_HARD
     assert "--n" in capsys.readouterr().err
+
+
+def test_analyze_and_coverage_share_the_joint_set_grammar(tmp_path, capsys):
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    targets = make_targets(["a", "b"], ["accuracy", "f1"])
+    labels = [(t.rule_id, t.measure_id) for t in targets]
+    for spec in ("per-rule", "all", "per-rule,all", "0,1;2", "all;0,3"):
+        expected = [idx for _, idx in make_joint_sets(spec, targets)]
+        code, payload = run_json(
+            capsys, ["analyze", table, "--joint", spec, "--format", "json", "--draws", "2000"]
+        )
+        assert code == EXIT_OK
+        reports = payload if isinstance(payload, list) else [payload]
+        analyzed = [
+            tuple(labels.index((r["rule"], r["measure"])) for r in report["targets"])
+            for report in reports
+        ]
+        code, payload = run_json(
+            capsys,
+            ["coverage", "--process", "bootstrap", "--population", table, "--rules", "a,b",
+             "--n", "8", "--replications", "3", "--draws", "1000", "--joint", spec,
+             "--format", "json"],
+        )
+        assert code == EXIT_OK
+        covered = [tuple(js["indices"]) for js in payload["joint_sets"]]
+        assert analyzed == covered == expected, spec
+
+
+@pytest.mark.parametrize("spec", ["everything", "0,x", "0,9", "-1", "all,0", ";"])
+def test_bad_joint_specs_fail_in_both_commands(tmp_path, capsys, spec):
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    assert main(["analyze", table, "--joint", spec]) == EXIT_HARD
+    assert "--joint" in capsys.readouterr().err
+    argv = ["coverage", "--process", "bootstrap", "--population", table, "--rules", "a",
+            "--n", "8", "--replications", "3", "--draws", "1000", "--joint", spec]
+    assert main(argv) == EXIT_HARD
+    assert "joint set" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from perfci.dataset import (
     BinaryDataset,
     EvaluationTarget,
     compute_moments,
+    make_joint_sets,
     make_targets,
     read_csv,
     validate_table,
@@ -125,6 +126,21 @@ def test_make_targets_is_rule_major():
     ]
     assert targets[0].rule_id == "r1" and targets[0].measure_id == "m1"
     assert EvaluationTarget("r1", "m1").label() == "r1:m1"
+
+
+def test_make_joint_sets_grammar_and_labels():
+    targets = make_targets(["r1", "r2"], ["m1", "m2"])
+    assert make_joint_sets(" per-rule , all ; 3,0;1 ", targets) == [
+        ("r1", (0, 1)),
+        ("r2", (2, 3)),
+        ("all", (0, 1, 2, 3)),
+        ("set1", (3, 0)),
+        ("set2", (1,)),
+    ]
+    assert make_joint_sets(((0,), [1, 2]), targets) == [("set0", (0,)), ("set1", (1, 2))]
+    for bad in ("none", "all,1", "0,,1", "4", "", ((),), ((0, 5),)):
+        with pytest.raises(ValueError):
+            make_joint_sets(bad, targets)
 
 
 def test_moments_satisfy_feasibility_bounds():

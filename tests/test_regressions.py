@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import perfci
-from perfci.cli import EXIT_OK, _split_csv_list, main
+from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
 from perfci.dataset import BinaryDataset, EvaluationTarget, read_csv
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec
@@ -103,3 +103,28 @@ def test_read_csv_skips_utf8_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + TOY.encode())
     data = read_csv(str(path))
     assert data.rule_ids == ("r",) and data.n == 6
+
+
+def _coverage_config(tmp_path, text, prefix=b""):
+    pop = tmp_path / "pop.csv"
+    pop.write_text("z,r\n1,1\n1,0\n1,1\n0,0\n0,1\n0,0\n1,1\n0,0\n0,1\n1,0\n")
+    cfg = tmp_path / "cov.cfg"
+    cfg.write_bytes(prefix + text.format(pop=pop).encode())
+    return str(cfg)
+
+
+def test_coverage_config_rejects_unknown_keys(tmp_path, capsys):
+    body = "process = bootstrap\npopulation = {pop}\nrules = r\nn = 8\ndraws = 1000\n"
+    for line in ("replicatons = 7", "true_mc_size = 1000000"):
+        cfg = _coverage_config(tmp_path, body + line + "\n")
+        assert main(["coverage", "--config", cfg, "--format", "json"]) == EXIT_HARD
+        err = capsys.readouterr().err
+        assert f"{cfg}:6: unknown key {line.split()[0]!r}" in err
+
+
+def test_coverage_config_skips_utf8_byte_order_mark(tmp_path, capsys):
+    body = "process = bootstrap\npopulation = {pop}\nrules = r\nmeasures = accuracy\n"
+    cfg = _coverage_config(tmp_path, body + "n = 8\nreplications = 3\n", b"\xef\xbb\xbf")
+    assert main(["coverage", "--config", cfg, "--format", "json"]) == EXIT_OK
+    payload = strict_loads(capsys.readouterr().out)
+    assert payload["targets"][0]["provenance"] == "population"

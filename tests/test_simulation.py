@@ -151,16 +151,52 @@ def test_true_params_population_plug_in_for_bootstrap():
     assert truth.values[1] == resolve_measure("f1").evaluate(m)
 
 
-def test_true_params_monte_carlo_fallback():
+def test_true_params_one_nn_equals_its_threshold_cell():
     proc = GaussianMixtureProcess()
-    rule = OneNNRule.train(proc, size=30, seed=2)
-    truth = true_params(proc, [rule], ["accuracy"], mc_size=100_000, seed=5)
-    assert truth.provenance[0] == "monte_carlo(size=100000, seed=5)"
-    assert 0.5 < truth.values[0] < 0.75  # 1-NN beats the coin on this mixture
-    again = true_params(proc, [rule], ["accuracy"], mc_size=100_000, seed=5)
-    assert truth.values[0] == again.values[0]
-    with pytest.raises(ValueError):
-        true_params(proc, [rule], ["accuracy"], mc_size=1000)
+    cut = true_params(proc, [ThresholdRule(0.5)], ["accuracy"]).moments["threshold(0.5)"]
+    truth = true_params(proc, [OneNNRule([0.0, 1.0], [0, 1])], ["accuracy"])
+    assert truth.provenance == ("analytic",)
+    assert truth.moments["one_nn"] == cut
+    flipped = true_params(proc, [OneNNRule([0.0, 1.0], [1, 0])], ["accuracy"])
+    assert flipped.moments["one_nn"].m_a == pytest.approx(1.0 - cut.m_a, abs=1e-15)
+    assert flipped.moments["one_nn"].m_za == pytest.approx(0.5 - cut.m_za, abs=1e-15)
+
+
+def test_true_params_one_nn_duplicate_features_follow_tie_rule():
+    # sorted training set is x = (0, 0, 1), z = (1, 0, 1): queries at or
+    # below 0 take the first duplicate, those just above it the last one
+    rule = OneNNRule([0.0, 1.0, 0.0], [1, 1, 0])
+    batch = SampleBatch(z=np.zeros(4, dtype=np.uint8), x=np.array([-0.1, 0.0, 0.1, 0.6]))
+    np.testing.assert_array_equal(rule.predict(batch), [1, 1, 0, 1])
+    m = true_params(GaussianMixtureProcess(), [rule], ["accuracy"]).moments["one_nn"]
+    positive = [norm_cdf(-z) + 1.0 - norm_cdf(0.5 - z) for z in (0, 1)]
+    assert m.m_za == pytest.approx(0.5 * positive[1], abs=1e-15)
+    assert m.m_a == pytest.approx(0.5 * sum(positive), abs=1e-15)
+    assert m.m_z == 0.5
+
+
+def test_true_params_one_nn_agrees_with_predict_sample():
+    proc = GaussianMixtureProcess()
+    rule = OneNNRule.train(proc, size=500, seed=2)
+    m = true_params(proc, [rule], ["accuracy"]).moments["one_nn"]
+    rng = np.random.default_rng(67)
+    rows, za, a = 4_000_000, 0, 0
+    for _ in range(4):
+        batch = proc.sample(rows // 4, rng)
+        pred = rule.predict(batch)
+        za += int(np.sum(pred & batch.z))
+        a += int(np.sum(pred))
+    for exact, count in ((m.m_za, za), (m.m_a, a)):
+        stderr = np.sqrt(exact * (1.0 - exact) / rows)
+        assert abs(count / rows - exact) <= 4.0 * stderr
+
+
+def test_true_params_rejects_pairs_without_exact_truth():
+    pop = small_population(np.random.default_rng(68))
+    with pytest.raises(PerfciError, match="no exact true value"):
+        true_params(GaussianMixtureProcess(), [FixedPredictionRule("fixed")], ["accuracy"])
+    with pytest.raises(PerfciError, match="no exact true value"):
+        true_params(EmpiricalBootstrapProcess(pop), [ThresholdRule(0.5)], ["accuracy"])
 
 
 def test_coverage_config_validation():
