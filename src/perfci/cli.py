@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .covariance import estimate_targets
 from .dataset import make_joint_sets, make_targets, read_csv
-from .errors import NoUsableTargetsError, PerfciError
-from .intervals import IntervalReport, IntervalSpec, analyze
+from .errors import PerfciError
+from .intervals import IntervalReport, IntervalSpec, set_report
 from .measures import resolve_measure
 from .quantiles import DEFAULT_DRAWS, QuantileRequest, max_abs_quantile
 from .simulation import (
@@ -160,21 +161,16 @@ def _analyze_cmd(args) -> int:
             mode, sets = "joint", [idx for _, idx in make_joint_sets(args.joint, targets)]
         except ValueError as exc:
             raise ValueError(f"--joint {args.joint!r}: {exc}") from None
-    reports: list[IntervalReport] = []
-    for target_set in sets:
-        spec = IntervalSpec(
-            alpha=args.alpha,
-            mode=mode,
-            choice=args.choice,
-            target_set=target_set,
-            draws=args.draws,
-            seed=args.seed,
-            clamp=args.clamp,
-        )
-        try:
-            reports.append(analyze(data, targets, spec))
-        except NoUsableTargetsError as exc:
-            reports.append(_failed_report(data.n, spec, targets, exc))
+    spec = IntervalSpec(
+        alpha=args.alpha,
+        mode=mode,
+        choice=args.choice,
+        draws=args.draws,
+        seed=args.seed,
+        clamp=args.clamp,
+    )
+    fit = estimate_targets(data, targets)
+    reports = [set_report(fit, targets, members, spec) for members in sets]
 
     if args.fmt == "json":
         payload = [_report_dict(r) for r in reports]
@@ -189,32 +185,6 @@ def _analyze_cmd(args) -> int:
     if any(row.ok for row in rows):
         return EXIT_PARTIAL
     return EXIT_HARD
-
-
-def _failed_report(n, spec, targets, exc: NoUsableTargetsError) -> IntervalReport:
-    from .intervals import TargetInterval
-
-    indices = spec.target_set if spec.target_set is not None else range(len(targets))
-    rows = []
-    for i in indices:
-        t = targets[i]
-        rows.append(
-            TargetInterval(
-                rule_id=t.rule_id,
-                measure_id=t.measure_id,
-                error=exc.failures.get(t.label(), "failed"),
-            )
-        )
-    return IntervalReport(
-        n=n,
-        alpha=spec.alpha,
-        mode=spec.mode,
-        choice=spec.choice,
-        q=float("nan"),
-        mc_stderr=float("nan"),
-        seed=spec.seed,
-        rows=tuple(rows),
-    )
 
 
 def _report_dict(report: IntervalReport) -> dict:

@@ -36,6 +36,7 @@ __all__ = [
     "EvaluationTarget",
     "make_targets",
     "make_joint_sets",
+    "check_rule_ids",
     "validate_table",
     "read_csv",
     "compute_moments",
@@ -78,6 +79,7 @@ def make_joint_sets(
     ``per-rule`` (one set per rule, labelled with the rule id), or of
     target indices (labelled ``set<i>`` by its position ``i`` in the
     spec).  A sequence of index sequences is read like the index form.
+    Labels must be distinct, and so must the indices within one set.
     """
     everything = tuple(range(len(targets)))
     named = {
@@ -105,9 +107,15 @@ def make_joint_sets(
             ) from None
         if not idx or not all(0 <= k < len(targets) for k in idx):
             raise ValueError(f"joint set indices {idx} out of range for {len(targets)} targets")
+        if len(set(idx)) < len(idx):
+            raise ValueError(f"joint set indices {idx} repeat a target")
         sets.append((f"set{i}", idx))
     if not sets:
         raise ValueError(f"no joint sets in {spec!r}")
+    labels = [label for label, _ in sets]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"joint set label {label!r} occurs more than once")
     return sets
 
 
@@ -139,11 +147,7 @@ class BinaryDataset:
         pairs; the pair form can surface duplicate rule ids.
         """
         pairs = list(rules.items()) if isinstance(rules, Mapping) else list(rules)
-        seen: set[str] = set()
-        for rule_id, _ in pairs:
-            if rule_id == "z" or rule_id in seen:
-                raise DuplicateRuleIdError(rule_id)
-            seen.add(rule_id)
+        check_rule_ids(rule_id for rule_id, _ in pairs)
         if not pairs:
             raise DatasetError("table needs at least one rule column besides z")
 
@@ -205,6 +209,16 @@ class BinaryDataset:
         return f"BinaryDataset(n={self.n}, rules={list(self._rules)})"
 
 
+def check_rule_ids(rule_ids: Iterable[str]) -> None:
+    """Raise :class:`DuplicateRuleIdError` for the first rule id that repeats
+    or is ``z``, the name of the truth column."""
+    seen: set[str] = set()
+    for rule_id in rule_ids:
+        if rule_id == "z" or rule_id in seen:
+            raise DuplicateRuleIdError(rule_id)
+        seen.add(rule_id)
+
+
 def _as_binary_column(values, col: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -238,12 +252,7 @@ def validate_table(
         raise DatasetError("header must contain a 'z' column")
     if names.count("z") > 1:
         raise DuplicateRuleIdError("z")
-    seen: set[str] = set()
-    for name in names:
-        if name != "z":
-            if name in seen:
-                raise DuplicateRuleIdError(name)
-            seen.add(name)
+    check_rule_ids(name for name in names if name != "z")
     if len(names) < 2:
         raise DatasetError("table needs at least one rule column besides z")
 

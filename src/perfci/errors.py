@@ -81,11 +81,11 @@ class TooFewRowsError(DatasetError):
 
 
 class DuplicateRuleIdError(DatasetError):
-    """Two columns of the table carry the same rule id."""
+    """Two rules (table columns or coverage rules) share an id, or one is named z."""
 
     def __init__(self, rule_id: str):
         self.rule_id = rule_id
-        super().__init__(f"duplicate rule column {rule_id!r}")
+        super().__init__(f"duplicate rule id {rule_id!r}")
 
 
 class UnknownRuleError(PerfciError, KeyError):

@@ -16,6 +16,13 @@ corrected one (2, default), see :mod:`perfci.covariance`.  In joint
 mode the correlation matrix fed to the quantile simulation comes from
 the same covariance estimate the widths use.
 
+One fit serves every joint set: :func:`set_report` turns one
+:func:`~perfci.covariance.estimate_targets` fit of the whole target list
+into the intervals of one set (restriction, correction, degenerate
+variances, quantile, widths).  :func:`analyze`, ``perfci analyze`` and
+the coverage harness (:func:`~perfci.simulation.run_coverage`) all call
+it, so the harness scores exactly the intervals ``analyze`` reports.
+
 Partial failure policy: a target whose measure is undefined at the
 sample moments, or whose variance degenerates, gets its error recorded
 inline while the remaining targets proceed; only when every target
@@ -29,7 +36,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .covariance import CovarianceEstimate, correct, correlation, estimate_targets
+from .covariance import (
+    CovarianceEstimate, TargetEstimates, correct, correlation, estimate_targets
+)
 from .covariance import influence  # noqa: F401  (bench/spans.py wraps it in this namespace)
 from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
@@ -55,6 +64,7 @@ __all__ = [
     "individual_ci",
     "joint_cis",
     "analyze",
+    "set_report",
 ]
 
 CHOICE_PLUGIN = 1
@@ -211,9 +221,12 @@ def _report(
     cov: CovarianceEstimate,
     spec: IntervalSpec,
 ) -> IntervalReport:
-    """One interval per row of ``cov``, all with the quantile of ``spec.mode``;
-    with ``spec.clamp``, rows of unit-range measures are cut to ``[0, 1]``."""
-    if spec.mode == "individual":
+    """One interval per row of ``cov``, all with the quantile of ``spec.mode``
+    (NaN for no rows); with ``spec.clamp``, rows of unit-range measures are
+    cut to ``[0, 1]``."""
+    if not targets:
+        q = mc_stderr = float("nan")
+    elif spec.mode == "individual":
         q, mc_stderr = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0
     else:
         result = max_abs_quantile(
@@ -255,47 +268,63 @@ def analyze(
     """End-to-end report for a dataset and an ordered target list.
 
     Pipeline: estimates, gradients and plug-in covariance from the counts
-    of distinct rows (:func:`~perfci.covariance.estimate_targets`), optional
-    correction (choice 2), then individual or simultaneous intervals.
-    Per-target failures (unknown ids, domain violations, singular
-    variances) become inline error rows; :class:`NoUsableTargetsError`
-    fires only if nothing survives.
+    of distinct rows (:func:`~perfci.covariance.estimate_targets`), then
+    :func:`set_report` for ``spec.target_set``.  Per-target failures
+    (unknown ids, domain violations, singular variances) become inline
+    error rows; :class:`NoUsableTargetsError` fires only if nothing
+    survives.
     """
-    indices = _selection(spec, len(targets))
-    selected = [targets[i] for i in indices]
-
-    fit = estimate_targets(data, selected, catalog)
-    errors = {pos: _describe(exc) for pos, exc in fit.errors.items()}
-    cov = fit.cov
-    if spec.choice == CHOICE_CORRECTED:
-        cov = correct(cov, spec.alpha, fit.gradients)
-
-    # weed out degenerate variances before the interval step
-    usable: list[int] = []
-    for r, pos in enumerate(fit.alive):
-        if cov.v[r, r] > 0.0:
-            usable.append(r)
-        else:
-            err = SingularVarianceError(indices[pos], f"choice {spec.choice}")
-            errors[pos] = _describe(err)
-    alive = [fit.alive[r] for r in usable]
-    if not alive:
+    members = _selection(spec, len(targets))
+    report = set_report(estimate_targets(data, targets, catalog), targets, members, spec)
+    if not report.ok_rows:
         raise NoUsableTargetsError(
-            {selected[p].label(): msg for p, msg in errors.items()}
+            {f"{row.rule_id}:{row.measure_id}": row.error for row in report.rows}
         )
+    return report
 
+
+def set_report(
+    fit: TargetEstimates,
+    targets: Sequence[EvaluationTarget],
+    members: Sequence[int],
+    spec: IntervalSpec,
+) -> IntervalReport:
+    """Intervals for one target set, ``targets[i]`` for ``i`` in ``members``,
+    from ``fit = estimate_targets(data, targets)``.
+
+    The fit's covariance is restricted to the members and, for choice 2,
+    corrected.  Members the fit failed, or whose variance is not positive,
+    get inline error rows; the others share the quantile of ``spec.mode``,
+    drawn with ``spec.seed`` in joint mode.  ``q`` and ``mc_stderr`` are
+    NaN when no member is usable.  ``spec.target_set`` is not read.
+    """
+    row_of = {pos: r for r, pos in enumerate(fit.alive)}
+    live = [row_of[i] for i in members if i in row_of]
+    cov = fit.cov.restrict(live)
+    if spec.choice == CHOICE_CORRECTED:
+        cov = correct(cov, spec.alpha, [fit.gradients[r] for r in live])
+    usable = [k for k, v in enumerate(cov.v.diagonal()) if v > 0.0]
     report = _report(
-        [selected[p] for p in alive],
-        [float(fit.estimates[r]) for r in usable],
-        [fit.measures[r].unit_range for r in usable],
+        [targets[fit.alive[live[k]]] for k in usable],
+        [float(fit.estimates[live[k]]) for k in usable],
+        [fit.measures[live[k]].unit_range for k in usable],
         cov.restrict(usable),
         spec,
     )
-    rows = dict(zip(alive, report.rows))
-    for pos, message in errors.items():
-        target = selected[pos]
-        rows[pos] = TargetInterval(target.rule_id, target.measure_id, error=message)
-    return replace(report, rows=tuple(rows[pos] for pos in range(len(selected))))
+    ok_rows, variances = iter(report.rows), iter(cov.v.diagonal())
+    rows = []
+    for i in members:
+        if i in fit.errors:
+            error = fit.errors[i]
+        elif next(variances) > 0.0:
+            rows.append(next(ok_rows))
+            continue
+        else:
+            error = SingularVarianceError(i, f"choice {spec.choice}")
+        rows.append(
+            TargetInterval(targets[i].rule_id, targets[i].measure_id, error=_describe(error))
+        )
+    return replace(report, rows=tuple(rows))
 
 
 def _describe(exc: Exception) -> str:

@@ -10,6 +10,11 @@ Three coverage notions are reported:
   once (the naive reading of a table of marginal intervals);
 * joint: how often the simultaneous intervals cover all their targets.
 
+Each replication fits its sample once and builds every interval with
+:func:`perfci.intervals.set_report`, the step behind
+:func:`~perfci.intervals.analyze` and ``perfci analyze``, so
+:func:`run_coverage` scores the same intervals ``analyze`` reports.
+
 Data processes
 --------------
 ``GaussianMixtureProcess`` draws labels fair-coin and a scalar feature
@@ -33,18 +38,21 @@ independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .covariance import correct, correlation, estimate_targets
+from .covariance import estimate_targets
 from .dataset import (
-    BinaryDataset, EvaluationTarget, compute_moments, make_joint_sets, make_targets
+    BinaryDataset, EvaluationTarget, check_rule_ids, compute_moments, make_joint_sets,
+    make_targets,
 )
 from .errors import PerfciError
+from .intervals import IntervalSpec, set_report
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
-from .quantiles import QuantileRequest, inv_norm_cdf, max_abs_quantile, norm_cdf
+from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
+from .quantiles import norm_cdf
 
 __all__ = [
     "SampleBatch",
@@ -315,7 +323,9 @@ class CoverageConfig:
 
     ``joint_sets`` is a spec for :func:`perfci.dataset.make_joint_sets`
     over the rule-major target list, such as ``"all"``,
-    ``"per-rule,all"``, ``"0,1;2"`` or ``((0,), (0, 1))``.
+    ``"per-rule,all"``, ``"0,1;2"`` or ``((0,), (0, 1))``.  Rule ids must
+    be distinct (``threshold(0.3)`` and ``threshold(0.30)`` are not) and
+    not ``z``, as in :meth:`BinaryDataset.from_arrays`.
     """
 
     process: object
@@ -342,6 +352,7 @@ class CoverageConfig:
             raise ValueError(f"choice must be 1 or 2, got {self.choice}")
         if not self.rules or not self.measure_ids:
             raise ValueError("need at least one rule and one measure")
+        check_rule_ids(rule.id for rule in self.rules)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +469,7 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
     reps = config.replications
     n = config.n
     alpha = config.alpha
-    z_alpha = inv_norm_cdf(1.0 - alpha / 2.0)
+    specs = {c: IntervalSpec(alpha=alpha, choice=c, draws=config.draws) for c in choices}
 
     est = np.full((reps, n_targets), np.nan)
     variances = {c: np.full((reps, n_targets), np.nan) for c in choices}
@@ -478,39 +489,19 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
             {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
         )
         fit = estimate_targets(data, targets)
-        alive = np.asarray(fit.alive, dtype=int)
-        est[rep, alive] = fit.estimates
+        est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
 
-        for choice in choices:
-            cov = fit.cov
-            if choice == 2:
-                cov = correct(cov, alpha, fit.gradients)
-            diag = np.diagonal(cov.v)
-            usable_rows = np.nonzero(diag > 0.0)[0]
-            usable_targets = alive[usable_rows]
-            variances[choice][rep, usable_targets] = diag[usable_rows]
-            ind_half[choice][rep, usable_targets] = z_alpha * np.sqrt(
-                diag[usable_rows] / n
-            )
-
+        # failed rows carry None, which float arrays store as NaN
+        for choice, spec in specs.items():
+            report = set_report(fit, targets, range(n_targets), replace(spec, mode="individual"))
+            variances[choice][rep] = [row.variance for row in report.rows]
+            ind_half[choice][rep] = [row.half_width for row in report.rows]
             for set_pos, (label, idx) in enumerate(sets):
-                members = np.asarray(idx)
-                live_mask = np.isin(members, usable_targets)
-                if not live_mask.any():
-                    continue
-                sub = cov.restrict(np.searchsorted(alive, members[live_mask]))
-                qres = max_abs_quantile(
-                    QuantileRequest(
-                        alpha=alpha,
-                        corr=correlation(sub),
-                        draws=config.draws,
-                        seed=_substream_seed(config.seed, rep, 1 + set_pos),
-                    )
-                )
-                joint_q[choice][label][rep] = qres.q
-                joint_mc[choice][label][rep] = qres.mc_stderr
-                half = qres.q * np.sqrt(np.diagonal(sub.v) / n)
-                joint_half[choice][label][rep, live_mask] = half
+                seed = _substream_seed(config.seed, rep, 1 + set_pos)
+                report = set_report(fit, targets, idx, replace(spec, seed=seed))
+                joint_q[choice][label][rep] = report.q
+                joint_mc[choice][label][rep] = report.mc_stderr
+                joint_half[choice][label][rep] = [row.half_width for row in report.rows]
 
     # ---- aggregate --------------------------------------------------------
     # NaN entries mean "no interval in that replication": comparisons give

@@ -118,6 +118,31 @@ def test_analyze_total_failure_exit_code(tmp_path, capsys):
     assert all("error" in r for r in payload["targets"])
 
 
+def test_analyze_reports_an_all_failed_joint_set_inline(tmp_path, capsys):
+    # every target of the all-zero rule fails: f1 has zero plug-in variance
+    # and lift divides by the zero positive rate
+    table = write(tmp_path, "zero.csv", "z,a,b,zero\n" + "1,1,1,0\n1,1,0,0\n1,0,1,0\n"
+                  "0,0,0,0\n0,1,0,0\n0,0,1,0\n1,1,1,0\n0,0,0,0\n")
+    code, payload = run_json(
+        capsys,
+        ["analyze", table, "--measures", "f1,lift", "--choice", "1", "--joint", "per-rule",
+         "--draws", "2000", "--format", "json"],
+    )
+    assert code == EXIT_PARTIAL
+    assert [[r["rule"] for r in report["targets"]] for report in payload] == [
+        ["a", "a"], ["b", "b"], ["zero", "zero"]
+    ]
+    *good, failed = payload
+    assert failed["meta"]["q"] is None and failed["meta"]["mc_stderr"] is None
+    assert failed["meta"]["mode"] == "joint"
+    f1, lift = failed["targets"]
+    assert f1["error"].startswith("SingularVarianceError") and "target 4 " in f1["error"]
+    assert lift["error"].startswith("DomainError") and "estimate" not in lift
+    for report in good:
+        assert report["meta"]["q"] > inv_norm_cdf(0.975)
+        assert all("error" not in r for r in report["targets"])
+
+
 def test_analyze_table_output(tmp_path, capsys):
     table = write(tmp_path, "two.csv", TWO_RULES)
     code = main(["analyze", table, "--joint", "all", "--draws", "5000"])
@@ -339,7 +364,9 @@ def test_analyze_and_coverage_share_the_joint_set_grammar(tmp_path, capsys):
         assert analyzed == covered == expected, spec
 
 
-@pytest.mark.parametrize("spec", ["everything", "0,x", "0,9", "-1", "all,0", ";"])
+@pytest.mark.parametrize(
+    "spec", ["everything", "0,x", "0,9", "-1", "all,0", ";", "all;all", "0,0"]
+)
 def test_bad_joint_specs_fail_in_both_commands(tmp_path, capsys, spec):
     table = write(tmp_path, "two.csv", TWO_RULES)
     assert main(["analyze", table, "--joint", spec]) == EXIT_HARD

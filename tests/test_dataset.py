@@ -138,9 +138,12 @@ def test_make_joint_sets_grammar_and_labels():
         ("set2", (1,)),
     ]
     assert make_joint_sets(((0,), [1, 2]), targets) == [("set0", (0,)), ("set1", (1, 2))]
-    for bad in ("none", "all,1", "0,,1", "4", "", ((),), ((0, 5),)):
-        with pytest.raises(ValueError):
+    for bad in ("none", "all,1", "0,,1", "4", "", ((),), ((0, 5),), "all;all", "0,0"):
+        with pytest.raises(ValueError, match="joint set"):
             make_joint_sets(bad, targets)
+    # a rule named "all" gives its per-rule set the label of the "all" set
+    with pytest.raises(ValueError, match="joint set"):
+        make_joint_sets("per-rule,all", make_targets(["all", "r2"], ["m1"]))
 
 
 def test_moments_satisfy_feasibility_bounds():

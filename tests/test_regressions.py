@@ -7,11 +7,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 import perfci
 from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
 from perfci.dataset import BinaryDataset, EvaluationTarget, read_csv
+from perfci.errors import DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec
+from perfci.simulation import CoverageConfig, GaussianMixtureProcess, ThresholdRule
 
 TOY = "z,r\n1,1\n1,0\n0,1\n0,0\n1,1\n0,0\n"
 
@@ -128,3 +132,20 @@ def test_coverage_config_skips_utf8_byte_order_mark(tmp_path, capsys):
     assert main(["coverage", "--config", cfg, "--format", "json"]) == EXIT_OK
     payload = strict_loads(capsys.readouterr().out)
     assert payload["targets"][0]["provenance"] == "population"
+
+
+def test_coverage_rejects_duplicate_rule_ids(capsys):
+    argv = ["coverage", "--rules", "threshold(0.3),threshold(0.3)", "--measures", "accuracy",
+            "--n", "50", "--replications", "20", "--draws", "2000"]
+    assert main(argv) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate rule" in captured.err and "threshold(0.3)" in captured.err
+    # thresholds that print alike share the id "threshold(0.3)", too
+    with pytest.raises(DuplicateRuleIdError):
+        CoverageConfig(
+            process=GaussianMixtureProcess(),
+            rules=(ThresholdRule(0.3), ThresholdRule(0.3000001)),
+            measure_ids=("accuracy",),
+            n=50,
+        )

@@ -7,6 +7,7 @@ import pytest
 
 from perfci.dataset import BinaryDataset, compute_moments
 from perfci.errors import PerfciError
+from perfci.intervals import IntervalSpec, analyze
 from perfci.measures import resolve_measure
 from perfci.quantiles import inv_norm_cdf, norm_cdf
 from perfci.simulation import (
@@ -239,6 +240,15 @@ def test_exhaustive_permutation_covers_exactly():
     assert result.joint_of_individual == 1.0
     assert result.joint_sets[0].coverage == 1.0
     assert np.all(result.target_error_counts == 0)
+    # every replication sees the population, so it scores analyze's intervals
+    report = analyze(pop, result.targets, IntervalSpec(mode="individual", choice=1))
+    for rep in range(config.replications):
+        np.testing.assert_array_equal(
+            result.diagnostics.individual_half[rep], [r.half_width for r in report.rows]
+        )
+        np.testing.assert_array_equal(
+            result.diagnostics.variances[rep], [r.variance for r in report.rows]
+        )
 
 
 def test_mixture_smoke_study_structure_and_determinism():
