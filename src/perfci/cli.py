@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -400,21 +401,15 @@ def _coverage_table(result) -> str:
 
 
 def _parse_corr_argument(raw: str) -> np.ndarray:
-    import os
-
+    """A correlation matrix from a CSV file (one row per line) or inline
+    (rows separated by ``;``)."""
     if os.path.exists(raw):
-        rows = []
-        with open(raw) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-        return np.asarray(rows, dtype=float)
-    rows = []
-    for group in raw.split(";"):
-        group = group.strip()
-        if group:
-            rows.append([float(tok) for tok in group.split(",")])
+        # utf-8-sig drops the byte-order mark spreadsheet exports start with
+        with open(raw, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    else:
+        lines = raw.split(";")
+    rows = [[float(tok) for tok in line.split(",")] for line in lines if line.strip()]
     if not rows:
         raise ValueError(f"could not parse correlation matrix from {raw!r}")
     return np.asarray(rows, dtype=float)

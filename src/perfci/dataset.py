@@ -6,15 +6,17 @@ The estimator consumes one table per evaluation: a ground-truth column
 everything downstream is a smooth function of a few sample averages.
 
 The CSV layout (shared with the command line) is a header row naming
-``z`` and the rules, then one 0/1 row per observation.  ``"0.0"`` and
-``"1.0"`` style spellings are accepted; anything that is not numerically
-0 or 1 is rejected with the exact row and column in the message.
+``z`` and the rules, then one 0/1 row per observation.  A cell of a CSV
+or an array is valid when ``float`` reads it, after ``str.strip`` for
+strings, as 0 or 1.  The first other cell (a CSV row by row, arrays column
+by column from ``z``) is rejected with its row and column in the message.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -219,23 +221,39 @@ def check_rule_ids(rule_ids: Iterable[str]) -> None:
         seen.add(rule_id)
 
 
+def _read_cell(cell) -> int:
+    """The cell rule; a bad cell raises ValueError, OverflowError or TypeError."""
+    number = float(cell.strip() if isinstance(cell, str) else cell)
+    if number not in (0.0, 1.0):
+        raise ValueError(cell)
+    return int(number)
+
+
+class _CellCodes(dict):
+    """The code of each distinct cell, read once by :func:`_read_cell`."""
+
+    def __missing__(self, cell):
+        self[cell] = code = _read_cell(cell)
+        return code
+
+
+def _binary_codes(cells: list, read, bad_cell) -> np.ndarray:
+    """``read`` of each cell as uint8; raises ``bad_cell(i)`` for the first bad cell."""
+    remaining = iter(cells)
+    try:
+        return np.fromiter(map(read, remaining), np.uint8, len(cells))
+    except (TypeError, ValueError, OverflowError):
+        # ``read`` failed on the last cell taken from ``remaining``
+        raise bad_cell(len(cells) - operator.length_hint(remaining) - 1) from None
+
+
 def _as_binary_column(values, col: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DatasetError(f"column {col!r} must be one-dimensional")
-    out = np.empty(arr.shape[0], dtype=np.uint8)
-    for i, v in enumerate(arr):
-        try:
-            f = float(v)
-        except (TypeError, ValueError):
-            raise NonBinaryValueError(i + 1, col, v) from None
-        if f == 0.0:
-            out[i] = 0
-        elif f == 1.0:
-            out[i] = 1
-        else:
-            raise NonBinaryValueError(i + 1, col, v)
-    return out
+    # mixed types skip the cache: 1 == 1 + 0j reads differently, {} cannot be hashed
+    read = _read_cell if arr.dtype == object else _CellCodes().__getitem__
+    return _binary_codes(arr.tolist(), read, lambda i: NonBinaryValueError(i + 1, col, arr[i]))
 
 
 def validate_table(
@@ -245,7 +263,7 @@ def validate_table(
 
     Raises the specific :class:`~perfci.errors.DatasetError` subclass
     for each defect: unknown/duplicate columns, ragged rows, non-binary
-    cells, too few rows.
+    cells, too few rows.  Blank rows are skipped.
     """
     names = [h.strip() for h in header]
     if names.count("z") == 0:
@@ -257,43 +275,24 @@ def validate_table(
         raise DatasetError("table needs at least one rule column besides z")
 
     width = len(names)
-    columns: list[list[int]] = [[] for _ in names]
-    n = 0
+    cells: list[str] = []  # row-major, up to the first ragged row
+    fields = 0
     for row in rows:
-        cells = list(row)
-        if len(cells) == 0:
-            continue  # ignore blank trailing lines
-        n += 1
-        if len(cells) != width:
-            raise LengthMismatchError(
-                f"row {n} has {len(cells)} fields, header has {width}"
-            )
-        for j, tok in enumerate(cells):
-            columns[j].append(_parse_binary_cell(tok, n, names[j]))
-    if n < MIN_ROWS:
-        raise TooFewRowsError(n)
+        fields = len(row)
+        if fields not in (0, width):
+            break
+        cells.extend(row)
 
-    z_idx = names.index("z")
-    z_arr = np.asarray(columns[z_idx], dtype=np.uint8)
-    rules = {
-        names[j]: np.asarray(columns[j], dtype=np.uint8)
-        for j in range(width)
-        if j != z_idx
-    }
-    return BinaryDataset(z_arr, rules)
+    def bad_cell(i):  # reported before a ragged row below it
+        return NonBinaryValueError(i // width + 1, names[i % width], cells[i])
 
-
-def _parse_binary_cell(token: str, row: int, col: str) -> int:
-    tok = token.strip()
-    try:
-        value = float(tok)
-    except ValueError:
-        raise NonBinaryValueError(row, col, token) from None
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
-    raise NonBinaryValueError(row, col, token)
+    grid = _binary_codes(cells, _CellCodes().__getitem__, bad_cell).reshape(-1, width)
+    if fields not in (0, width):
+        raise LengthMismatchError(f"row {len(grid) + 1} has {fields} fields, header has {width}")
+    return BinaryDataset.from_arrays(
+        grid[:, names.index("z")],
+        [(name, grid[:, j]) for j, name in enumerate(names) if name != "z"],
+    )
 
 
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:

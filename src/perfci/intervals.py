@@ -75,9 +75,9 @@ CHOICE_CORRECTED = 2
 class IntervalSpec:
     """Knobs for one interval request.
 
-    ``target_set`` holds indices into the analyzed target list (``None``
-    means all of them, in order).  ``draws`` and ``seed`` only matter in
-    joint mode, where the quantile is simulated.
+    ``target_set`` holds distinct indices into the analyzed target list
+    (``None`` means all of them, in order).  ``draws`` and ``seed`` only
+    matter in joint mode, where the quantile is simulated.
     """
 
     alpha: float = 0.05
@@ -190,6 +190,8 @@ def joint_cis(
         )
     indices = _selection(spec, k_all)
     if targets is None:
+        if spec.clamp:
+            raise ValueError("clamp needs targets: their measures say which intervals to clamp")
         targets = [EvaluationTarget(f"target{i}", "?") for i in range(k_all)]
     chosen = [targets[i] for i in indices]
     return _report(
@@ -211,6 +213,8 @@ def _selection(spec: IntervalSpec, k_all: int) -> tuple[int, ...]:
         )
     if not indices:
         raise DimensionMismatchError("target_set must not be empty")
+    if len(set(indices)) < len(indices):
+        raise DimensionMismatchError(f"target_set {indices} repeats a target")
     return indices
 
 

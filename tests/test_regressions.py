@@ -11,9 +11,10 @@ import pytest
 
 import perfci
 from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
-from perfci.dataset import BinaryDataset, EvaluationTarget, read_csv
-from perfci.errors import DuplicateRuleIdError
-from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze
+from perfci.covariance import estimate_targets
+from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_csv
+from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
+from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, joint_cis
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec
 from perfci.simulation import CoverageConfig, GaussianMixtureProcess, ThresholdRule
 
@@ -149,3 +150,42 @@ def test_coverage_rejects_duplicate_rule_ids(capsys):
             measure_ids=("accuracy",),
             n=50,
         )
+
+
+def _eight_rows():
+    return BinaryDataset.from_arrays([1, 1, 0, 0, 1, 0, 1, 0], {"a": [1, 0, 1, 0, 1, 1, 0, 0]})
+
+
+def test_target_set_rejects_a_repeated_index():
+    data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "jaccard"])
+    fit = estimate_targets(data, targets)
+    for target_set in ((0, 0), (1, 0, 1)):
+        spec = IntervalSpec(target_set=target_set, seed=1)
+        with pytest.raises(DimensionMismatchError, match="repeat"):
+            analyze(data, targets, spec)
+        with pytest.raises(DimensionMismatchError, match="repeat"):
+            joint_cis(fit.estimates, fit.cov, spec)
+    assert analyze(data, targets[:1], IntervalSpec(target_set=(0,), seed=1)).q == pytest.approx(
+        1.9501, abs=1e-4
+    )
+
+
+def test_joint_cis_clamp_needs_targets():
+    data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "jaccard"])
+    fit = estimate_targets(data, targets)
+    spec = IntervalSpec(clamp=True, seed=1)
+    with pytest.raises(ValueError, match="clamp needs targets"):
+        joint_cis(fit.estimates, fit.cov, spec)
+    report = joint_cis(fit.estimates, fit.cov, spec, targets)
+    assert all(0.0 <= row.lower <= row.upper <= 1.0 for row in report.rows)
+
+
+def test_quantile_reads_a_correlation_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "corr.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,0.5\n0.5,1\n")
+    argv = ["quantile", "--draws", "2000", "--seed", "1", "--format", "json"]
+    assert main(argv + ["--corr", str(path)]) == EXIT_OK
+    from_file = strict_loads(capsys.readouterr().out)
+    assert main(argv + ["--corr", "1,0.5;0.5,1"]) == EXIT_OK
+    assert from_file == strict_loads(capsys.readouterr().out)
+    assert from_file["dim"] == 2
