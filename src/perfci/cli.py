@@ -7,9 +7,9 @@ Three subcommands:
   measures, print JSON or an aligned table.
 * ``coverage``: run a coverage study described by a key=value config
   file (with flag overrides) and print the aggregated result.
-* ``quantile``: simulate the equicoordinate max-|z| quantile for a
-  correlation matrix given inline, as a CSV file, or as an identity
-  dimension.
+* ``quantile``: the equicoordinate max-|z| quantile for a correlation
+  matrix given inline, as a CSV file, or as an identity dimension; exact
+  at dimension 2, simulated otherwise.
 
 Exit codes: 0 on full success, 2 when some (but not all) targets failed
 and their errors are reported inline, 1 on hard errors such as a
@@ -32,7 +32,7 @@ from .dataset import make_joint_sets, make_targets, read_csv
 from .errors import PerfciError
 from .intervals import IntervalReport, IntervalSpec, set_report
 from .measures import resolve_measure
-from .quantiles import DEFAULT_DRAWS, QuantileRequest, max_abs_quantile
+from .quantiles import DEFAULT_DRAWS, QuantileRequest, check_budget, max_abs_quantile
 from .simulation import (
     CoverageConfig,
     EmpiricalBootstrapProcess,
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--format", choices=("json", "table"), default="table", dest="fmt")
     pc.add_argument("--output", default=None)
 
-    pq = sub.add_parser("quantile", help="simulate the equicoordinate max-|z| quantile")
+    pq = sub.add_parser("quantile", help="equicoordinate max-|z| quantile")
     pq.add_argument("--alpha", type=float, default=0.05)
     group = pq.add_mutually_exclusive_group(required=True)
     group.add_argument("--dim", type=int, default=None, help="identity correlation of this dimension")
@@ -202,8 +202,7 @@ def _report_dict(report: IntervalReport) -> dict:
         else:
             entry["error"] = row.error
         targets.append(entry)
-    q = report.q
-    mc = report.mc_stderr
+    q, mc, jitter = report.q, report.mc_stderr, report.jitter
     return {
         "meta": {
             "n": report.n,
@@ -212,6 +211,8 @@ def _report_dict(report: IntervalReport) -> dict:
             "mode": report.mode,
             "q": None if q != q else q,  # NaN -> null
             "mc_stderr": None if mc != mc else mc,
+            "quantile_method": report.quantile_method,
+            "jitter": None if jitter != jitter else jitter,
             "seed": report.seed,
         },
         "targets": targets,
@@ -224,8 +225,10 @@ def _dump_json(payload) -> str:
 
 def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str]) -> str:
     first = reports[0]
+    methods = dict.fromkeys(r.quantile_method for r in reports if r.quantile_method)
     lines = [
-        f"n={first.n}  alpha={first.alpha:g}  choice={first.choice}  mode={first.mode}"
+        f"n={first.n}  alpha={first.alpha:g}  choice={first.choice}  mode={first.mode}  "
+        f"method={','.join(methods) or '-'}"
     ]
     cells: dict[tuple[str, str], str] = {}
     q_of_rule: dict[str, float] = {}
@@ -417,11 +420,12 @@ def _parse_corr_argument(raw: str) -> np.ndarray:
 
 def _quantile_cmd(args) -> int:
     if args.dim is not None:
+        check_budget(args.dim, args.draws, "auto")  # before the dim x dim identity
         corr = np.eye(args.dim)
     else:
         corr = _parse_corr_argument(args.corr)
     request = QuantileRequest(
-        alpha=args.alpha, corr=corr, draws=args.draws, seed=args.seed
+        alpha=args.alpha, corr=corr, draws=args.draws, seed=args.seed, method="auto"
     )
     result = max_abs_quantile(request)
     if args.fmt == "json":
@@ -434,13 +438,14 @@ def _quantile_cmd(args) -> int:
                 "draws": result.draws,
                 "seed": result.seed,
                 "jitter": result.jitter,
+                "method": result.method,
             }
         )
     else:
         text = (
             f"q={result.q:.6f}  mc_stderr={result.mc_stderr:.6f}  "
             f"alpha={result.alpha:g}  dim={result.dim}  draws={result.draws}  "
-            f"seed={result.seed}\n"
+            f"seed={result.seed}  method={result.method}\n"
         )
     _emit(text, args.output)
     return EXIT_OK

@@ -7,14 +7,18 @@ estimate.  What changes is the quantile:
 * individual mode uses the scalar two-sided normal quantile, so each
   interval covers its own target at level ``1 - alpha`` but the family
   as a whole covers at a lower, unknown rate;
-* joint mode uses the simulated equicoordinate quantile of the
-  estimated correlation matrix, so all targets in the requested set are
-  covered simultaneously at level ``1 - alpha``.
+* joint mode uses the equicoordinate quantile of the estimated
+  correlation matrix, so all targets in the requested set are covered
+  simultaneously at level ``1 - alpha``.  Sets of two targets get it
+  exactly by the bivariate tier of
+  :func:`~perfci.quantiles.max_abs_quantile`; larger sets (and single
+  targets) simulate it with ``draws`` and ``seed``.
 
 The variance ``choice`` selects the plug-in estimate (1) or the
 corrected one (2, default), see :mod:`perfci.covariance`.  In joint
-mode the correlation matrix fed to the quantile simulation comes from
-the same covariance estimate the widths use.
+mode the correlation matrix fed to the quantile comes from the same
+covariance estimate the widths use.  Every report says which quantile it
+used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
 One fit serves every joint set: :func:`set_report` turns one
 :func:`~perfci.covariance.estimate_targets` fit of the whole target list
@@ -77,7 +81,9 @@ class IntervalSpec:
 
     ``target_set`` holds distinct indices into the analyzed target list
     (``None`` means all of them, in order).  ``draws`` and ``seed`` only
-    matter in joint mode, where the quantile is simulated.
+    matter in joint mode, and there only for sets whose quantile is
+    simulated: a set of two usable targets gets the exact bivariate
+    quantile, which neither affects.
     """
 
     alpha: float = 0.05
@@ -125,9 +131,15 @@ class TargetInterval:
 class IntervalReport:
     """Interval rows plus the shared quantile metadata.
 
-    ``q`` is the quantile multiplier all successful rows share;
-    ``mc_stderr`` its Monte Carlo standard error (0 in individual mode,
-    where the quantile is exact).
+    ``q`` is the quantile multiplier all successful rows share, and
+    ``quantile_method`` how it was computed: ``"normal"`` in individual
+    mode, ``"bivariate"`` or ``"monte_carlo"`` in joint mode (see
+    :class:`~perfci.quantiles.QuantileResult`), ``None`` when no row is
+    usable.  ``mc_stderr`` is the Monte Carlo standard error of a
+    simulated ``q``, the numerical error bound of a bivariate one, and 0
+    for the normal quantile.  ``jitter`` is the diagonal inflation the
+    simulation needed (0.0 otherwise).  ``q``, ``mc_stderr`` and
+    ``jitter`` are NaN when no row is usable.
     """
 
     n: int
@@ -136,6 +148,8 @@ class IntervalReport:
     choice: int
     q: float
     mc_stderr: float
+    quantile_method: str | None
+    jitter: float
     seed: int
     rows: tuple[TargetInterval, ...]
 
@@ -176,8 +190,8 @@ def joint_cis(
 ) -> IntervalReport:
     """Simultaneous intervals over ``spec.target_set`` (default: all).
 
-    The equicoordinate quantile is simulated from the correlation matrix
-    of the restricted covariance, so all selected intervals share one
+    The equicoordinate quantile comes from the correlation matrix of
+    the restricted covariance, so all selected intervals share one
     multiplier.  Raises ``SingularVarianceError`` on a degenerate
     diagonal and ``NotPositiveSemidefiniteError`` if the correlation
     cannot be factored; callers wanting inline per-target failures use
@@ -229,16 +243,23 @@ def _report(
     (NaN for no rows); with ``spec.clamp``, rows of unit-range measures are
     cut to ``[0, 1]``."""
     if not targets:
-        q = mc_stderr = float("nan")
+        q = mc_stderr = jitter = float("nan")
+        method = None
     elif spec.mode == "individual":
-        q, mc_stderr = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0
+        q, mc_stderr, jitter = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0, 0.0
+        method = "normal"
     else:
         result = max_abs_quantile(
             QuantileRequest(
-                alpha=spec.alpha, corr=correlation(cov), draws=spec.draws, seed=spec.seed
+                alpha=spec.alpha,
+                corr=correlation(cov),
+                draws=spec.draws,
+                seed=spec.seed,
+                method="auto",
             )
         )
-        q, mc_stderr = result.q, result.mc_stderr
+        q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
+        method = result.method
     rows = []
     for k, (target, estimate) in enumerate(zip(targets, estimates)):
         variance = float(cov.v[k, k])
@@ -258,6 +279,8 @@ def _report(
         choice=spec.choice,
         q=q,
         mc_stderr=mc_stderr,
+        quantile_method=method,
+        jitter=jitter,
         seed=spec.seed,
         rows=tuple(rows),
     )
@@ -298,9 +321,11 @@ def set_report(
 
     The fit's covariance is restricted to the members and, for choice 2,
     corrected.  Members the fit failed, or whose variance is not positive,
-    get inline error rows; the others share the quantile of ``spec.mode``,
-    drawn with ``spec.seed`` in joint mode.  ``q`` and ``mc_stderr`` are
-    NaN when no member is usable.  ``spec.target_set`` is not read.
+    get inline error rows; the others share the quantile of ``spec.mode``
+    (exact for two usable members, else drawn with ``spec.seed`` in joint
+    mode).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
+    ``quantile_method`` is ``None``, when no member is usable.
+    ``spec.target_set`` is not read.
     """
     row_of = {pos: r for r, pos in enumerate(fit.alive)}
     live = [row_of[i] for i in members if i in row_of]

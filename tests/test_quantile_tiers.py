@@ -1,0 +1,196 @@
+"""Quantile tiers: the exact bivariate tier, the Monte Carlo layout, the
+memory budget, and the provenance every report carries."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import perfci.cli
+from perfci.cli import EXIT_HARD, EXIT_OK, main
+from perfci.dataset import BinaryDataset, make_targets
+from perfci.intervals import IntervalSpec, analyze
+from perfci.quantiles import (
+    MAX_QUANTILE_BYTES,
+    QuantileRequest,
+    inv_norm_cdf,
+    max_abs_quantile,
+    planned_bytes,
+    sidak_quantile,
+)
+
+ORACLE_RHOS = (0.0, 0.5, -0.5, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1 - 1e-9, 1.0, -1.0)
+
+
+def exact(alpha, rho):
+    corr = np.array([[1.0, rho], [rho, 1.0]])
+    return max_abs_quantile(QuantileRequest(alpha=alpha, corr=corr, method="auto"))
+
+
+def mp_box(mp, q, rho):
+    """``P[|X| < q, |Y| < q]`` and its derivative in ``q``, in mpmath."""
+    q, r = mp.mpf(q), abs(mp.mpf(rho))
+    s = mp.sqrt((1 - r) * (1 + r))
+    if s == 0:
+        return 2 * mp.ncdf(q) - 1, 2 * mp.npdf(q)
+    inner = lambda x: mp.npdf(x) * (mp.ncdf((q - r * x) / s) - mp.ncdf((-q - r * x) / s))
+    edge = min(q, 20 * s)
+    points = sorted({-q, -q + edge / 4, -q + edge, mp.mpf(0), q - edge, q - edge / 4, q})
+    slope = 4 * mp.npdf(q) * (mp.ncdf(q * (1 - r) / s) - mp.ncdf(-q * (1 + r) / s))
+    return mp.quad(inner, points), slope
+
+
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+def test_bivariate_tier_against_mpmath(rho):
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 25
+    alpha = 0.05
+    result = exact(alpha, rho)
+    assert result.method == "bivariate" and result.draws == 0 and result.jitter == 0.0
+    level = 1 - mp.mpf(alpha)
+    box, slope = mp_box(mp, result.q, rho)
+    assert abs(box - level) <= 1e-12
+    # two Newton steps in mpmath from the tier's answer
+    q_true = result.q - (box - level) / slope
+    box, slope = mp_box(mp, q_true, rho)
+    q_true -= (box - level) / slope
+    assert abs(q_true - result.q) <= result.mc_stderr
+    assert result.mc_stderr >= math.ulp(result.q)
+
+
+def test_bivariate_tier_at_zero_correlation_is_sidak():
+    for alpha in (0.01, 0.05, 0.2):
+        assert exact(alpha, 0.0).q == pytest.approx(sidak_quantile(alpha, 2), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-4, 0.5),
+)
+def test_bivariate_tier_is_bracketed_symmetric_and_monotone(rho, other, alpha):
+    result = exact(alpha, rho)
+    # lower-tail form of Bonferroni: 1 - alpha / 4 would round
+    assert inv_norm_cdf(1.0 - alpha / 2.0) <= result.q <= -inv_norm_cdf(alpha / 4.0)
+    assert exact(alpha, -rho) == result
+    weak, strong = (exact(alpha, r) for r in sorted((abs(rho), abs(other))))
+    assert strong.q <= weak.q + weak.mc_stderr + strong.mc_stderr
+
+
+def test_auto_is_the_default_away_from_dimension_two():
+    rng = np.random.default_rng(61)
+    for dim in (1, 3, 6):
+        w = rng.normal(size=(dim, dim + 2))
+        s = w @ w.T
+        corr = s / np.sqrt(np.outer(np.diag(s), np.diag(s)))
+        default = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4))
+        auto = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4, method="auto"))
+        assert auto == default and auto.method == "monte_carlo"
+
+
+def test_default_stays_monte_carlo_at_dimension_two():
+    corr = np.array([[1.0, 0.4], [0.4, 1.0]])
+    result = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4))
+    assert result.method == "monte_carlo" and result.draws == 20_000
+    with pytest.raises(ValueError, match="method"):
+        QuantileRequest(0.05, corr, method="bivariate")
+
+
+def test_monte_carlo_tier_keeps_its_random_streams():
+    """The ``(dim, draws)`` layout draws the same normals from the same
+    substreams as the ``(draws, dim)`` reference below."""
+    corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
+    draws, seed = 150_000, 9
+    factor = np.linalg.cholesky(corr)
+    maxima = []
+    for index, pos in enumerate(range(0, draws, 1 << 16)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        sample = np.random.Generator(np.random.Philox(seq)).standard_normal(
+            (min(1 << 16, draws - pos), 3)
+        )
+        maxima.append(np.max(np.abs(sample @ factor.T), axis=1))
+    want = np.sort(np.concatenate(maxima))[math.ceil(0.95 * draws) - 1]
+    got = max_abs_quantile(QuantileRequest(0.05, corr, draws=draws, seed=seed))
+    assert got.q == pytest.approx(want, abs=1e-12)
+
+
+def test_planned_bytes_counts_the_maxima_and_two_chunks():
+    assert planned_bytes(90, 200_000) == 8 * (200_000 + 2 * 65_536 * 90)
+    assert planned_bytes(3, 5_000) == 8 * (5_000 + 2 * 5_000 * 3)
+    assert planned_bytes(2, 10**9, "auto") == 0
+    assert planned_bytes(2, 10**9) > MAX_QUANTILE_BYTES
+
+
+def test_requests_over_the_budget_are_rejected_before_they_run():
+    # 8 * 65_536 * (1 + 2 * dim) crosses 2**30 between dims 1023 and 1024;
+    # the requests are only built, never run
+    assert QuantileRequest(0.05, np.eye(1023), draws=65_536).dim == 1023
+    with pytest.raises(ValueError, match="budget"):
+        QuantileRequest(0.05, np.eye(1024), draws=65_536)
+    corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="budget"):
+        QuantileRequest(0.05, corr, draws=200_000_000)
+    assert QuantileRequest(0.05, corr, draws=200_000_000, method="auto").tier == "bivariate"
+
+
+def test_quantile_dim_checks_the_budget_before_building_the_identity(monkeypatch, capsys):
+    def no_identity(*args, **kwargs):
+        raise AssertionError("np.eye called for an over-budget dimension")
+
+    monkeypatch.setattr(perfci.cli.np, "eye", no_identity)
+    assert main(["quantile", "--dim", "1000000"]) == EXIT_HARD
+    assert "budget" in capsys.readouterr().err
+
+
+def test_quantile_command_reports_its_method(capsys):
+    assert main(["quantile", "--dim", "2", "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "bivariate" and payload["draws"] == 0
+    assert payload["q"] == pytest.approx(sidak_quantile(0.05, 2), abs=1e-9)
+    assert 0.0 < payload["mc_stderr"] < 1e-12
+    assert main(["quantile", "--dim", "3", "--draws", "5000"]) == EXIT_OK
+    assert "method=monte_carlo" in capsys.readouterr().out
+
+
+def test_reports_carry_quantile_provenance():
+    z = [1, 1, 0, 0, 1, 0, 1, 0, 1, 0]
+    data = BinaryDataset.from_arrays(
+        z, {"a": [1, 0, 1, 0, 1, 1, 0, 0, 1, 0], "b": [1, 1, 0, 1, 0, 0, 1, 0, 1, 1]}
+    )
+    targets = make_targets(data.rule_ids, ["accuracy", "f1"])
+    individual = analyze(data, targets, IntervalSpec(mode="individual"))
+    assert (individual.quantile_method, individual.jitter) == ("normal", 0.0)
+    pair = analyze(data, targets, IntervalSpec(target_set=(0, 1), draws=5_000))
+    assert (pair.quantile_method, pair.jitter) == ("bivariate", 0.0)
+    other = analyze(data, targets, IntervalSpec(target_set=(0, 1), draws=9_000, seed=3))
+    assert (other.q, other.mc_stderr, other.rows) == (pair.q, pair.mc_stderr, pair.rows)
+    four = analyze(data, targets, IntervalSpec(draws=5_000))
+    assert four.quantile_method == "monte_carlo" and four.jitter >= 0.0
+
+
+def test_analyze_json_meta_carries_quantile_provenance(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("z,a,b\n1,1,1\n1,1,0\n1,0,1\n0,0,0\n0,1,0\n0,0,1\n1,1,1\n0,0,0\n")
+    argv = ["analyze", str(table), "--format", "json", "--draws", "5000"]
+    assert main(argv + ["--joint", "per-rule,all"]) == EXIT_OK
+    metas = [report["meta"] for report in json.loads(capsys.readouterr().out)]
+    assert [m["quantile_method"] for m in metas] == ["bivariate", "bivariate", "monte_carlo"]
+    assert all(m["jitter"] == 0.0 for m in metas)
+    assert main(argv + ["--joint", "none"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["meta"]["quantile_method"] == "normal"
+    assert main(argv + ["--joint", "per-rule,all", "--format", "table"]) == EXIT_OK
+    assert "method=bivariate,monte_carlo" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_a_set_with_no_usable_target_has_no_quantile_method(tmp_path, capsys):
+    table = tmp_path / "zero.csv"
+    table.write_text("z,a,zero\n1,1,0\n1,1,0\n1,0,0\n0,0,0\n0,1,0\n0,0,0\n1,1,0\n0,0,0\n")
+    argv = ["analyze", str(table), "--measures", "f1,lift", "--choice", "1", "--format", "json"]
+    main(argv)
+    good, failed = (report["meta"] for report in json.loads(capsys.readouterr().out))
+    assert (good["quantile_method"], good["jitter"]) == ("bivariate", 0.0)
+    assert failed["quantile_method"] is None and failed["jitter"] is None
