@@ -213,6 +213,7 @@ def _report_dict(report: IntervalReport) -> dict:
             "mc_stderr": None if mc != mc else mc,
             "quantile_method": report.quantile_method,
             "jitter": None if jitter != jitter else jitter,
+            "draws": report.draws,
             "seed": report.seed,
         },
         "targets": targets,
@@ -231,13 +232,13 @@ def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str])
         f"method={','.join(methods) or '-'}"
     ]
     cells: dict[tuple[str, str], str] = {}
-    q_of_rule: dict[str, float] = {}
+    quantile_of_rule: dict[str, tuple[float, float]] = {}
     rule_order: list[str] = []
     for report in reports:
         for row in report.rows:
             if row.rule_id not in rule_order:
                 rule_order.append(row.rule_id)
-            q_of_rule.setdefault(row.rule_id, report.q)
+            quantile_of_rule.setdefault(row.rule_id, (report.q, report.mc_stderr))
             if row.ok:
                 cells[(row.rule_id, row.measure_id)] = (
                     f"({row.lower:.4f}, {row.upper:.4f})"
@@ -245,16 +246,17 @@ def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str])
             else:
                 kind = (row.error or "error").split(":")[0]
                 cells[(row.rule_id, row.measure_id)] = f"error({kind})"
-    single_q = len({round(q, 12) for q in q_of_rule.values() if q == q}) <= 1
-    header = ["rule"] + (["q"] if not single_q else []) + list(measure_ids)
+    single_q = len({round(q, 12) for q, _ in quantile_of_rule.values() if q == q}) <= 1
+    header = ["rule"] + (["q", "mc_stderr"] if not single_q else []) + list(measure_ids)
+    # mc_stderr in g notation: an exact quantile's error bound is near 1e-14
     if single_q and first.q == first.q:
-        lines.append(f"q={first.q:.4f}  mc_stderr={first.mc_stderr:.4f}")
+        lines.append(f"q={first.q:.4f}  mc_stderr={first.mc_stderr:.3g}")
     table_rows = []
     for rid in rule_order:
         row = [rid]
         if not single_q:
-            q = q_of_rule.get(rid, float("nan"))
-            row.append(f"{q:.4f}" if q == q else "-")
+            q, mc = quantile_of_rule[rid]
+            row += [f"{q:.4f}", f"{mc:.3g}"] if q == q else ["-", "-"]
         for mid in measure_ids:
             row.append(cells.get((rid, mid), "-"))
         table_rows.append(row)
@@ -443,7 +445,7 @@ def _quantile_cmd(args) -> int:
         )
     else:
         text = (
-            f"q={result.q:.6f}  mc_stderr={result.mc_stderr:.6f}  "
+            f"q={result.q:.6f}  mc_stderr={result.mc_stderr:.3g}  "
             f"alpha={result.alpha:g}  dim={result.dim}  draws={result.draws}  "
             f"seed={result.seed}  method={result.method}\n"
         )

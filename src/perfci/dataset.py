@@ -10,15 +10,23 @@ The CSV layout (shared with the command line) is a header row naming
 or an array is valid when ``float`` reads it, after ``str.strip`` for
 strings, as 0 or 1.  The first other cell (a CSV row by row, arrays column
 by column from ``z``) is rejected with its row and column in the message.
+
+:func:`read_csv` splits and decodes each distinct line of a CSV once and
+keeps one int32 line number per row; a quoted field, or a line that
+``str.split`` would split otherwise, goes through :mod:`csv`, so the
+result is that of :func:`validate_table` on ``csv.reader`` rows.  A file
+is read a block of ``_BLOCK_CHARS`` characters at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import operator
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -193,22 +201,35 @@ class BinaryDataset:
         order does not depend on the order of the table.
         """
         if self._row_counts is None:
-            # one bit per column in an int64 code, relabelled densely at 62 bits
-            columns = (self._z, *self._rules.values())
-            code = np.zeros(self.n, dtype=np.int64)
-            bits = 0
-            for column in columns:
-                if bits == 62:
-                    _, code = np.unique(code, return_inverse=True)
-                    bits = int(code.max()).bit_length()
-                code = (code << 1) | column
-                bits += 1
-            _, first, counts = np.unique(code, return_index=True, return_counts=True)
-            self._row_counts = (np.column_stack([c[first] for c in columns]), counts)
+            self._row_counts = _distinct_rows((self._z, *self._rules.values()))
         return self._row_counts
 
     def __repr__(self) -> str:
         return f"BinaryDataset(n={self.n}, rules={list(self._rules)})"
+
+
+def _distinct_rows(
+    columns, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of equal-length 0/1 ``columns``, in lexicographic
+    order, and how many rows each stands for (the sum of their ``weights``
+    when given)."""
+    # one bit per column in an int64 code, relabelled densely at 62 bits
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    bits = 0
+    for column in columns:
+        if bits == 62:
+            _, code = np.unique(code, return_inverse=True)
+            bits = int(code.max()).bit_length()
+        code = (code << 1) | column
+        bits += 1
+    if weights is None:
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    else:
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        counts = np.zeros(len(first), dtype=np.intp)
+        np.add.at(counts, inverse, weights)
+    return np.column_stack([c[first] for c in columns]), counts
 
 
 def check_rule_ids(rule_ids: Iterable[str]) -> None:
@@ -256,6 +277,37 @@ def _as_binary_column(values, col: str) -> np.ndarray:
     return _binary_codes(arr.tolist(), read, lambda i: NonBinaryValueError(i + 1, col, arr[i]))
 
 
+def _column_names(header: Sequence[str]) -> list[str]:
+    """The stripped header, checked: one ``z``, at least one rule, no repeats."""
+    names = [h.strip() for h in header]
+    if names.count("z") == 0:
+        raise DatasetError("header must contain a 'z' column")
+    if names.count("z") > 1:
+        raise DuplicateRuleIdError("z")
+    check_rule_ids(name for name in names if name != "z")
+    if len(names) < 2:
+        raise DatasetError("table needs at least one rule column besides z")
+    return names
+
+
+def _table(
+    names: list[str], patterns: np.ndarray, index: np.ndarray | None = None
+) -> BinaryDataset:
+    """The dataset whose rows are ``patterns[index]`` (all of ``patterns``
+    when ``index`` is None), columns named by ``names``; raises
+    :class:`TooFewRowsError`.  With ``index``, the row counts come from it."""
+    n = len(patterns if index is None else index)
+    if n < MIN_ROWS:
+        raise TooFewRowsError(n)
+    order = [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
+    distinct = np.ascontiguousarray(patterns[:, order].T)
+    columns = distinct if index is None else distinct[:, index]
+    data = BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
+    if index is not None:  # row counts from the counts of the distinct patterns
+        data._row_counts = _distinct_rows(distinct, np.bincount(index, minlength=len(patterns)))
+    return data
+
+
 def validate_table(
     header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> BinaryDataset:
@@ -265,15 +317,7 @@ def validate_table(
     for each defect: unknown/duplicate columns, ragged rows, non-binary
     cells, too few rows.  Blank rows are skipped.
     """
-    names = [h.strip() for h in header]
-    if names.count("z") == 0:
-        raise DatasetError("header must contain a 'z' column")
-    if names.count("z") > 1:
-        raise DuplicateRuleIdError("z")
-    check_rule_ids(name for name in names if name != "z")
-    if len(names) < 2:
-        raise DatasetError("table needs at least one rule column besides z")
-
+    names = _column_names(header)
     width = len(names)
     cells: list[str] = []  # row-major, up to the first ragged row
     fields = 0
@@ -289,28 +333,133 @@ def validate_table(
     grid = _binary_codes(cells, _CellCodes().__getitem__, bad_cell).reshape(-1, width)
     if fields not in (0, width):
         raise LengthMismatchError(f"row {len(grid) + 1} has {fields} fields, header has {width}")
-    return BinaryDataset.from_arrays(
-        grid[:, names.index("z")],
-        [(name, grid[:, j]) for j, name in enumerate(names) if name != "z"],
-    )
+    return _table(names, grid)
 
 
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
-    """Read and validate an evaluation table from a CSV file or stream."""
+    """Read and validate an evaluation table from a CSV file or stream.
+
+    The result, and every error, is that of ``validate_table(header,
+    csv.reader(stream))``, but each distinct line is split and decoded
+    once: reading holds one int32 per row plus the distinct lines, besides
+    the table's one byte per cell and, for a file, one block of text.
+    """
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            try:
+                return _read_csv_stream(itertools.chain.from_iterable(_file_lines(fh)))
+            except UnicodeDecodeError:
+                pass
+        # a file that is not UTF-8 fails where reading it line by line fails
         with open(source, newline="", encoding="utf-8-sig") as fh:
             return _read_csv_stream(fh)
     return _read_csv_stream(source)
 
 
+_BLOCK_CHARS = 1 << 20
+
+
+def _file_lines(fh):
+    """The lines of ``fh``, a file opened with ``newline=""``, one list per
+    block of ``_BLOCK_CHARS`` characters.
+
+    A block is cut into lines by one ``str.split("\\n")``, so the per-line
+    work is the :class:`_Records` lookup alone; the lines lose their
+    ``\\n``.  From the first ``\\r`` or ``"`` on, where a line break may
+    end a line or sit in a quoted field, lines keep their ends and break
+    where iterating ``fh`` breaks them.
+    """
+    rest = ""  # the block's last line, which may go on in the next block
+    exact = False
+    for block in iter(partial(fh.read, _BLOCK_CHARS), ""):
+        text = rest + block
+        exact = exact or "\r" in text or '"' in text
+        lines = io.StringIO(text, newline="").readlines() if exact else text.split("\n")
+        rest = lines.pop()
+        yield lines
+    if rest:
+        yield [rest]
+
+
+_BLANK, _RAGGED = -1, -2
+
+
+class _Records(dict):
+    """The number of each distinct record of a CSV stream, counted from 0 in
+    order of first appearance, with the fields of numbered records in one
+    row-major list.
+
+    A record is one line, or the lines a quoted field spans; it is keyed by
+    its text.  A blank record reads as ``_BLANK``.  A ragged one reads as
+    ``_RAGGED`` and leaves its field count in ``ragged``.  Neither is
+    numbered.
+    """
+
+    def __init__(self, lines, width: int):
+        super().__init__()
+        self.lines = lines  # the stream's iterator, for the lines of a quoted field
+        self.width = width
+        self.cells: list[str] = []
+        self.ragged = 0
+        self.limit = csv.field_size_limit()
+
+    def __missing__(self, line: str) -> int:
+        body = line.rstrip("\r\n")
+        # csv.reader splits these otherwise than str.split(","), or refuses them
+        special = '"' in body or "\r" in body or "\n" in body or "\0" in body
+        if special or len(body) > self.limit:
+            parts = [line]
+            fields = next(csv.reader(_record_lines(parts, self.lines)))
+            if len(parts) > 1:
+                # not keyed by its first line: the next time that line is
+                # seen, its quoted field must take its other lines again
+                return self["".join(parts)]
+        else:
+            fields = body.split(",") if body else []
+        if len(fields) == self.width:
+            self[line] = number = len(self.cells) // self.width
+            self.cells.extend(fields)
+            return number
+        if fields:
+            self.ragged = len(fields)
+            return _RAGGED
+        self[line] = _BLANK
+        return _BLANK
+
+
+def _record_lines(parts: list[str], lines):
+    """``parts[0]``, then the lines that follow, each added to ``parts``."""
+    yield parts[0]
+    for line in lines:
+        parts.append(line)
+        yield line
+
+
 def _read_csv_stream(stream) -> BinaryDataset:
-    reader = csv.reader(stream)
+    lines = iter(stream)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise DatasetError("empty input: no header row") from None
-    return validate_table(header, reader)
+    names = _column_names(header)
+    width = len(names)
+    records = _Records(lines, width)
+    # one number per record, up to the first ragged one
+    index = np.fromiter(iter(map(records.__getitem__, lines).__next__, _RAGGED), np.int32)
+    index = index[index != _BLANK]
+    cells = records.cells
+
+    def bad_cell(i):  # the first row of the first record with a bad cell
+        row = int(np.argmax(index == i // width)) + 1
+        return NonBinaryValueError(row, names[i % width], cells[i])
+
+    patterns = _binary_codes(cells, _CellCodes().__getitem__, bad_cell).reshape(-1, width)
+    if records.ragged:
+        raise LengthMismatchError(
+            f"row {len(index) + 1} has {records.ragged} fields, header has {width}"
+        )
+    return _table(names, patterns, index)
 
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:

@@ -138,8 +138,10 @@ class IntervalReport:
     usable.  ``mc_stderr`` is the Monte Carlo standard error of a
     simulated ``q``, the numerical error bound of a bivariate one, and 0
     for the normal quantile.  ``jitter`` is the diagonal inflation the
-    simulation needed (0.0 otherwise).  ``q``, ``mc_stderr`` and
-    ``jitter`` are NaN when no row is usable.
+    simulation needed (0.0 otherwise), and ``draws`` the number of
+    simulated maxima behind ``q`` (0 for the normal and bivariate
+    quantiles).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
+    ``draws`` is ``None``, when no row is usable.
     """
 
     n: int
@@ -150,6 +152,7 @@ class IntervalReport:
     mc_stderr: float
     quantile_method: str | None
     jitter: float
+    draws: int | None
     seed: int
     rows: tuple[TargetInterval, ...]
 
@@ -244,10 +247,10 @@ def _report(
     cut to ``[0, 1]``."""
     if not targets:
         q = mc_stderr = jitter = float("nan")
-        method = None
+        method, draws = None, None
     elif spec.mode == "individual":
         q, mc_stderr, jitter = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0, 0.0
-        method = "normal"
+        method, draws = "normal", 0
     else:
         result = max_abs_quantile(
             QuantileRequest(
@@ -259,7 +262,7 @@ def _report(
             )
         )
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
-        method = result.method
+        method, draws = result.method, result.draws
     rows = []
     for k, (target, estimate) in enumerate(zip(targets, estimates)):
         variance = float(cov.v[k, k])
@@ -281,6 +284,7 @@ def _report(
         mc_stderr=mc_stderr,
         quantile_method=method,
         jitter=jitter,
+        draws=draws,
         seed=spec.seed,
         rows=tuple(rows),
     )
@@ -324,7 +328,7 @@ def set_report(
     get inline error rows; the others share the quantile of ``spec.mode``
     (exact for two usable members, else drawn with ``spec.seed`` in joint
     mode).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
-    ``quantile_method`` is ``None``, when no member is usable.
+    ``quantile_method`` and ``draws`` are ``None``, when no member is usable.
     ``spec.target_set`` is not read.
     """
     row_of = {pos: r for r, pos in enumerate(fit.alive)}

@@ -326,6 +326,10 @@ class CoverageConfig:
     ``"per-rule,all"``, ``"0,1;2"`` or ``((0,), (0, 1))``.  Rule ids must
     be distinct (``threshold(0.3)`` and ``threshold(0.30)`` are not) and
     not ``z``, as in :meth:`BinaryDataset.from_arrays`.
+
+    There is no catalog field: ``measure_ids`` resolve in the default
+    measure catalog only, so a study cannot use a measure registered in
+    another :class:`~perfci.measures.MeasureCatalog`.
     """
 
     process: object

@@ -189,3 +189,44 @@ def test_quantile_reads_a_correlation_file_with_byte_order_mark(tmp_path, capsys
     assert main(argv + ["--corr", "1,0.5;0.5,1"]) == EXIT_OK
     assert from_file == strict_loads(capsys.readouterr().out)
     assert from_file["dim"] == 2
+
+
+def test_cli_tables_print_error_bounds_in_g_notation(tmp_path, capsys):
+    # a bivariate error bound is near 1e-14, which fixed-point formats printed
+    # as 0; a per-rule table whose sets differ in q printed no mc_stderr at all
+    path = tmp_path / "two.csv"
+    path.write_text("z,a,b\n1,1,1\n1,1,0\n1,0,1\n0,0,0\n0,1,0\n0,0,1\n1,1,1\n0,0,0\n1,1,0\n1,1,1\n")
+    assert main(["analyze", str(path), "--joint", "0,1"]) == EXIT_OK
+    q_line = capsys.readouterr().out.splitlines()[1]
+    assert 0.0 < float(q_line.split("mc_stderr=")[1]) < 1e-10
+
+    assert main(["analyze", str(path)]) == EXIT_OK  # per-rule, two bivariate sets
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert header.split()[:3] == ["rule", "q", "mc_stderr"]
+    qs = {row.split()[1] for row in rows}
+    assert len(qs) == 2 and all(0.0 < float(row.split()[2]) < 1e-10 for row in rows)
+
+    assert main(["quantile", "--dim", "2"]) == EXIT_OK
+    stderr = capsys.readouterr().out.split("mc_stderr=")[1].split()[0]
+    assert 0.0 < float(stderr) < 1e-10
+
+
+def test_reports_record_their_draws(tmp_path, capsys):
+    data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "f1", "jaccard"])
+    for members, mode, method, draws in (
+        ((0, 1, 2), "joint", "monte_carlo", 3000),
+        ((0, 1), "joint", "bivariate", 0),
+        ((0, 1, 2), "individual", "normal", 0),
+    ):
+        spec = IntervalSpec(mode=mode, target_set=members, draws=3000, seed=1)
+        report = analyze(data, targets, spec)
+        assert (report.quantile_method, report.draws) == (method, draws)
+
+    # a set with no usable member reports null draws, as it does q
+    path = tmp_path / "zero.csv"
+    path.write_text("z,a,zero\n1,1,0\n1,1,0\n1,0,0\n0,0,0\n0,1,0\n0,0,0\n1,1,0\n0,0,0\n")
+    argv = ["analyze", str(path), "--measures", "f1,lift", "--choice", "1", "--format", "json"]
+    assert main(argv) == 2
+    good, zero = (report["meta"] for report in strict_loads(capsys.readouterr().out))
+    assert good["draws"] == 0 and good["quantile_method"] == "bivariate"
+    assert zero["draws"] is None and zero["q"] is None
