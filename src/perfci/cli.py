@@ -19,6 +19,7 @@ malformed table or an unknown measure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -125,7 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "coverage":
             return _coverage_cmd(args)
         return _quantile_cmd(args)
-    except (PerfciError, ValueError, OSError) as exc:
+    except (PerfciError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HARD
 
@@ -156,10 +157,10 @@ def _analyze_cmd(args) -> int:
     targets = make_targets(data.rule_ids, measure_ids)
 
     if args.joint.strip() == "none":
-        mode, sets = "individual", [tuple(range(len(targets)))]
+        mode, sets = "individual", [("all", tuple(range(len(targets))))]
     else:
         try:
-            mode, sets = "joint", [idx for _, idx in make_joint_sets(args.joint, targets)]
+            mode, sets = "joint", make_joint_sets(args.joint, targets)
         except ValueError as exc:
             raise ValueError(f"--joint {args.joint!r}: {exc}") from None
     spec = IntervalSpec(
@@ -171,13 +172,13 @@ def _analyze_cmd(args) -> int:
         clamp=args.clamp,
     )
     fit = estimate_targets(data, targets)
-    reports = [set_report(fit, targets, members, spec) for members in sets]
+    reports = [set_report(fit, targets, members, spec) for _, members in sets]
 
     if args.fmt == "json":
         payload = [_report_dict(r) for r in reports]
         text = _dump_json(payload[0] if len(payload) == 1 else payload)
     else:
-        text = _report_table(reports, measure_ids)
+        text = _report_table(reports, [label for label, _ in sets], measure_ids)
     _emit(text, args.output)
 
     rows = [row for r in reports for row in r.rows]
@@ -224,42 +225,39 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _report_table(reports: Sequence[IntervalReport], measure_ids: Sequence[str]) -> str:
+def _report_table(
+    reports: Sequence[IntervalReport], labels: Sequence[str], measure_ids: Sequence[str]
+) -> str:
+    """One row per rule of each set, with a ``set`` column once a rule has
+    more than one row; q columns once the sets' q differ."""
     first = reports[0]
     methods = dict.fromkeys(r.quantile_method for r in reports if r.quantile_method)
     lines = [
         f"n={first.n}  alpha={first.alpha:g}  choice={first.choice}  mode={first.mode}  "
         f"method={','.join(methods) or '-'}"
     ]
-    cells: dict[tuple[str, str], str] = {}
-    quantile_of_rule: dict[str, tuple[float, float]] = {}
-    rule_order: list[str] = []
-    for report in reports:
+    rows: dict[tuple[str, str], tuple[IntervalReport, dict[str, str]]] = {}
+    for label, report in zip(labels, reports):
         for row in report.rows:
-            if row.rule_id not in rule_order:
-                rule_order.append(row.rule_id)
-            quantile_of_rule.setdefault(row.rule_id, (report.q, report.mc_stderr))
+            cells = rows.setdefault((label, row.rule_id), (report, {}))[1]
             if row.ok:
-                cells[(row.rule_id, row.measure_id)] = (
-                    f"({row.lower:.4f}, {row.upper:.4f})"
-                )
+                cells[row.measure_id] = f"({row.lower:.4f}, {row.upper:.4f})"
             else:
-                kind = (row.error or "error").split(":")[0]
-                cells[(row.rule_id, row.measure_id)] = f"error({kind})"
-    single_q = len({round(q, 12) for q, _ in quantile_of_rule.values() if q == q}) <= 1
-    header = ["rule"] + (["q", "mc_stderr"] if not single_q else []) + list(measure_ids)
+                cells[row.measure_id] = f"error({(row.error or 'error').split(':')[0]})"
+    rules = [rid for _, rid in rows]
+    show_set = len(set(rules)) < len(rules)
+    single_q = len({round(r.q, 12) for r, _ in rows.values() if r.q == r.q}) <= 1
+    header = ["set"] * show_set + ["rule"] + ["q", "mc_stderr"] * (not single_q) + [*measure_ids]
     # mc_stderr in g notation: an exact quantile's error bound is near 1e-14
     if single_q and first.q == first.q:
         lines.append(f"q={first.q:.4f}  mc_stderr={first.mc_stderr:.3g}")
     table_rows = []
-    for rid in rule_order:
-        row = [rid]
+    for (label, rid), (report, cells) in rows.items():
+        row = [label] * show_set + [rid]
         if not single_q:
-            q, mc = quantile_of_rule[rid]
-            row += [f"{q:.4f}", f"{mc:.3g}"] if q == q else ["-", "-"]
-        for mid in measure_ids:
-            row.append(cells.get((rid, mid), "-"))
-        table_rows.append(row)
+            q = report.q
+            row += [f"{q:.4f}", f"{report.mc_stderr:.3g}"] if q == q else ["-", "-"]
+        table_rows.append(row + [cells.get(mid, "-") for mid in measure_ids])
     widths = [
         max(len(header[j]), *(len(r[j]) for r in table_rows)) if table_rows else len(header[j])
         for j in range(len(header))

@@ -3,10 +3,11 @@
 A binary rule ``A`` and a binary ground truth ``Z`` have a joint 2x2
 distribution that is fully determined by three moments: ``E[Z*A]``,
 ``E[A]`` and ``E[Z]``.  Every measure in this catalog is a smooth scalar
-function of that triple, and ships with its closed-form gradient with
-respect to the triple.  The gradient feeds the delta-method variance
-estimates in :mod:`perfci.covariance`; the value function feeds the
-point estimates.
+function of that triple, written once as a value expression.  Its
+gradient with respect to the triple is derived from that expression by
+forward-mode differentiation, and feeds the delta-method variance
+estimates in :mod:`perfci.covariance`; the value feeds the point
+estimates.
 
 Built-in measures
 -----------------
@@ -15,18 +16,20 @@ Built-in measures
 ``f1`` is exactly ``f_beta(1)``; both ids resolve.  Parameterized ids
 such as ``f_beta(0.5)`` or ``tversky(0.3,0.4)`` are parsed on demand.
 
-Gradients are written in direct form, finite everywhere the measure
-itself is defined: quotients that would read 0/0 at ``E[Z*A] = 0`` are
-algebraically simplified away.  ``overlap`` is the one non-smooth entry:
-its value is defined whenever ``min(E[A], E[Z]) > 0`` but its gradient
-does not exist on the ridge ``E[A] = E[Z]``, where ``gradient`` raises
+A derived gradient is finite wherever the value is: each expression
+divides by, and takes square roots of, only what its domain keeps
+positive.  ``overlap`` is the one non-smooth entry: its value is defined
+whenever ``min(E[A], E[Z]) > 0`` but its gradient does not exist on the
+ridge ``E[A] = E[Z]``, where ``gradient`` raises
 :class:`~perfci.errors.DomainError` even though ``evaluate`` succeeds.
+A custom :class:`MeasureSpec` supplies its own ``gradient_fn``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -134,9 +137,7 @@ class MeasureSpec:
     value_fn: Callable[[MomentTriple], float] = field(repr=False)
     gradient_fn: Callable[[MomentTriple], GradientTriple] = field(repr=False)
     domain_fn: Callable[[MomentTriple], bool] = field(repr=False)
-    gradient_domain_fn: Callable[[MomentTriple], bool] | None = field(
-        default=None, repr=False
-    )
+    gradient_domain_fn: Callable[[MomentTriple], bool] | None = field(default=None, repr=False)
 
     def domain_ok(self, m: MomentTriple) -> bool:
         """True where the measure value is defined and finite."""
@@ -144,15 +145,12 @@ class MeasureSpec:
 
     def grad_ok(self, m: MomentTriple) -> bool:
         """True where the gradient is defined and finite."""
-        if not self.domain_fn(m):
-            return False
-        if self.gradient_domain_fn is not None:
-            return bool(self.gradient_domain_fn(m))
-        return True
+        kink = self.gradient_domain_fn
+        return bool(self.domain_fn(m)) and (kink is None or bool(kink(m)))
 
     def evaluate(self, m: MomentTriple) -> float:
         if not self.domain_fn(m):
-            raise DomainError(self.id, _domain_detail(self, m))
+            raise DomainError(self.id, _domain_detail(m))
         v = float(self.value_fn(m))
         if self.unit_range:
             # guard floating spill past the mathematical range
@@ -161,93 +159,112 @@ class MeasureSpec:
 
     def gradient(self, m: MomentTriple) -> GradientTriple:
         if not self.domain_fn(m):
-            raise DomainError(self.id, _domain_detail(self, m))
+            raise DomainError(self.id, _domain_detail(m))
         if self.gradient_domain_fn is not None and not self.gradient_domain_fn(m):
-            raise DomainError(
-                self.id, f"gradient undefined at m_a = m_z = {m.m_a} (min kink)"
-            )
+            raise DomainError(self.id, f"gradient undefined at m_a = m_z = {m.m_a} (min kink)")
         return self.gradient_fn(m)
 
 
-def _domain_detail(spec: MeasureSpec, m: MomentTriple) -> str:
-    return (
-        f"domain predicate fails at (m_za={m.m_za}, m_a={m.m_a}, m_z={m.m_z})"
-    )
+def _domain_detail(m: MomentTriple) -> str:
+    return f"domain predicate fails at (m_za={m.m_za}, m_a={m.m_a}, m_z={m.m_z})"
 
 
 # ---------------------------------------------------------------------------
-# Built-in measure constructors
+# Built-in measures: one value expression each, gradients derived from it
 # ---------------------------------------------------------------------------
+
+_ZERO = (0.0, 0.0, 0.0)
+_SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_Moments = namedtuple("_Moments", "m_za m_a m_z")  # a MomentTriple whose fields are duals
+
+
+def _rule(f, partials):
+    """The dual form of ``f(x, y)``, with ``partials(x, y, f(x, y))`` its
+    derivatives in ``x`` and ``y``: the chain rule, written once."""
+
+    def op(x, y):
+        y_value, y_grad = (y.value, y.grad) if isinstance(y, _Dual) else (y, _ZERO)
+        v = f(x.value, y_value)
+        dx, dy = partials(x.value, y_value, v)
+        (g0, g1, g2), (h0, h1, h2) = x.grad, y_grad
+        return _Dual(v, (dx * g0 + dy * h0, dx * g1 + dy * h1, dx * g2 + dy * h2))
+
+    return op
+
+
+class _Dual:
+    """A value with its gradient in ``(m_za, m_a, m_z)``: forward-mode
+    differentiation (Griewank & Walther, *Evaluating Derivatives*, 2008).  A
+    value expression run on duals yields its gradient; floats are constants."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value: float, grad: tuple[float, float, float] = _ZERO):
+        self.value = value
+        self.grad = grad
+
+    __add__ = _rule(lambda x, y: x + y, lambda x, y, v: (1.0, 1.0))
+    __sub__ = _rule(lambda x, y: x - y, lambda x, y, v: (1.0, -1.0))
+    __rsub__ = _rule(lambda x, y: y - x, lambda x, y, v: (-1.0, 1.0))
+    __mul__ = __rmul__ = _rule(lambda x, y: x * y, lambda x, y, v: (y, x))
+    __truediv__ = _rule(lambda x, y: x / y, lambda x, y, v: (1.0 / y, -v / y))
+    sqrt = _rule(lambda x, _: math.sqrt(x), lambda x, _, v: (0.5 / v, 0.0))  # x.sqrt(0.0)
+
+    def __lt__(self, other):  # all that min() needs
+        return self.value < (other.value if isinstance(other, _Dual) else other)
+
+
+def _sqrt(x):
+    return x.sqrt(0.0) if isinstance(x, _Dual) else math.sqrt(x)
+
+
+def _clip(x, lo: float, hi: float):
+    """Clamp a float value to ``[lo, hi]`` against rounding spill.  A dual
+    passes through, so a perfect rule's correlation keeps its gradient."""
+    return x if isinstance(x, _Dual) else min(hi, max(lo, x))
+
+
+def _measure(measure_id, value, domain, unit_range=True, params=(), gradient_domain=None):
+    """A :class:`MeasureSpec` whose ``gradient_fn`` runs ``value`` on duals."""
+
+    def gradient_fn(m: MomentTriple) -> GradientTriple:
+        seeded = _Moments(*map(_Dual, (m.m_za, m.m_a, m.m_z), _SEEDS))
+        return GradientTriple(*value(seeded).grad)
+
+    return MeasureSpec(measure_id, params, unit_range, value, gradient_fn, domain, gradient_domain)
+
+
+def _positive_marginals(m: MomentTriple) -> bool:
+    return m.m_a > 0.0 and m.m_z > 0.0
 
 
 def make_accuracy() -> MeasureSpec:
     """Fraction of agreeing predictions, ``2*m_za - m_a - m_z + 1``."""
-    return MeasureSpec(
-        id="accuracy",
-        params=(),
-        unit_range=True,
-        value_fn=lambda m: 2.0 * m.m_za - m.m_a - m.m_z + 1.0,
-        gradient_fn=lambda m: GradientTriple(2.0, -1.0, -1.0),
-        domain_fn=lambda m: True,
-    )
+    return _measure("accuracy", lambda m: 2.0 * m.m_za - m.m_a - m.m_z + 1.0, lambda m: True)
 
 
 def make_f_beta(beta: float) -> MeasureSpec:
-    """F score with recall weighted ``beta**2`` times precision.
-
-    Value is ``m_za / (wa * m_a + wz * m_z)`` with
-    ``wa = 1 / (1 + beta**2)`` and ``wz = 1 - wa``; ``beta = 1`` is the
-    balanced F1 (Dice) score.
-    """
+    """F score with recall weighted ``beta**2`` times precision, ``m_za / (wa * m_a + wz * m_z)``
+    with ``wa = 1 / (1 + beta**2)`` and ``wz = 1 - wa``; ``beta = 1`` is F1 (Dice)."""
     beta = float(beta)
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"f_beta needs beta >= 0, got {beta!r}")
     wa = 1.0 / (1.0 + beta * beta)
     wz = 1.0 - wa
-
-    def value(m: MomentTriple) -> float:
-        return m.m_za / (wa * m.m_a + wz * m.m_z)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        den = wa * m.m_a + wz * m.m_z
-        return GradientTriple(
-            1.0 / den,
-            -wa * m.m_za / (den * den),
-            -wz * m.m_za / (den * den),
-        )
-
-    measure_id = "f1" if beta == 1.0 else f"f_beta({beta:g})"
-    return MeasureSpec(
-        id=measure_id,
+    return _measure(
+        "f1" if beta == 1.0 else f"f_beta({beta:g})",
+        lambda m: m.m_za / (wa * m.m_a + wz * m.m_z),
+        lambda m: wa * m.m_a + wz * m.m_z > 0.0,
         params=(beta,),
-        unit_range=True,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: wa * m.m_a + wz * m.m_z > 0.0,
     )
 
 
 def make_jaccard() -> MeasureSpec:
     """Intersection over union, ``m_za / (m_a + m_z - m_za)``."""
-
-    def value(m: MomentTriple) -> float:
-        return m.m_za / (m.m_a + m.m_z - m.m_za)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        den = m.m_a + m.m_z - m.m_za
-        return GradientTriple(
-            (m.m_a + m.m_z) / (den * den),
-            -m.m_za / (den * den),
-            -m.m_za / (den * den),
-        )
-
-    return MeasureSpec(
-        id="jaccard",
-        params=(),
-        unit_range=True,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: m.m_a + m.m_z - m.m_za > 0.0,
+    return _measure(
+        "jaccard",
+        lambda m: m.m_za / (m.m_a + m.m_z - m.m_za),
+        lambda m: m.m_a + m.m_z - m.m_za > 0.0,
     )
 
 
@@ -262,24 +279,11 @@ def make_tversky(a: float, b: float) -> MeasureSpec:
     def den_of(m: MomentTriple) -> float:
         return (1.0 - a - b) * m.m_za + a * m.m_a + b * m.m_z
 
-    def value(m: MomentTriple) -> float:
-        return m.m_za / den_of(m)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        den = den_of(m)
-        return GradientTriple(
-            (a * m.m_a + b * m.m_z) / (den * den),
-            -a * m.m_za / (den * den),
-            -b * m.m_za / (den * den),
-        )
-
-    return MeasureSpec(
-        id=f"tversky({a:g},{b:g})",
+    return _measure(
+        f"tversky({a:g},{b:g})",
+        lambda m: m.m_za / den_of(m),
+        lambda m: den_of(m) > 0.0,
         params=(a, b),
-        unit_range=True,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: den_of(m) > 0.0,
     )
 
 
@@ -289,100 +293,33 @@ def make_correlation() -> MeasureSpec:
     def value(m: MomentTriple) -> float:
         sa = m.m_a * (1.0 - m.m_a)
         sz = m.m_z * (1.0 - m.m_z)
-        v = (m.m_za - m.m_a * m.m_z) / math.sqrt(sa * sz)
-        return min(1.0, max(-1.0, v))
+        return _clip((m.m_za - m.m_a * m.m_z) / _sqrt(sa * sz), -1.0, 1.0)
 
-    def grad(m: MomentTriple) -> GradientTriple:
-        sa = m.m_a * (1.0 - m.m_a)
-        sz = m.m_z * (1.0 - m.m_z)
-        root = math.sqrt(sa * sz)
-        return GradientTriple(
-            1.0 / root,
-            ((2.0 * m.m_a - 1.0) * m.m_za - m.m_a * m.m_z) / (2.0 * sa * root),
-            ((2.0 * m.m_z - 1.0) * m.m_za - m.m_a * m.m_z) / (2.0 * sz * root),
-        )
-
-    return MeasureSpec(
-        id="correlation",
-        params=(),
-        unit_range=False,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: 0.0 < m.m_a < 1.0 and 0.0 < m.m_z < 1.0,
+    return _measure(
+        "correlation", value, lambda m: 0.0 < m.m_a < 1.0 and 0.0 < m.m_z < 1.0, unit_range=False
     )
 
 
 def make_cosine() -> MeasureSpec:
-    """Cosine similarity of the indicator vectors,
-    ``m_za / sqrt(m_a * m_z)``."""
-
-    def value(m: MomentTriple) -> float:
-        return m.m_za / math.sqrt(m.m_a * m.m_z)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        root = math.sqrt(m.m_a * m.m_z)
-        return GradientTriple(
-            1.0 / root,
-            -m.m_za / (2.0 * m.m_a * root),
-            -m.m_za / (2.0 * m.m_z * root),
-        )
-
-    return MeasureSpec(
-        id="cosine",
-        params=(),
-        unit_range=True,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: m.m_a > 0.0 and m.m_z > 0.0,
-    )
+    """Cosine similarity of the indicator vectors, ``m_za / sqrt(m_a * m_z)``."""
+    return _measure("cosine", lambda m: m.m_za / _sqrt(m.m_a * m.m_z), _positive_marginals)
 
 
 def make_lift() -> MeasureSpec:
     """Co-occurrence over independence, ``m_za / (m_a * m_z)``."""
-
-    def value(m: MomentTriple) -> float:
-        return m.m_za / (m.m_a * m.m_z)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        return GradientTriple(
-            1.0 / (m.m_a * m.m_z),
-            -m.m_za / (m.m_a * m.m_a * m.m_z),
-            -m.m_za / (m.m_a * m.m_z * m.m_z),
-        )
-
-    return MeasureSpec(
-        id="lift",
-        params=(),
-        unit_range=False,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: m.m_a > 0.0 and m.m_z > 0.0,
+    return _measure(
+        "lift", lambda m: m.m_za / (m.m_a * m.m_z), _positive_marginals, unit_range=False
     )
 
 
 def make_overlap() -> MeasureSpec:
-    """Szymkiewicz-Simpson coefficient, ``m_za / min(m_a, m_z)``.
-
-    The value is defined whenever ``min(m_a, m_z) > 0``; the gradient
-    additionally needs ``m_a != m_z`` because of the min kink.
-    """
-
-    def value(m: MomentTriple) -> float:
-        return m.m_za / min(m.m_a, m.m_z)
-
-    def grad(m: MomentTriple) -> GradientTriple:
-        if m.m_a < m.m_z:
-            return GradientTriple(1.0 / m.m_a, -m.m_za / (m.m_a * m.m_a), 0.0)
-        return GradientTriple(1.0 / m.m_z, 0.0, -m.m_za / (m.m_z * m.m_z))
-
-    return MeasureSpec(
-        id="overlap",
-        params=(),
-        unit_range=True,
-        value_fn=value,
-        gradient_fn=grad,
-        domain_fn=lambda m: min(m.m_a, m.m_z) > 0.0,
-        gradient_domain_fn=lambda m: m.m_a != m.m_z,
+    """Szymkiewicz-Simpson coefficient, ``m_za / min(m_a, m_z)``; the
+    gradient also needs ``m_a != m_z``, off the min kink."""
+    return _measure(
+        "overlap",
+        lambda m: m.m_za / min(m.m_a, m.m_z),
+        _positive_marginals,
+        gradient_domain=lambda m: m.m_a != m.m_z,
     )
 
 

@@ -1,6 +1,8 @@
 """Command line: argument handling, output formats, exit codes."""
 
 import json
+import re
+from unittest import mock
 
 import pytest
 
@@ -375,3 +377,51 @@ def test_bad_joint_specs_fail_in_both_commands(tmp_path, capsys, spec):
             "--n", "8", "--replications", "3", "--draws", "1000", "--joint", spec]
     assert main(argv) == EXIT_HARD
     assert "joint set" in capsys.readouterr().err
+
+
+def _table_cells(text):
+    """The rows of an analyze table, as lists of cells (cells hold single spaces)."""
+    return [re.split(r" {2,}", line.strip()) for line in text.splitlines()[1:]]
+
+
+def test_analyze_table_puts_each_interval_beside_its_own_sets_q(tmp_path, capsys):
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    argv = ["analyze", table, "--joint", "per-rule;0,2,3", "--draws", "5000"]
+    code, reports = run_json(capsys, argv + ["--format", "json"])
+    assert code == EXIT_OK
+    assert main(argv) == EXIT_OK
+    header, *rows = _table_cells(capsys.readouterr().out)
+    assert header == ["set", "rule", "q", "mc_stderr", "accuracy", "f1"]
+    want = []
+    for label, report in zip(["a", "b", "set1"], reports):
+        for rule in dict.fromkeys(t["rule"] for t in report["targets"]):
+            cells = {
+                t["measure"]: f"({t['lower']:.4f}, {t['upper']:.4f})"
+                for t in report["targets"]
+                if t["rule"] == rule
+            }
+            q, mc = report["meta"]["q"], report["meta"]["mc_stderr"]
+            want.append([label, rule, f"{q:.4f}", f"{mc:.3g}", cells["accuracy"], cells.get("f1", "-")])
+    assert rows == want
+    assert rows[0][4] != rows[2][4]  # rule a's accuracy differs between its two sets
+
+
+@pytest.mark.parametrize("spec", ["none", "all", "per-rule", "0,1;2,3"])
+def test_analyze_table_has_no_set_column_when_each_rule_has_one_row(tmp_path, capsys, spec):
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    assert main(["analyze", table, "--joint", spec, "--draws", "2000"]) == EXIT_OK
+    q_line, *table_rows = _table_cells(capsys.readouterr().out)
+    assert q_line[0].startswith("q=")
+    assert table_rows == [["rule", "accuracy", "f1"], *([r, mock.ANY, mock.ANY] for r in "ab")]
+
+
+def test_csv_errors_end_in_an_error_line(tmp_path, capsys):
+    # a field over csv.field_size_limit() (131,072 characters by default)
+    table = write(tmp_path, "wide.csv", "z,a\n1," + "1" * 140_000 + "\n0,0\n")
+    coverage = ["coverage", "--process", "bootstrap", "--population", table, "--rules", "a",
+                "--n", "2", "--replications", "2"]
+    for argv in (["analyze", table], coverage):
+        assert main(argv) == EXIT_HARD
+        err = capsys.readouterr().err
+        assert err.startswith("error: field larger than field limit")
+        assert "Traceback" not in err

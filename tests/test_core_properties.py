@@ -6,18 +6,22 @@ is the per-row form of the same formulas.  Tables are random, with
 degenerate columns mixed in (constant ``z``, constant ``a``, ``a == z``,
 ``a == 1 - z``), and every built-in measure is a target.  Further
 properties: the plug-in covariance is positive semidefinite, the
-correction never lowers a variance, and reports do not depend on the
-order of the rule columns.
+correction never lowers a variance, reports do not depend on the order
+of the rule columns, and every JSON report of ``perfci analyze`` parses
+with a strict parser.
 """
 
 import dataclasses
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfci.cli import main
 from perfci.covariance import (
     correct,
     covariance_from_influences,
@@ -29,6 +33,7 @@ from perfci.dataset import BinaryDataset, make_targets
 from perfci.errors import DomainError, UnknownMeasureError, UnknownRuleError
 from perfci.intervals import CHOICE_CORRECTED, CHOICE_PLUGIN, IntervalSpec, analyze, set_report
 from perfci.measures import builtin_measures
+from test_regressions import strict_loads
 
 MEASURES = tuple(m.id for m in builtin_measures())
 COLUMN_KINDS = ("random", "zeros", "ones", "copy_z", "flip_z")
@@ -203,3 +208,27 @@ def test_covariance_matrix_raises_the_first_target_failure():
         covariance_matrix(data, make_targets(["tie"], ["accuracy", "overlap"]))
     with pytest.raises(UnknownRuleError):
         covariance_matrix(data, make_targets(["nope"], ["accuracy"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tables(),
+    st.lists(st.sampled_from(MEASURES), min_size=1, max_size=4, unique=True),
+    st.sampled_from(["1", "2"]),
+    st.booleans(),
+)
+def test_analyze_json_is_strict_json(data, measures, choice, clamp):
+    # degenerate columns fail targets, and whole sets when no measure is total
+    lines = [",".join(["z", *data.rule_ids])]
+    lines += [",".join(map(str, row)) for row in zip(data.z, *map(data.rule, data.rule_ids))]
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = Path(tmp) / "t.csv", Path(tmp) / "out.json"
+        table.write_text("\n".join(lines) + "\n")
+        for joint in ("none", "all", "per-rule"):
+            argv = ["analyze", str(table), "--measures", ",".join(measures), "--joint", joint,
+                    "--choice", choice, "--draws", "1000", "--format", "json", "--output", str(out)]
+            out.unlink(missing_ok=True)
+            assert main(argv + ["--clamp"] * clamp) in (0, 1, 2)
+            payload = strict_loads(out.read_text())
+            reports = payload if isinstance(payload, list) else [payload]
+            assert sum(len(r["targets"]) for r in reports) == len(measures) * len(data.rule_ids)

@@ -1,9 +1,12 @@
-"""Measure catalog: values, closed-form gradients, domains, registration."""
+"""Measure catalog: values, derived gradients, domains, registration."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfci.errors import DomainError, DuplicateIdError, UnknownMeasureError
 from perfci.measures import (
@@ -156,6 +159,75 @@ def test_gradients_match_finite_differences():
             want = np.asarray(fd_gradient(spec, m))
             denom = np.maximum(np.abs(want), 1e-3)
             assert np.max(np.abs(got - want) / denom) < 1e-5, spec.id
+
+
+def _oracle(spec):
+    """The measure's value at 50 digits, from its textbook formula (README
+    "Measures"), not from the catalog's expression."""
+    kind, sqrt = spec.id.split("(")[0], mpmath.sqrt
+    if kind in ("f1", "f_beta"):
+        b2 = mpmath.mpf(spec.params[0]) ** 2
+        return lambda za, a, z: (1 + b2) * za / (b2 * z + a)
+    if kind == "tversky":
+        fp, fn = map(mpmath.mpf, spec.params)
+        return lambda za, a, z: za / (za + fp * (a - za) + fn * (z - za))
+    return {
+        "accuracy": lambda za, a, z: 1 - z - a + 2 * za,
+        "jaccard": lambda za, a, z: za / (a + z - za),
+        "correlation": lambda za, a, z: (za - a * z) / sqrt(a * (1 - a) * z * (1 - z)),
+        "cosine": lambda za, a, z: za / sqrt(a * z),
+        "lift": lambda za, a, z: za / (a * z),
+        "overlap": lambda za, a, z: za / min(a, z),
+    }[kind]
+
+
+def _central_difference(f, m):
+    """Gradient of ``f`` at ``m`` by a central difference at 50 digits: its
+    step of 1e-25 leaves a truncation error near 1e-50 and a rounding error
+    near 1e-25."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(10) ** -25
+        point = [mpmath.mpf(m.m_za), mpmath.mpf(m.m_a), mpmath.mpf(m.m_z)]
+        out = []
+        for k in range(3):
+            up, dn = list(point), list(point)
+            up[k] += h
+            dn[k] -= h
+            out.append(float((f(*up) - f(*dn)) / (2 * h)))
+    return out
+
+
+@st.composite
+def feasible_triples(draw):
+    """Feasible triples with both marginals in [1e-3, 1 - 1e-3], where a
+    float gradient can be held to 1e-12: nearer 0 or 1, cancellations such
+    as correlation's ``(2*m_a - 1)*m_za - m_a*m_z`` lose digits to the
+    inputs' own rounding, whatever form the gradient is computed in.
+    ``m_za`` is often 0 or ``min(m_a, m_z)``; ``m_z = m_a`` and
+    ``m_z = 1 - m_a`` give correlations of exactly 1 and -1."""
+    marginal = st.floats(1e-3, 1.0 - 1e-3)
+    m_a = draw(marginal)
+    m_z = draw(st.one_of(marginal, st.just(m_a), st.just(1.0 - m_a)))
+    lo, hi = max(0.0, m_a + m_z - 1.0), min(m_a, m_z)
+    m_za = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi)))
+    return MomentTriple(m_za, m_a, m_z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    feasible_triples(),
+    st.floats(0.1, 10.0),
+    st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+)
+def test_derived_gradients_match_a_50_digit_central_difference(m, beta, weights):
+    specs = [*builtin_measures(), make_f_beta(beta), make_tversky(*weights)]
+    for spec in specs:
+        if not spec.grad_ok(m):
+            continue
+        got = spec.gradient(m).as_tuple()
+        want = _central_difference(_oracle(spec), m)
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale, (spec.id, got)
 
 
 def test_f_beta_one_is_f1_exactly():
