@@ -248,9 +248,11 @@ def _report_table(
     show_set = len(set(rules)) < len(rules)
     single_q = len({round(r.q, 12) for r, _ in rows.values() if r.q == r.q}) <= 1
     header = ["set"] * show_set + ["rule"] + ["q", "mc_stderr"] * (not single_q) + [*measure_ids]
+    # a set with no usable target has no q; show the first set that has one
+    shown = next((r for r in reports if r.q == r.q), None)
     # mc_stderr in g notation: an exact quantile's error bound is near 1e-14
-    if single_q and first.q == first.q:
-        lines.append(f"q={first.q:.4f}  mc_stderr={first.mc_stderr:.3g}")
+    if single_q and shown is not None:
+        lines.append(f"q={shown.q:.4f}  mc_stderr={shown.mc_stderr:.3g}")
     table_rows = []
     for (label, rid), (report, cells) in rows.items():
         row = [label] * show_set + [rid]
@@ -340,12 +342,14 @@ def _build_process_and_rules(settings: dict[str, str], seed: int):
     if kind in ("gaussian_mixture", "mixture"):
         process = GaussianMixtureProcess()
         rules = []
+        # several 1-NN rules are told apart by position, whatever their sizes
+        lone_nn = sum(token.startswith("one_nn(") for token in rule_tokens) == 1
         for pos, token in enumerate(rule_tokens):
             if token.startswith("threshold(") and token.endswith(")"):
                 rules.append(ThresholdRule(float(token[len("threshold(") : -1])))
             elif token.startswith("one_nn(") and token.endswith(")"):
                 size = int(token[len("one_nn(") : -1])
-                rule_id = "one_nn" if rule_tokens.count(token) == 1 else f"one_nn_{pos}"
+                rule_id = "one_nn" if lone_nn else f"one_nn_{pos}"
                 rules.append(
                     OneNNRule.train(
                         process, size, seed=seed + 0x51_000 + pos, rule_id=rule_id
@@ -420,13 +424,11 @@ def _parse_corr_argument(raw: str) -> np.ndarray:
 
 def _quantile_cmd(args) -> int:
     if args.dim is not None:
-        check_budget(args.dim, args.draws, "auto")  # before the dim x dim identity
+        check_budget(args.dim, args.draws)  # before the dim x dim identity
         corr = np.eye(args.dim)
     else:
         corr = _parse_corr_argument(args.corr)
-    request = QuantileRequest(
-        alpha=args.alpha, corr=corr, draws=args.draws, seed=args.seed, method="auto"
-    )
+    request = QuantileRequest(alpha=args.alpha, corr=corr, draws=args.draws, seed=args.seed)
     result = max_abs_quantile(request)
     if args.fmt == "json":
         text = _dump_json(

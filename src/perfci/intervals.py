@@ -9,10 +9,10 @@ estimate.  What changes is the quantile:
   as a whole covers at a lower, unknown rate;
 * joint mode uses the equicoordinate quantile of the estimated
   correlation matrix, so all targets in the requested set are covered
-  simultaneously at level ``1 - alpha``.  Sets of two targets get it
-  exactly by the bivariate tier of
-  :func:`~perfci.quantiles.max_abs_quantile`; larger sets (and single
-  targets) simulate it with ``draws`` and ``seed``.
+  simultaneously at level ``1 - alpha``.  The set's size picks how
+  :func:`~perfci.quantiles.max_abs_quantile` computes it: sets of two
+  targets get it exactly (the bivariate tier), and every other size
+  simulates it with ``draws`` and ``seed``.
 
 The variance ``choice`` selects the plug-in estimate (1) or the
 corrected one (2, default), see :mod:`perfci.covariance`.  In joint
@@ -258,7 +258,6 @@ def _report(
                 corr=correlation(cov),
                 draws=spec.draws,
                 seed=spec.seed,
-                method="auto",
             )
         )
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter

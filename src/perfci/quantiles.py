@@ -4,29 +4,27 @@ Two quantile notions drive every interval in this package:
 
 * ``inv_norm_cdf`` -- the scalar standard-normal inverse CDF, used for
   individual intervals and for the variance-correction magnitude.  It is
-  a rational approximation (Acklam's coefficients, three regimes) with
-  one Halley refinement step against an independent ``erfc``-based CDF
-  evaluation, giving absolute error near machine precision over the
-  whole usable range.
+  the standard library's :meth:`statistics.NormalDist.inv_cdf` (Wichura's
+  AS 241, Applied Statistics 37, 1988), good to a few units in the last
+  place over the whole usable range.
 
 * ``max_abs_quantile`` -- the two-sided equicoordinate quantile
   ``q(alpha, R)`` with ``P[max_j |z_j| < q] = 1 - alpha`` for
-  ``z ~ N(0, R)``.  It has two tiers, chosen by ``QuantileRequest.method``:
+  ``z ~ N(0, R)``.  The dimension of ``R`` picks one of two tiers:
 
-  - ``"bivariate"`` (dim 2 under ``method="auto"``): exact up to
-    quadrature.  The box probability is one integral over the first
-    coordinate (Drezner & Wesolowsky 1990; Genz 2004), evaluated by
-    Gauss-Legendre on three panels, and ``q`` is its root by Illinois
-    regula falsi between the scalar and the Bonferroni quantiles.
-    ``mc_stderr`` is then an error bound on ``q``, not a standard error.
-  - ``"monte_carlo"`` (the default at every dimension, and every
-    dimension but 2 under ``"auto"``): Cholesky-factor ``R`` (with a
-    small jitter ladder for rank-deficient matrices), draw correlated
-    Gaussian vectors in fixed-size chunks with counter-based substreams
-    so results are reproducible for a given seed, and read the empirical
-    quantile off the sorted maxima.  ``mc_stderr`` is the usual
-    order-statistic standard error: binomial noise of the empirical CDF
-    divided by a local density estimate.
+  - ``"bivariate"`` (dim 2): exact up to quadrature.  The box
+    probability is one integral over the first coordinate (Drezner &
+    Wesolowsky 1990; Genz 2004), evaluated by Gauss-Legendre on three
+    panels, and ``q`` is its root by Illinois regula falsi between the
+    scalar and the Bonferroni quantiles.  ``mc_stderr`` is then an error
+    bound on ``q``, not a standard error.
+  - ``"monte_carlo"`` (every other dimension): Cholesky-factor ``R``
+    (with a small jitter ladder for rank-deficient matrices), draw
+    correlated Gaussian vectors in fixed-size chunks with counter-based
+    substreams so results are reproducible for a given seed, and read
+    the empirical quantile off the sorted maxima.  ``mc_stderr`` is the
+    usual order-statistic standard error: binomial noise of the
+    empirical CDF divided by a local density estimate.
 
   The Monte Carlo tier's memory is planned before it runs
   (:func:`planned_bytes`); a request whose plan exceeds
@@ -44,6 +42,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -67,50 +66,16 @@ __all__ = [
     "DEFAULT_DRAWS",
     "MIN_DRAWS",
     "MAX_QUANTILE_BYTES",
-    "METHODS",
 ]
 
 DEFAULT_DRAWS = 200_000
 MIN_DRAWS = 1_000
 # memory budget of one quantile request, in bytes (see planned_bytes)
 MAX_QUANTILE_BYTES = 1 << 30
-METHODS = ("monte_carlo", "auto")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation coefficients for the normal inverse CDF.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
+_STANDARD_NORMAL = NormalDist()
 
 
 def norm_cdf(x: float) -> float:
@@ -124,36 +89,9 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p <= _P_HIGH:
-        q = p - 0.5
-        r = q * q
-        return (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-        ) / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(
-        ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-    ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-
-
-def inv_norm_cdf(p: float, refine: bool = True) -> float:
-    """Standard normal inverse CDF, accurate to ~1e-15 absolute.
-
-    Parameters
-    ----------
-    p : float
-        Probability strictly inside ``(0, 1)``.
-    refine : bool
-        Apply one Halley step against an ``erfc``-based CDF evaluation
-        (default).  The raw rational approximation alone is good to
-        about ``1.2e-9`` relative.
+def inv_norm_cdf(p: float) -> float:
+    """Standard normal inverse CDF (Wichura's AS 241, via
+    :class:`statistics.NormalDist`), accurate to a few units in the last place.
 
     Raises
     ------
@@ -163,13 +101,7 @@ def inv_norm_cdf(p: float, refine: bool = True) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):  # NaN fails both comparisons
         raise OutOfRangeError(p)
-    z = _acklam(p)
-    # exp(z*z/2) overflows past |z| ~ 38; the approximation alone serves there
-    if refine and abs(z) < 37.0:
-        err = 0.5 * math.erfc(-z / _SQRT2) - p
-        u = err * _SQRT_2PI * math.exp(0.5 * z * z)
-        z -= u / (1.0 + 0.5 * z * u)
-    return z
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def sidak_quantile(alpha: float, dim: int) -> float:
@@ -233,11 +165,7 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def _tier(dim: int, method: str) -> str:
-    return "bivariate" if method == "auto" and dim == 2 else "monte_carlo"
-
-
-def planned_bytes(dim: int, draws: int, method: str = "monte_carlo") -> int:
+def planned_bytes(dim: int, draws: int) -> int:
     """Bytes a quantile request of this shape allocates besides its
     correlation matrix and Cholesky factor.
 
@@ -245,14 +173,14 @@ def planned_bytes(dim: int, draws: int, method: str = "monte_carlo") -> int:
     ``min(draws, _CHUNK) x dim`` float64 (the normals and their correlated
     image).  The bivariate tier needs a few hundred bytes, counted as 0.
     """
-    if _tier(dim, method) == "bivariate":
+    if dim == 2:  # the bivariate tier
         return 0
     return 8 * (draws + 2 * min(draws, _CHUNK) * dim)
 
 
-def check_budget(dim: int, draws: int, method: str = "monte_carlo") -> None:
+def check_budget(dim: int, draws: int) -> None:
     """Raise ``ValueError`` if :func:`planned_bytes` exceeds ``MAX_QUANTILE_BYTES``."""
-    planned = planned_bytes(dim, draws, method)
+    planned = planned_bytes(dim, draws)
     if planned > MAX_QUANTILE_BYTES:
         raise ValueError(
             f"a quantile of dimension {dim} with {draws} draws needs {planned:,} bytes, "
@@ -262,20 +190,19 @@ def check_budget(dim: int, draws: int, method: str = "monte_carlo") -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuantileRequest:
-    """Inputs for one quantile: level, correlation, budget, seed, method.
+    """Inputs for one quantile: level, correlation, budget and seed.
 
-    ``method="monte_carlo"`` (the default) simulates at every dimension.
-    ``"auto"`` computes dim-2 quantiles by the exact bivariate tier and
-    simulates the others.  ``draws`` and ``seed`` only matter when
-    simulating.  A request whose Monte Carlo plan (:func:`planned_bytes`)
-    exceeds ``MAX_QUANTILE_BYTES`` is rejected with ``ValueError``.
+    The dimension picks the tier: dim 2 is computed exactly by the
+    bivariate tier, and every other dimension is simulated.  ``draws``
+    and ``seed`` only matter when simulating.  A request whose plan
+    (:func:`planned_bytes`) exceeds ``MAX_QUANTILE_BYTES`` is rejected
+    with ``ValueError``.
     """
 
     alpha: float
     corr: np.ndarray
     draws: int = DEFAULT_DRAWS
     seed: int = 0
-    method: str = "monte_carlo"
 
     def __post_init__(self):
         alpha = float(self.alpha)
@@ -291,9 +218,7 @@ class QuantileRequest:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "seed", seed)
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        check_budget(self.dim, draws, self.method)
+        check_budget(self.dim, draws)
 
     @property
     def dim(self) -> int:
@@ -301,8 +226,9 @@ class QuantileRequest:
 
     @property
     def tier(self) -> str:
-        """The tier that answers this request: ``"bivariate"`` or ``"monte_carlo"``."""
-        return _tier(self.dim, self.method)
+        """The tier that answers this request: ``"bivariate"`` at dim 2,
+        ``"monte_carlo"`` at every other dimension."""
+        return "bivariate" if self.dim == 2 else "monte_carlo"
 
 
 @dataclass(frozen=True)

@@ -174,8 +174,11 @@ class OneNNRule:
     """Label of the nearest training feature (scalar feature space).
 
     Equidistant neighbors resolve to the smaller training feature, so
-    predictions are deterministic.  Use :meth:`train` to fit one on a
-    fresh training sample from a process.
+    predictions are deterministic.  The rule is a step function: it
+    predicts ``first`` for ``x <= cuts[0]`` and flips its prediction at
+    each further cut, the midpoints between sorted training features of
+    different labels.  Use :meth:`train` to fit one on a fresh training
+    sample from a process.
     """
 
     def __init__(self, train_x: np.ndarray, train_z: np.ndarray, rule_id: str = "one_nn"):
@@ -184,8 +187,11 @@ class OneNNRule:
         if train_x.shape != train_z.shape or train_x.ndim != 1 or train_x.size == 0:
             raise ValueError("training arrays must be equal-length non-empty vectors")
         order = np.argsort(train_x, kind="stable")
-        self._xs = train_x[order]
-        self._zs = train_z[order].astype(np.uint8)
+        xs, zs = train_x[order], train_z[order].astype(np.uint8)
+        flips = np.flatnonzero(zs[1:] != zs[:-1])
+        self.cuts = 0.5 * (xs[flips] + xs[flips + 1])
+        self.first = int(zs[0])
+        self._size = xs.size
         self.id = rule_id
 
     @classmethod
@@ -203,17 +209,11 @@ class OneNNRule:
     def predict(self, batch: SampleBatch) -> np.ndarray:
         if batch.x is None:
             raise PerfciError(f"rule {self.id!r} needs a feature sample")
-        xs, zs = self._xs, self._zs
-        m = xs.shape[0]
-        pos = np.searchsorted(xs, batch.x)
-        left = np.clip(pos - 1, 0, m - 1)
-        right = np.clip(pos, 0, m - 1)
-        use_left = np.abs(batch.x - xs[left]) <= np.abs(xs[right] - batch.x)
-        nearest = np.where(use_left, left, right)
-        return zs[nearest]
+        # a query exactly on a cut takes the side below it
+        return ((np.searchsorted(self.cuts, batch.x) + self.first) % 2).astype(np.uint8)
 
     def __repr__(self) -> str:
-        return f"OneNNRule(train_size={self._xs.shape[0]})"
+        return f"OneNNRule(train_size={self._size})"
 
 
 class FixedPredictionRule:
@@ -289,12 +289,7 @@ def true_params(
             moments[rule.id] = _mixture_step_moments((rule.theta,), 0)
             how[rule.id] = "analytic"
         elif isinstance(process, GaussianMixtureProcess) and isinstance(rule, OneNNRule):
-            # predictions flip only halfway between sorted training features
-            # of different labels; a query exactly halfway takes the lower one
-            xs, zs = rule._xs, rule._zs
-            flips = np.flatnonzero(zs[1:] != zs[:-1])
-            cuts = 0.5 * (xs[flips] + xs[flips + 1])
-            moments[rule.id] = _mixture_step_moments(cuts, int(zs[0]))
+            moments[rule.id] = _mixture_step_moments(rule.cuts, rule.first)
             how[rule.id] = "analytic"
         else:
             raise PerfciError(f"no exact true value for rule {rule!r} under {process!r}")

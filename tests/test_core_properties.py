@@ -7,8 +7,8 @@ degenerate columns mixed in (constant ``z``, constant ``a``, ``a == z``,
 ``a == 1 - z``), and every built-in measure is a target.  Further
 properties: the plug-in covariance is positive semidefinite, the
 correction never lowers a variance, reports do not depend on the order
-of the rule columns, and every JSON report of ``perfci analyze`` parses
-with a strict parser.
+of the rule columns, and every JSON report of ``perfci analyze``,
+``perfci coverage`` and ``perfci quantile`` parses with a strict parser.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfci.cli import main
@@ -232,3 +232,60 @@ def test_analyze_json_is_strict_json(data, measures, choice, clamp):
             payload = strict_loads(out.read_text())
             reports = payload if isinstance(payload, list) else [payload]
             assert sum(len(r["targets"]) for r in reports) == len(measures) * len(data.rule_ids)
+
+
+# the first example has an all-zero rule: f1 never gets a plug-in interval, so
+# its averages and its whole per-rule joint set are missing
+@settings(max_examples=40, deadline=None)
+@example(BinaryDataset.from_arrays([1, 0] * 4, {"r0": [0] * 8, "r1": [1, 0, 0, 1] * 2}),
+         ["f1"], "1", "per-rule", 6)
+@given(
+    tables(),
+    st.lists(st.sampled_from(MEASURES), min_size=1, max_size=3, unique=True),
+    st.sampled_from(["1", "2"]),
+    st.sampled_from(["per-rule", "all", "none"]),
+    st.integers(2, 12),
+)
+def test_coverage_json_is_strict_json(data, measures, choice, joint, n):
+    lines = [",".join(["z", *data.rule_ids])]
+    lines += [",".join(map(str, row)) for row in zip(data.z, *map(data.rule, data.rule_ids))]
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = Path(tmp) / "pop.csv", Path(tmp) / "out.json"
+        table.write_text("\n".join(lines) + "\n")
+        argv = ["coverage", "--process", "bootstrap", "--population", str(table),
+                "--rules", ",".join(data.rule_ids), "--measures", ",".join(measures),
+                "--joint", joint, "--choice", choice, "--n", str(n), "--replications", "3",
+                "--draws", "1000", "--format", "json", "--output", str(out)]
+        code = main(argv)
+        # a measure undefined on the population has no truth: a hard error, no output
+        assert code == 0 or (code == 1 and not out.exists())
+        if code:
+            return
+        payload = strict_loads(out.read_text())
+    assert len(payload["targets"]) == len(measures) * len(data.rule_ids)
+
+
+@st.composite
+def correlation_args(draw):
+    """``--dim`` of 1 to 3, or ``--corr`` with a 2 x 2 matrix or a rank-one 3 x 3."""
+    kind = draw(st.sampled_from(["dim", "pair", "rank_one"]))
+    if kind == "dim":
+        return ["--dim", str(draw(st.integers(1, 3)))]
+    if kind == "pair":
+        rho = draw(st.floats(-1.0, 1.0))
+        return ["--corr", f"1,{rho!r};{rho!r},1"]
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
+    return ["--corr", ";".join(",".join(str(a * b) for b in signs) for a in signs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlation_args(), st.floats(1e-10, 0.9), st.integers(0, 2**32))
+def test_quantile_json_is_strict_json(corr_args, alpha, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        argv = ["quantile", *corr_args, "--alpha", repr(alpha), "--draws", "1000",
+                "--seed", str(seed), "--format", "json", "--output", str(out)]
+        assert main(argv) == 0
+        payload = strict_loads(out.read_text())
+    assert payload["q"] > 0.0 and payload["mc_stderr"] >= 0.0
+    assert payload["method"] == ("bivariate" if payload["dim"] == 2 else "monte_carlo")

@@ -14,7 +14,6 @@ from perfci.cli import EXIT_HARD, EXIT_OK, main
 from perfci.dataset import BinaryDataset, make_targets
 from perfci.intervals import IntervalSpec, analyze
 from perfci.quantiles import (
-    MAX_QUANTILE_BYTES,
     QuantileRequest,
     inv_norm_cdf,
     max_abs_quantile,
@@ -27,7 +26,7 @@ ORACLE_RHOS = (0.0, 0.5, -0.5, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1 - 1e-9, 1.0
 
 def exact(alpha, rho):
     corr = np.array([[1.0, rho], [rho, 1.0]])
-    return max_abs_quantile(QuantileRequest(alpha=alpha, corr=corr, method="auto"))
+    return max_abs_quantile(QuantileRequest(alpha=alpha, corr=corr))
 
 
 def mp_box(mp, q, rho):
@@ -81,25 +80,6 @@ def test_bivariate_tier_is_bracketed_symmetric_and_monotone(rho, other, alpha):
     assert strong.q <= weak.q + weak.mc_stderr + strong.mc_stderr
 
 
-def test_auto_is_the_default_away_from_dimension_two():
-    rng = np.random.default_rng(61)
-    for dim in (1, 3, 6):
-        w = rng.normal(size=(dim, dim + 2))
-        s = w @ w.T
-        corr = s / np.sqrt(np.outer(np.diag(s), np.diag(s)))
-        default = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4))
-        auto = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4, method="auto"))
-        assert auto == default and auto.method == "monte_carlo"
-
-
-def test_default_stays_monte_carlo_at_dimension_two():
-    corr = np.array([[1.0, 0.4], [0.4, 1.0]])
-    result = max_abs_quantile(QuantileRequest(0.05, corr, draws=20_000, seed=4))
-    assert result.method == "monte_carlo" and result.draws == 20_000
-    with pytest.raises(ValueError, match="method"):
-        QuantileRequest(0.05, corr, method="bivariate")
-
-
 def test_monte_carlo_tier_keeps_its_random_streams():
     """The ``(dim, draws)`` layout draws the same normals from the same
     substreams as the ``(draws, dim)`` reference below."""
@@ -121,8 +101,7 @@ def test_monte_carlo_tier_keeps_its_random_streams():
 def test_planned_bytes_counts_the_maxima_and_two_chunks():
     assert planned_bytes(90, 200_000) == 8 * (200_000 + 2 * 65_536 * 90)
     assert planned_bytes(3, 5_000) == 8 * (5_000 + 2 * 5_000 * 3)
-    assert planned_bytes(2, 10**9, "auto") == 0
-    assert planned_bytes(2, 10**9) > MAX_QUANTILE_BYTES
+    assert planned_bytes(2, 10**9) == 0
 
 
 def test_requests_over_the_budget_are_rejected_before_they_run():
@@ -132,9 +111,7 @@ def test_requests_over_the_budget_are_rejected_before_they_run():
     with pytest.raises(ValueError, match="budget"):
         QuantileRequest(0.05, np.eye(1024), draws=65_536)
     corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError, match="budget"):
-        QuantileRequest(0.05, corr, draws=200_000_000)
-    assert QuantileRequest(0.05, corr, draws=200_000_000, method="auto").tier == "bivariate"
+    assert QuantileRequest(0.05, corr, draws=200_000_000).tier == "bivariate"
 
 
 def test_quantile_dim_checks_the_budget_before_building_the_identity(monkeypatch, capsys):

@@ -62,15 +62,6 @@ def test_inv_norm_cdf_roundtrip():
         assert norm_cdf(inv_norm_cdf(p)) == pytest.approx(p, rel=1e-9, abs=1e-13)
 
 
-def test_inv_norm_cdf_refinement_improves_raw_approximation():
-    rng = np.random.default_rng(32)
-    for p in rng.uniform(1e-6, 1 - 1e-6, 200):
-        raw = inv_norm_cdf(p, refine=False)
-        fine = inv_norm_cdf(p)
-        assert abs(raw - fine) < 1e-7  # raw approximation is ~1e-9 relative
-        assert abs(norm_cdf(fine) - p) <= abs(norm_cdf(raw) - p) + 1e-15
-
-
 def test_inv_norm_cdf_extreme_tails_stay_finite():
     z = inv_norm_cdf(1e-300)
     assert -38.0 < z < -37.0
@@ -179,7 +170,8 @@ def test_quantile_monotone_in_dim_and_alpha():
 
 
 def test_determinism_and_seed_sensitivity():
-    r = np.array([[1.0, 0.4], [0.4, 1.0]])
+    r = np.full((3, 3), 0.4)
+    np.fill_diagonal(r, 1.0)
     a = max_abs_quantile(QuantileRequest(alpha=0.05, corr=r, draws=30_000, seed=42))
     b = max_abs_quantile(QuantileRequest(alpha=0.05, corr=r, draws=30_000, seed=42))
     c = max_abs_quantile(QuantileRequest(alpha=0.05, corr=r, draws=30_000, seed=43))

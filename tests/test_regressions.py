@@ -230,3 +230,27 @@ def test_reports_record_their_draws(tmp_path, capsys):
     good, zero = (report["meta"] for report in strict_loads(capsys.readouterr().out))
     assert good["draws"] == 0 and good["quantile_method"] == "bivariate"
     assert zero["draws"] is None and zero["q"] is None
+
+
+def test_analyze_table_shows_q_when_the_first_set_has_no_usable_target(tmp_path, capsys):
+    # lift is undefined for the all-zero rule a, so the first per-rule set has no q
+    path = tmp_path / "zero.csv"
+    path.write_text("z,a,b\n1,0,1\n1,0,0\n0,0,1\n0,0,0\n1,0,1\n0,0,1\n")
+    argv = ["analyze", str(path), "--measures", "lift", "--joint", "per-rule"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("q=") and float(lines[1].split()[0][2:]) > 1.9
+    assert main(argv + ["--format", "json"]) == 2
+    zero, b = (report["meta"] for report in strict_loads(capsys.readouterr().out))
+    assert zero["q"] is None and lines[1] == f"q={b['q']:.4f}  mc_stderr={b['mc_stderr']:.3g}"
+
+
+def test_coverage_numbers_one_nn_rules_of_different_sizes(capsys):
+    argv = ["coverage", "--process", "mixture", "--n", "50", "--replications", "2",
+            "--draws", "1000", "--measures", "accuracy", "--format", "json"]
+    assert main(argv + ["--rules", "one_nn(50),threshold(0.5),one_nn(80)"]) == EXIT_OK
+    ids = [t["rule"] for t in strict_loads(capsys.readouterr().out)["targets"]]
+    assert ids == ["one_nn_0", "threshold(0.5)", "one_nn_2"]
+    assert main(argv + ["--rules", "threshold(0.5),one_nn(80)"]) == EXIT_OK
+    ids = [t["rule"] for t in strict_loads(capsys.readouterr().out)["targets"]]
+    assert ids == ["threshold(0.5)", "one_nn"]
