@@ -72,6 +72,7 @@ from .quantiles import (
     norm_cdf,
     norm_pdf,
     sidak_quantile,
+    two_sided_quantile,
 )
 from .simulation import (
     CoverageConfig,
@@ -124,6 +125,7 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
     "sidak_quantile",
+    "two_sided_quantile",
     "QuantileRequest",
     "QuantileResult",
     "max_abs_quantile",

@@ -53,7 +53,7 @@ from .measures import (
     MomentTriple,
     resolve_measure,
 )
-from .quantiles import CorrelationMatrix, inv_norm_cdf
+from .quantiles import CorrelationMatrix, two_sided_quantile
 
 __all__ = [
     "InfluenceVector",
@@ -259,12 +259,13 @@ def blurring_matrix(
 ) -> np.ndarray:
     """Diagonal correction addends, one per target.
 
-    ``D_k = ||gradient_k||^2 * inv_norm_cdf(1 - alpha/2)**2 / (2 n)``;
-    scales as ``1/n`` and vanishes only for an all-zero gradient.
+    ``D_k = ||gradient_k||^2 * z**2 / (2 n)`` with ``z = z_{1-alpha/2}``
+    from :func:`~perfci.quantiles.two_sided_quantile`; scales as ``1/n``
+    and vanishes only for an all-zero gradient.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    z = inv_norm_cdf(1.0 - float(alpha) / 2.0)
+    z = two_sided_quantile(alpha)
     return np.array(
         [g.squared_norm() * z * z / (2.0 * n) for g in gradients], dtype=float
     )

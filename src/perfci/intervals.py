@@ -55,8 +55,8 @@ from .measures import MeasureCatalog, resolve_measure
 from .quantiles import (
     DEFAULT_DRAWS,
     QuantileRequest,
-    inv_norm_cdf,
     max_abs_quantile,
+    two_sided_quantile,
 )
 
 __all__ = [
@@ -177,11 +177,10 @@ def individual_ci(
     ``variance`` is the diagonal covariance entry for the scaled error;
     a non-positive value raises :class:`SingularVarianceError`.
     """
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRangeError(alpha)
+    z = two_sided_quantile(alpha)
     if variance <= 0.0:
         raise SingularVarianceError(index, f"variance {variance!r}")
-    half = inv_norm_cdf(1.0 - alpha / 2.0) * math.sqrt(variance / n)
+    half = z * math.sqrt(variance / n)
     return (estimate - half, estimate + half)
 
 
@@ -249,7 +248,7 @@ def _report(
         q = mc_stderr = jitter = float("nan")
         method, draws = None, None
     elif spec.mode == "individual":
-        q, mc_stderr, jitter = inv_norm_cdf(1.0 - spec.alpha / 2.0), 0.0, 0.0
+        q, mc_stderr, jitter = two_sided_quantile(spec.alpha), 0.0, 0.0
         method, draws = "normal", 0
     else:
         result = max_abs_quantile(

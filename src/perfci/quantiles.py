@@ -1,12 +1,11 @@
-"""Gaussian quantiles: scalar inverse CDF and equicoordinate max-|z| quantile.
+"""Gaussian quantiles: two-sided normal and equicoordinate max-|z| quantiles.
 
 Two quantile notions drive every interval in this package:
 
-* ``inv_norm_cdf`` -- the scalar standard-normal inverse CDF, used for
-  individual intervals and for the variance-correction magnitude.  It is
-  the standard library's :meth:`statistics.NormalDist.inv_cdf` (Wichura's
-  AS 241, Applied Statistics 37, 1988), good to a few units in the last
-  place over the whole usable range.
+* ``two_sided_quantile`` -- ``z_{1-alpha/2}``, for individual intervals
+  and the variance-correction magnitude, from the lower tail of
+  ``inv_norm_cdf``: the standard library's :meth:`statistics.NormalDist.inv_cdf`
+  (Wichura's AS 241, Applied Statistics 37, 1988), good to a few ulps.
 
 * ``max_abs_quantile`` -- the two-sided equicoordinate quantile
   ``q(alpha, R)`` with ``P[max_j |z_j| < q] = 1 - alpha`` for
@@ -30,10 +29,9 @@ Two quantile notions drive every interval in this package:
   (:func:`planned_bytes`); a request whose plan exceeds
   ``MAX_QUANTILE_BYTES`` is rejected.
 
-``sidak_quantile`` is the independent-case closed form; it upper-bounds
-nothing and lower-bounds nothing in general, but for identity ``R`` the
-quantile must match it (to Monte Carlo accuracy when simulated), which
-makes it the natural test oracle.
+``sidak_quantile``, the closed form for independent coordinates, bounds
+``q(alpha, R)`` from above for every ``R`` (Sidak 1967) and equals it at
+identity ``R``, which makes it the natural test oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from .errors import (
 
 __all__ = [
     "inv_norm_cdf",
+    "two_sided_quantile",
     "norm_cdf",
     "norm_pdf",
     "sidak_quantile",
@@ -104,11 +103,23 @@ def inv_norm_cdf(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def two_sided_quantile(alpha: float) -> float:
+    """``z_{1-alpha/2}`` as ``-inv_norm_cdf(alpha / 2)``: the lower tail keeps
+    every digit at small ``alpha``, where the upper tail's probability rounds
+    (to 1.0 below about 1.1e-16).  Raises :class:`OutOfRangeError` unless
+    ``0 < alpha < 1``."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise OutOfRangeError(alpha)
+    return -inv_norm_cdf(alpha / 2.0)
+
+
 def sidak_quantile(alpha: float, dim: int) -> float:
     """Equicoordinate quantile for ``dim`` independent coordinates.
 
-    Closed form ``inv_norm_cdf((1 + (1 - alpha)**(1/dim)) / 2)``; equals
-    the scalar two-sided quantile at ``dim = 1``.
+    Closed form: :func:`two_sided_quantile` at the per-coordinate level
+    ``1 - (1 - alpha)**(1/dim)``, taken by ``expm1`` and ``log1p`` so that
+    small ``alpha`` keeps its digits.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
@@ -116,7 +127,7 @@ def sidak_quantile(alpha: float, dim: int) -> float:
     dim = int(dim)
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
-    return inv_norm_cdf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / dim)))
+    return two_sided_quantile(-math.expm1(math.log1p(-alpha) / dim))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +205,10 @@ class QuantileRequest:
 
     The dimension picks the tier: dim 2 is computed exactly by the
     bivariate tier, and every other dimension is simulated.  ``draws``
-    and ``seed`` only matter when simulating.  A request whose plan
-    (:func:`planned_bytes`) exceeds ``MAX_QUANTILE_BYTES`` is rejected
-    with ``ValueError``.
+    and ``seed`` only matter when simulating.  ``corr`` is validated unless
+    it is a :class:`CorrelationMatrix`.  A simulation is rejected with
+    ``ValueError`` when ``alpha * draws < 1`` (``q`` would be the largest
+    draw) or when its plan (:func:`planned_bytes`) exceeds ``MAX_QUANTILE_BYTES``.
     """
 
     alpha: float
@@ -209,10 +221,17 @@ class QuantileRequest:
         if not (0.0 < alpha < 1.0):
             raise OutOfRangeError(alpha)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "corr", CorrelationMatrix(self.corr).values)
+        valid = isinstance(self.corr, CorrelationMatrix)
+        corr = self.corr if valid else CorrelationMatrix(self.corr)
+        object.__setattr__(self, "corr", corr.values)
         draws = int(self.draws)
         if draws < MIN_DRAWS:
             raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
+        if self.tier == "monte_carlo" and alpha * draws < 1.0:
+            raise ValueError(
+                f"alpha = {alpha:g} needs at least {math.ceil(1.0 / alpha):,} draws "
+                f"(alpha * draws >= 1) to simulate its quantile, got {draws:,}"
+            )
         object.__setattr__(self, "draws", draws)
         seed = int(self.seed)
         if seed < 0:
@@ -409,7 +428,7 @@ def _bivariate_quantile(alpha: float, rho: float) -> tuple[float, float]:
     """
     r = abs(rho)
     s = math.sqrt((1.0 - r) * (1.0 + r))
-    z = inv_norm_cdf(1.0 - alpha / 2.0)
+    z = two_sided_quantile(alpha)
     if s == 0.0:
         # one coordinate repeated: the scalar two-sided quantile
         miss = math.erfc(z / _SQRT2)
@@ -418,8 +437,7 @@ def _bivariate_quantile(alpha: float, rho: float) -> tuple[float, float]:
     def excess(q: float) -> float:  # decreasing in q
         return _box_miss(q, r, s) - alpha
 
-    # the lower tail gives Bonferroni exactly: 1 - alpha / 4 rounds for small alpha
-    a, b = z, -inv_norm_cdf(alpha / 4.0)
+    a, b = z, two_sided_quantile(alpha / 2.0)  # Bonferroni
     fa, fb = excess(a), excess(b)
     q, fq = min((a, fa), (b, fb), key=lambda point: abs(point[1]))
     moved = 0  # which end the last step replaced: -1 lower, +1 upper

@@ -32,7 +32,9 @@ Reproducibility
 Every replication derives its own counter-based substream from the
 master seed and the replication index, and every simulated quantile gets
 its own derived seed, so runs are deterministic for a fixed seed and
-independent of execution order.
+independent of execution order.  Neither depends on the variance
+``choice``, so two studies that differ only in ``choice`` score the same
+samples with the same quantile seeds.
 """
 
 from __future__ import annotations
@@ -295,12 +297,7 @@ def true_params(
             raise PerfciError(f"no exact true value for rule {rule!r} under {process!r}")
 
     targets = make_targets([r.id for r in rules], [m.id for m in measures])
-    values = np.array(
-        [
-            resolve_measure(t.measure_id, catalog).evaluate(moments[t.rule_id])
-            for t in targets
-        ]
-    )
+    values = np.array([m.evaluate(moments[r.id]) for r in rules for m in measures])
     provenance = tuple(how[t.rule_id] for t in targets)
     return TrueParams(
         targets=targets, values=values, moments=dict(moments), provenance=provenance
@@ -450,39 +447,30 @@ def _finite_or_none(value) -> float | None:
     return None if np.isnan(value) else float(value)
 
 
-def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, CoverageResult]:
-    """Shared-stream engine behind run_coverage and the stress pair.
+def run_coverage(config: CoverageConfig) -> CoverageResult:
+    """Run one coverage study with the variance choice set in ``config``.
 
-    All requested variance choices are scored on the same sampled data
-    (and the same quantile substreams), so comparisons between them are
-    free of between-run Monte Carlo noise.
+    Replication ``rep`` samples from substream ``(seed, rep, 0)`` and
+    joint set ``i`` draws its quantile with seed ``(seed, rep, 1 + i)``.
     """
-    process = config.process
     rules = config.rules
-    targets = make_targets(
-        [r.id for r in rules], [resolve_measure(m).id for m in config.measure_ids]
-    )
+    truth = true_params(config.process, rules, config.measure_ids)
+    targets = truth.targets
     n_targets = len(targets)
-    truth = true_params(process, rules, config.measure_ids)
     sets = make_joint_sets(config.joint_sets, targets)
     reps = config.replications
-    n = config.n
-    alpha = config.alpha
-    specs = {c: IntervalSpec(alpha=alpha, choice=c, draws=config.draws) for c in choices}
+    spec = IntervalSpec(alpha=config.alpha, choice=config.choice, draws=config.draws)
+    individual = replace(spec, mode="individual")
 
     est = np.full((reps, n_targets), np.nan)
-    variances = {c: np.full((reps, n_targets), np.nan) for c in choices}
-    ind_half = {c: np.full((reps, n_targets), np.nan) for c in choices}
-    joint_half = {
-        c: {label: np.full((reps, len(idx)), np.nan) for label, idx in sets}
-        for c in choices
-    }
-    joint_q = {c: {label: np.full(reps, np.nan) for label, _ in sets} for c in choices}
-    joint_mc = {c: {label: np.full(reps, np.nan) for label, _ in sets} for c in choices}
+    variances = np.full((reps, n_targets), np.nan)
+    ind_half = np.full((reps, n_targets), np.nan)
+    joint_half = {label: np.full((reps, len(idx)), np.nan) for label, idx in sets}
+    joint_q = {label: np.full(reps, np.nan) for label, _ in sets}
+    joint_mc = {label: np.full(reps, np.nan) for label, _ in sets}
 
     for rep in range(reps):
-        rng = _substream(config.seed, rep, 0)
-        batch = process.sample(n, rng)
+        batch = config.process.sample(config.n, _substream(config.seed, rep, 0))
         data = BinaryDataset(
             np.ascontiguousarray(batch.z, dtype=np.uint8),
             {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
@@ -491,76 +479,65 @@ def _simulate(config: CoverageConfig, choices: tuple[int, ...]) -> dict[int, Cov
         est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
 
         # failed rows carry None, which float arrays store as NaN
-        for choice, spec in specs.items():
-            report = set_report(fit, targets, range(n_targets), replace(spec, mode="individual"))
-            variances[choice][rep] = [row.variance for row in report.rows]
-            ind_half[choice][rep] = [row.half_width for row in report.rows]
-            for set_pos, (label, idx) in enumerate(sets):
-                seed = _substream_seed(config.seed, rep, 1 + set_pos)
-                report = set_report(fit, targets, idx, replace(spec, seed=seed))
-                joint_q[choice][label][rep] = report.q
-                joint_mc[choice][label][rep] = report.mc_stderr
-                joint_half[choice][label][rep] = [row.half_width for row in report.rows]
+        report = set_report(fit, targets, range(n_targets), individual)
+        variances[rep] = [row.variance for row in report.rows]
+        ind_half[rep] = [row.half_width for row in report.rows]
+        for set_pos, (label, idx) in enumerate(sets):
+            seed = _substream_seed(config.seed, rep, 1 + set_pos)
+            report = set_report(fit, targets, idx, replace(spec, seed=seed))
+            joint_q[label][rep] = report.q
+            joint_mc[label][rep] = report.mc_stderr
+            joint_half[label][rep] = [row.half_width for row in report.rows]
 
     # ---- aggregate --------------------------------------------------------
     # NaN entries mean "no interval in that replication": comparisons give
     # False (not covered) and averages skip them.
-    results: dict[int, CoverageResult] = {}
-    truth_row = truth.values[np.newaxis, :]
-    for choice in choices:
-        ih = ind_half[choice]
-        ind_cover = np.abs(est - truth_row) <= ih
-        set_results = []
-        for label, idx in sets:
-            jh = joint_half[choice][label]
-            members = np.asarray(idx)
-            cover = np.abs(est[:, members] - truth.values[members]) <= jh
-            set_results.append(
-                JointSetCoverage(
-                    label=label,
-                    indices=tuple(int(i) for i in idx),
-                    coverage=float(cover.all(axis=1).mean()),
-                    avg_length=2.0 * _nanmean(jh),
-                    avg_q=float(_nanmean(joint_q[choice][label])),
-                    error_rate=float(np.isnan(jh).any(axis=1).mean()),
-                )
+    ind_cover = np.abs(est - truth.values) <= ind_half
+    set_results = []
+    for label, idx in sets:
+        jh = joint_half[label]
+        members = np.asarray(idx)
+        cover = np.abs(est[:, members] - truth.values[members]) <= jh
+        set_results.append(
+            JointSetCoverage(
+                label=label,
+                indices=tuple(int(i) for i in idx),
+                coverage=float(cover.all(axis=1).mean()),
+                avg_length=2.0 * _nanmean(jh),
+                avg_q=float(_nanmean(joint_q[label])),
+                error_rate=float(np.isnan(jh).any(axis=1).mean()),
             )
-        results[choice] = CoverageResult(
-            choice=choice,
-            n=n,
-            alpha=alpha,
-            replications=reps,
-            seed=config.seed,
-            draws=config.draws,
-            targets=targets,
-            true_values=truth.values.copy(),
-            provenance=truth.provenance,
-            individual_coverage=ind_cover.mean(axis=0),
-            avg_individual_length=2.0 * _nanmean(ih),
-            joint_of_individual=float(ind_cover.all(axis=1).mean()),
-            joint_sets=tuple(set_results),
-            target_error_counts=np.isnan(ih).sum(axis=0),
-            diagnostics=CoverageDiagnostics(
-                estimates=est.copy(),
-                variances=variances[choice],
-                individual_half=ih,
-                joint_half=joint_half[choice],
-                joint_q=joint_q[choice],
-                joint_mc_stderr=joint_mc[choice],
-            ),
         )
-    return results
+    return CoverageResult(
+        choice=config.choice,
+        n=config.n,
+        alpha=config.alpha,
+        replications=reps,
+        seed=config.seed,
+        draws=config.draws,
+        targets=targets,
+        true_values=truth.values,
+        provenance=truth.provenance,
+        individual_coverage=ind_cover.mean(axis=0),
+        avg_individual_length=2.0 * _nanmean(ind_half),
+        joint_of_individual=float(ind_cover.all(axis=1).mean()),
+        joint_sets=tuple(set_results),
+        target_error_counts=np.isnan(ind_half).sum(axis=0),
+        diagnostics=CoverageDiagnostics(
+            estimates=est,
+            variances=variances,
+            individual_half=ind_half,
+            joint_half=joint_half,
+            joint_q=joint_q,
+            joint_mc_stderr=joint_mc,
+        ),
+    )
 
 
 def _nanmean(values: np.ndarray) -> np.ndarray:
     """Mean over axis 0 of the non-NaN entries; NaN where there are none."""
     with np.errstate(invalid="ignore"):
         return np.nansum(values, axis=0) / np.sum(~np.isnan(values), axis=0)
-
-
-def run_coverage(config: CoverageConfig) -> CoverageResult:
-    """Run one coverage study with the variance choice set in ``config``."""
-    return _simulate(config, (config.choice,))[config.choice]
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +575,10 @@ def rare_positive_stress(
 ) -> tuple[CoverageResult, CoverageResult]:
     """Plug-in vs corrected coverage on the built-in rare-event setting.
 
-    Returns ``(plug_in, corrected)`` results computed on identical
-    sampled data and quantile streams, so their difference isolates the
-    effect of the variance correction.
+    Returns ``(plug_in, corrected)``: two :func:`run_coverage` studies
+    that differ only in ``choice``, so they score identical sampled data
+    and quantile streams, and their difference isolates the effect of the
+    variance correction.
     """
     population = stress_population()
     config = CoverageConfig(
@@ -615,5 +593,4 @@ def rare_positive_stress(
         draws=draws,
         seed=seed,
     )
-    both = _simulate(config, (1, 2))
-    return both[1], both[2]
+    return run_coverage(config), run_coverage(replace(config, choice=2))

@@ -74,7 +74,7 @@ def test_bivariate_tier_at_zero_correlation_is_sidak():
 def test_bivariate_tier_is_bracketed_symmetric_and_monotone(rho, other, alpha):
     result = exact(alpha, rho)
     # lower-tail form of Bonferroni: 1 - alpha / 4 would round
-    assert inv_norm_cdf(1.0 - alpha / 2.0) <= result.q <= -inv_norm_cdf(alpha / 4.0)
+    assert -inv_norm_cdf(alpha / 2.0) <= result.q <= -inv_norm_cdf(alpha / 4.0)
     assert exact(alpha, -rho) == result
     weak, strong = (exact(alpha, r) for r in sorted((abs(rho), abs(other))))
     assert strong.q <= weak.q + weak.mc_stderr + strong.mc_stderr

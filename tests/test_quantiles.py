@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from perfci.errors import (
 from perfci.quantiles import (
     DEFAULT_DRAWS,
     MIN_DRAWS,
+    CorrelationMatrix,
     QuantileRequest,
     QuantileResult,
     inv_norm_cdf,
@@ -20,6 +22,7 @@ from perfci.quantiles import (
     norm_cdf,
     norm_pdf,
     sidak_quantile,
+    two_sided_quantile,
 )
 
 # precomputed with a 30-digit arbitrary-precision erfinv
@@ -110,6 +113,37 @@ def test_request_validation():
         QuantileRequest(alpha=0.05, corr=np.array([[1.0, 0.3], [0.1, 1.0]]))
     with pytest.raises(ValueError):
         QuantileRequest(alpha=0.05, corr=np.array([[1.0, float("nan")], [0.0, 1.0]]))
+
+
+def test_two_sided_and_sidak_quantiles_keep_every_digit_at_small_alpha():
+    # the upper-tail form inv_norm_cdf(1 - alpha / 2) lost digits at small
+    # alpha, and failed below about 1.1e-16 where 1 - alpha / 2 rounds to 1
+    with mpmath.workdps(60):
+        for alpha in (0.05, 1e-6, 1e-12, 1e-17):
+            want = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(alpha))
+            assert two_sided_quantile(alpha) == pytest.approx(float(want), rel=1e-15)
+        want = mpmath.sqrt(2) * mpmath.erfinv(mpmath.sqrt(1 - mpmath.mpf(1e-12)))
+        assert sidak_quantile(1e-12, 2) == pytest.approx(float(want), rel=1e-15)
+    for alpha in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(OutOfRangeError):
+            two_sided_quantile(alpha)
+
+
+def test_monte_carlo_request_needs_one_draw_beyond_its_quantile():
+    # alpha * draws < 1 made q the largest draw with mc_stderr 0
+    with pytest.raises(ValueError, match=r"alpha = 0\.0001 needs at least 10,000 draws"):
+        QuantileRequest(1e-4, np.eye(3), draws=1000)
+    res = max_abs_quantile(QuantileRequest(1e-3, np.eye(3), draws=1000))
+    assert res.method == "monte_carlo" and res.mc_stderr > 0.0
+    # the bivariate tier simulates nothing, so it answers any alpha
+    assert max_abs_quantile(QuantileRequest(1e-4, np.eye(2), draws=1000)).draws == 0
+
+
+def test_request_keeps_a_validated_correlation_matrix():
+    corr = CorrelationMatrix(np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.0]]))
+    assert QuantileRequest(0.05, corr).corr is corr.values
+    same = (QuantileRequest(0.05, c, draws=5000, seed=2) for c in (corr, corr.values))
+    assert max_abs_quantile(next(same)) == max_abs_quantile(next(same))
 
 
 def test_request_accepts_wrapper_with_values_attribute():

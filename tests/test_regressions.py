@@ -254,3 +254,24 @@ def test_coverage_numbers_one_nn_rules_of_different_sizes(capsys):
     assert main(argv + ["--rules", "threshold(0.5),one_nn(80)"]) == EXIT_OK
     ids = [t["rule"] for t in strict_loads(capsys.readouterr().out)["targets"]]
     assert ids == ["threshold(0.5)", "one_nn"]
+
+
+def test_small_alpha_reads_the_normal_quantile_from_its_lower_tail(tmp_path, capsys):
+    # 1 - alpha / 2 rounded to 1.0, so both commands failed with an error
+    # about a probability of 1.0 that the user never gave
+    path = tmp_path / "eight.csv"
+    path.write_text("z,a\n1,1\n1,0\n0,1\n0,0\n1,1\n0,1\n1,0\n0,0\n")
+    argv = ["analyze", str(path), "--joint", "none", "--alpha", "1e-17", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    meta = strict_loads(capsys.readouterr().out)["meta"]
+    assert (meta["q"], meta["quantile_method"]) == (8.573944076720885, "normal")
+    assert main(["quantile", "--dim", "2", "--alpha", "1e-17", "--format", "json"]) == EXIT_OK
+    assert strict_loads(capsys.readouterr().out)["q"] > 8.573944076720885
+
+
+def test_quantile_refuses_a_simulation_too_short_for_its_alpha(capsys):
+    # with alpha * draws < 1 this printed the largest draw and mc_stderr=0
+    assert main(["quantile", "--dim", "3", "--draws", "1000", "--alpha", "1e-4"]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "10,000 draws" in captured.err

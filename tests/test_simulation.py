@@ -1,6 +1,7 @@
 """Data processes, rules, true values and the coverage study engine."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,3 +406,48 @@ def test_stress_pair_shows_correction_benefit():
     assert np.all(
         fixed.avg_individual_length > plug.avg_individual_length * 0.999
     )
+
+
+def _assert_same_study(got, want):
+    assert got.as_dict() == want.as_dict()
+    for name in ("estimates", "variances", "individual_half"):
+        np.testing.assert_array_equal(
+            getattr(got.diagnostics, name), getattr(want.diagnostics, name)
+        )
+    for name in ("joint_half", "joint_q", "joint_mc_stderr"):
+        got_sets, want_sets = getattr(got.diagnostics, name), getattr(want.diagnostics, name)
+        assert got_sets.keys() == want_sets.keys()
+        for label in want_sets:
+            np.testing.assert_array_equal(got_sets[label], want_sets[label])
+
+
+def test_stress_pair_is_two_coverage_runs():
+    plug, fixed = rare_positive_stress(n=300, replications=50, draws=2000, seed=4)
+    config = CoverageConfig(
+        process=EmpiricalBootstrapProcess(stress_population()),
+        rules=(FixedPredictionRule("weak"),),
+        measure_ids=("f_beta(0.5)", "accuracy"),
+        n=300,
+        replications=50,
+        draws=2000,
+        seed=4,
+    )
+    _assert_same_study(plug, run_coverage(config))
+    _assert_same_study(fixed, run_coverage(replace(config, choice=2)))
+
+
+def test_studies_differing_only_in_choice_share_samples_and_truth():
+    config = CoverageConfig(
+        process=GaussianMixtureProcess(),
+        rules=(ThresholdRule(0.3), ThresholdRule(0.6)),
+        measure_ids=("accuracy", "f1"),
+        n=120,
+        replications=20,
+        joint_sets="per-rule,all",
+        draws=2000,
+        seed=3,
+    )
+    plug, fixed = run_coverage(config), run_coverage(replace(config, choice=2))
+    np.testing.assert_array_equal(plug.diagnostics.estimates, fixed.diagnostics.estimates)
+    np.testing.assert_array_equal(plug.true_values, fixed.true_values)
+    assert (plug.choice, fixed.choice) == (1, 2)
