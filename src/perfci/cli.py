@@ -9,7 +9,7 @@ Three subcommands:
   file (with flag overrides) and print the aggregated result.
 * ``quantile``: the equicoordinate max-|z| quantile for a correlation
   matrix given inline, as a CSV file, or as an identity dimension; exact
-  at dimension 2, simulated otherwise.
+  at dimensions 1 and 2, simulated above.
 
 Exit codes: 0 on full success, 2 when some (but not all) targets failed
 and their errors are reported inline, 1 on hard errors such as a
@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -260,14 +261,13 @@ def _report_table(
             q = report.q
             row += [f"{q:.4f}", f"{report.mc_stderr:.3g}"] if q == q else ["-", "-"]
         table_rows.append(row + [cells.get(mid, "-") for mid in measure_ids])
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in table_rows)) if table_rows else len(header[j])
-        for j in range(len(header))
-    ]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in table_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _aligned([header, *table_rows])) + "\n"
+
+
+def _aligned(rows: Sequence[Sequence[str]]) -> list[str]:
+    """The rows as lines, each column left-justified to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +377,7 @@ def _coverage_table(result) -> str:
         f"n={result.n}  replications={result.replications}  alpha={result.alpha:g}  "
         f"choice={result.choice}  seed={result.seed}"
     ]
-    header = ["target", "true", "indiv_cov", "avg_len", "errors"]
-    rows = []
+    rows = [["target", "true", "indiv_cov", "avg_len", "errors"]]
     for k, t in enumerate(result.targets):
         rows.append(
             [
@@ -389,10 +388,7 @@ def _coverage_table(result) -> str:
                 str(int(result.target_error_counts[k])),
             ]
         )
-    widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    lines += _aligned(rows)
     lines.append(f"joint-of-individual: {result.joint_of_individual:.4f}")
     for js in result.joint_sets:
         lines.append(
@@ -431,18 +427,7 @@ def _quantile_cmd(args) -> int:
     request = QuantileRequest(alpha=args.alpha, corr=corr, draws=args.draws, seed=args.seed)
     result = max_abs_quantile(request)
     if args.fmt == "json":
-        text = _dump_json(
-            {
-                "q": result.q,
-                "mc_stderr": result.mc_stderr,
-                "alpha": result.alpha,
-                "dim": result.dim,
-                "draws": result.draws,
-                "seed": result.seed,
-                "jitter": result.jitter,
-                "method": result.method,
-            }
-        )
+        text = _dump_json(asdict(result))
     else:
         text = (
             f"q={result.q:.6f}  mc_stderr={result.mc_stderr:.3g}  "

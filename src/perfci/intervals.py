@@ -2,17 +2,18 @@
 
 Every interval here has the same shape: ``estimate +/- quantile *
 sqrt(v / n)`` with ``v`` a diagonal entry of the chosen covariance
-estimate.  What changes is the quantile:
+estimate.  The quantile is :func:`~perfci.quantiles.max_abs_quantile` of
+a correlation matrix, whose dimension picks how it is computed:
 
-* individual mode uses the scalar two-sided normal quantile, so each
-  interval covers its own target at level ``1 - alpha`` but the family
-  as a whole covers at a lower, unknown rate;
-* joint mode uses the equicoordinate quantile of the estimated
-  correlation matrix, so all targets in the requested set are covered
-  simultaneously at level ``1 - alpha``.  The set's size picks how
-  :func:`~perfci.quantiles.max_abs_quantile` computes it: sets of two
-  targets get it exactly (the bivariate tier), and every other size
-  simulates it with ``draws`` and ``seed``.
+* individual mode asks for the 1 x 1 unit matrix, whose quantile is the
+  scalar two-sided normal one, so each interval covers its own target at
+  level ``1 - alpha`` but the family as a whole covers at a lower,
+  unknown rate;
+* joint mode asks for the estimated correlation matrix of the set, so
+  all its targets are covered simultaneously at level ``1 - alpha``.  A
+  set of one usable target gets the same normal quantile as individual
+  mode, a set of two gets the exact bivariate one, and larger sets
+  simulate it with ``draws`` and ``seed``.
 
 The variance ``choice`` selects the plug-in estimate (1) or the
 corrected one (2, default), see :mod:`perfci.covariance`.  In joint
@@ -48,13 +49,13 @@ from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
     DimensionMismatchError,
     NoUsableTargetsError,
-    OutOfRangeError,
     SingularVarianceError,
 )
 from .measures import MeasureCatalog, resolve_measure
 from .quantiles import (
     DEFAULT_DRAWS,
     QuantileRequest,
+    check_alpha,
     max_abs_quantile,
     two_sided_quantile,
 )
@@ -80,10 +81,9 @@ class IntervalSpec:
     """Knobs for one interval request.
 
     ``target_set`` holds distinct indices into the analyzed target list
-    (``None`` means all of them, in order).  ``draws`` and ``seed`` only
-    matter in joint mode, and there only for sets whose quantile is
-    simulated: a set of two usable targets gets the exact bivariate
-    quantile, which neither affects.
+    (``None`` means all of them, in order).  ``draws`` and ``seed`` are
+    checked in both modes but only matter for joint sets of three or
+    more usable targets, whose quantile is simulated.
     """
 
     alpha: float = 0.05
@@ -95,9 +95,7 @@ class IntervalSpec:
     clamp: bool = False
 
     def __post_init__(self):
-        if not (0.0 < float(self.alpha) < 1.0):
-            raise OutOfRangeError(self.alpha)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.mode not in ("individual", "joint"):
             raise ValueError(f"mode must be 'individual' or 'joint', got {self.mode!r}")
         if self.choice not in (CHOICE_PLUGIN, CHOICE_CORRECTED):
@@ -132,12 +130,13 @@ class IntervalReport:
     """Interval rows plus the shared quantile metadata.
 
     ``q`` is the quantile multiplier all successful rows share, and
-    ``quantile_method`` how it was computed: ``"normal"`` in individual
-    mode, ``"bivariate"`` or ``"monte_carlo"`` in joint mode (see
-    :class:`~perfci.quantiles.QuantileResult`), ``None`` when no row is
-    usable.  ``mc_stderr`` is the Monte Carlo standard error of a
-    simulated ``q``, the numerical error bound of a bivariate one, and 0
-    for the normal quantile.  ``jitter`` is the diagonal inflation the
+    ``quantile_method`` how it was computed (see
+    :class:`~perfci.quantiles.QuantileResult`): ``"normal"`` in individual
+    mode and for a joint set of one usable row, ``"bivariate"`` for two and
+    ``"monte_carlo"`` for more, ``None`` when no row is usable.
+    ``mc_stderr`` is the Monte Carlo standard error of a simulated ``q``,
+    the numerical error bound of a bivariate one, and 0 for the normal
+    quantile.  ``jitter`` is the diagonal inflation the
     simulation needed (0.0 otherwise), and ``draws`` the number of
     simulated maxima behind ``q`` (0 for the normal and bivariate
     quantiles).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
@@ -242,23 +241,14 @@ def _report(
     spec: IntervalSpec,
 ) -> IntervalReport:
     """One interval per row of ``cov``, all with the quantile of ``spec.mode``
-    (NaN for no rows); with ``spec.clamp``, rows of unit-range measures are
-    cut to ``[0, 1]``."""
-    if not targets:
-        q = mc_stderr = jitter = float("nan")
-        method, draws = None, None
-    elif spec.mode == "individual":
-        q, mc_stderr, jitter = two_sided_quantile(spec.alpha), 0.0, 0.0
-        method, draws = "normal", 0
-    else:
-        result = max_abs_quantile(
-            QuantileRequest(
-                alpha=spec.alpha,
-                corr=correlation(cov),
-                draws=spec.draws,
-                seed=spec.seed,
-            )
-        )
+    (NaN for no rows): that of ``cov``'s correlation in joint mode, of one
+    coordinate in individual mode.  With ``spec.clamp``, rows of unit-range
+    measures are cut to ``[0, 1]``."""
+    q = mc_stderr = jitter = float("nan")
+    method = draws = None
+    if targets:
+        corr = correlation(cov) if spec.mode == "joint" else [[1.0]]
+        result = max_abs_quantile(QuantileRequest(spec.alpha, corr, spec.draws, spec.seed))
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
         method, draws = result.method, result.draws
     rows = []
@@ -324,8 +314,8 @@ def set_report(
     The fit's covariance is restricted to the members and, for choice 2,
     corrected.  Members the fit failed, or whose variance is not positive,
     get inline error rows; the others share the quantile of ``spec.mode``
-    (exact for two usable members, else drawn with ``spec.seed`` in joint
-    mode).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
+    (exact for up to two usable members, else drawn with ``spec.seed`` in
+    joint mode).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
     ``quantile_method`` and ``draws`` are ``None``, when no member is usable.
     ``spec.target_set`` is not read.
     """

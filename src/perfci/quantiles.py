@@ -2,22 +2,24 @@
 
 Two quantile notions drive every interval in this package:
 
-* ``two_sided_quantile`` -- ``z_{1-alpha/2}``, for individual intervals
-  and the variance-correction magnitude, from the lower tail of
+* ``two_sided_quantile`` -- ``z_{1-alpha/2}``, for the variance-correction
+  magnitude and the dim-1 tier below, from the lower tail of
   ``inv_norm_cdf``: the standard library's :meth:`statistics.NormalDist.inv_cdf`
   (Wichura's AS 241, Applied Statistics 37, 1988), good to a few ulps.
 
 * ``max_abs_quantile`` -- the two-sided equicoordinate quantile
   ``q(alpha, R)`` with ``P[max_j |z_j| < q] = 1 - alpha`` for
-  ``z ~ N(0, R)``.  The dimension of ``R`` picks one of two tiers:
+  ``z ~ N(0, R)``.  The dimension of ``R`` picks one of three tiers:
 
+  - ``"normal"`` (dim 1): ``two_sided_quantile(alpha)``, exact.  Individual
+    intervals are dim-1 requests too.
   - ``"bivariate"`` (dim 2): exact up to quadrature.  The box
     probability is one integral over the first coordinate (Drezner &
     Wesolowsky 1990; Genz 2004), evaluated by Gauss-Legendre on three
     panels, and ``q`` is its root by Illinois regula falsi between the
     scalar and the Bonferroni quantiles.  ``mc_stderr`` is then an error
     bound on ``q``, not a standard error.
-  - ``"monte_carlo"`` (every other dimension): Cholesky-factor ``R``
+  - ``"monte_carlo"`` (dim 3 and above): Cholesky-factor ``R``
     (with a small jitter ladder for rank-deficient matrices), draw
     correlated Gaussian vectors in fixed-size chunks with counter-based
     substreams so results are reproducible for a given seed, and read
@@ -51,6 +53,7 @@ from .errors import (
 )
 
 __all__ = [
+    "check_alpha",
     "inv_norm_cdf",
     "two_sided_quantile",
     "norm_cdf",
@@ -103,15 +106,23 @@ def inv_norm_cdf(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float.  Raises :class:`OutOfRangeError` unless
+    ``0 < alpha < 1``, and ``ValueError`` when ``alpha / 2`` rounds to 0,
+    which leaves no tail to invert."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):  # NaN fails both comparisons
+        raise OutOfRangeError(alpha)
+    if alpha / 2.0 == 0.0:
+        raise ValueError(f"alpha = {alpha!r} is too small: the smallest alpha accepted is 1e-323")
+    return alpha
+
+
 def two_sided_quantile(alpha: float) -> float:
     """``z_{1-alpha/2}`` as ``-inv_norm_cdf(alpha / 2)``: the lower tail keeps
     every digit at small ``alpha``, where the upper tail's probability rounds
-    (to 1.0 below about 1.1e-16).  Raises :class:`OutOfRangeError` unless
-    ``0 < alpha < 1``."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRangeError(alpha)
-    return -inv_norm_cdf(alpha / 2.0)
+    (to 1.0 below about 1.1e-16).  ``alpha`` must pass :func:`check_alpha`."""
+    return -inv_norm_cdf(check_alpha(alpha) / 2.0)
 
 
 def sidak_quantile(alpha: float, dim: int) -> float:
@@ -121,9 +132,7 @@ def sidak_quantile(alpha: float, dim: int) -> float:
     ``1 - (1 - alpha)**(1/dim)``, taken by ``expm1`` and ``log1p`` so that
     small ``alpha`` keeps its digits.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRangeError(alpha)
+    alpha = check_alpha(alpha)
     dim = int(dim)
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
@@ -182,9 +191,9 @@ def planned_bytes(dim: int, draws: int) -> int:
 
     The Monte Carlo tier holds ``draws`` float64 maxima and two chunks of
     ``min(draws, _CHUNK) x dim`` float64 (the normals and their correlated
-    image).  The bivariate tier needs a few hundred bytes, counted as 0.
+    image).  The exact tiers (dims 1 and 2) need a few hundred bytes, counted as 0.
     """
-    if dim == 2:  # the bivariate tier
+    if dim <= 2:
         return 0
     return 8 * (draws + 2 * min(draws, _CHUNK) * dim)
 
@@ -203,10 +212,10 @@ def check_budget(dim: int, draws: int) -> None:
 class QuantileRequest:
     """Inputs for one quantile: level, correlation, budget and seed.
 
-    The dimension picks the tier: dim 2 is computed exactly by the
-    bivariate tier, and every other dimension is simulated.  ``draws``
-    and ``seed`` only matter when simulating.  ``corr`` is validated unless
-    it is a :class:`CorrelationMatrix`.  A simulation is rejected with
+    The dimension picks the tier (:attr:`tier`).  ``draws`` and ``seed``
+    only matter when simulating, but are checked at every dimension.
+    ``corr`` is validated unless it is a :class:`CorrelationMatrix`.
+    A simulation is rejected with
     ``ValueError`` when ``alpha * draws < 1`` (``q`` would be the largest
     draw) or when its plan (:func:`planned_bytes`) exceeds ``MAX_QUANTILE_BYTES``.
     """
@@ -217,9 +226,7 @@ class QuantileRequest:
     seed: int = 0
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not (0.0 < alpha < 1.0):
-            raise OutOfRangeError(alpha)
+        alpha = check_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         valid = isinstance(self.corr, CorrelationMatrix)
         corr = self.corr if valid else CorrelationMatrix(self.corr)
@@ -228,9 +235,10 @@ class QuantileRequest:
         if draws < MIN_DRAWS:
             raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
         if self.tier == "monte_carlo" and alpha * draws < 1.0:
+            needed = 1.0 / alpha  # inf for alpha below about 5.6e-309
             raise ValueError(
-                f"alpha = {alpha:g} needs at least {math.ceil(1.0 / alpha):,} draws "
-                f"(alpha * draws >= 1) to simulate its quantile, got {draws:,}"
+                f"alpha = {alpha:g} needs at least {math.ceil(needed) if needed < math.inf else needed:,}"
+                f" draws (alpha * draws >= 1) to simulate its quantile, got {draws:,}"
             )
         object.__setattr__(self, "draws", draws)
         seed = int(self.seed)
@@ -245,22 +253,23 @@ class QuantileRequest:
 
     @property
     def tier(self) -> str:
-        """The tier that answers this request: ``"bivariate"`` at dim 2,
-        ``"monte_carlo"`` at every other dimension."""
-        return "bivariate" if self.dim == 2 else "monte_carlo"
+        """The tier that answers this request: ``"normal"`` at dim 1,
+        ``"bivariate"`` at dim 2 and ``"monte_carlo"`` above."""
+        return {1: "normal", 2: "bivariate"}.get(self.dim, "monte_carlo")
 
 
 @dataclass(frozen=True)
 class QuantileResult:
     """One equicoordinate quantile, its uncertainty and the tier behind it.
 
-    ``method`` is ``"monte_carlo"`` or ``"bivariate"``.  A simulated
-    ``q`` carries its Monte Carlo standard error in ``mc_stderr``, and
-    ``jitter`` records the diagonal inflation (0.0 when none was needed)
-    so callers can see when the correlation matrix was rank-deficient.
-    A bivariate ``q`` carries a bound on its numerical error in
-    ``mc_stderr`` (positive, at least one ulp of ``q``), with
-    ``draws = 0`` and ``jitter = 0.0``.
+    ``method`` is the request's tier: ``"normal"``, ``"bivariate"`` or
+    ``"monte_carlo"``.  A simulated ``q`` carries its Monte Carlo standard
+    error in ``mc_stderr``, and ``jitter`` records the diagonal inflation
+    (0.0 when none was needed) so callers can see when the correlation
+    matrix was rank-deficient.  A bivariate ``q`` carries a bound on its
+    numerical error in ``mc_stderr`` (positive, at least one ulp of ``q``),
+    and a normal ``q`` is ``two_sided_quantile(alpha)`` with ``mc_stderr``
+    0.0.  Only a simulated ``q`` has ``draws > 0`` or ``jitter > 0``.
     """
 
     q: float
@@ -283,19 +292,23 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
         If a simulated ``R`` admits no Cholesky factor after the jitter
         ladder.
     """
-    if request.tier == "bivariate":
-        q, bound = _bivariate_quantile(request.alpha, float(request.corr[0, 1]))
-        return QuantileResult(
-            q=q,
-            mc_stderr=bound,
-            alpha=request.alpha,
-            dim=2,
-            draws=0,
-            seed=request.seed,
-            jitter=0.0,
-            method="bivariate",
-        )
-    return _monte_carlo_quantile(request)
+    tier, jitter = request.tier, 0.0
+    if tier == "normal":
+        q, mc_stderr = two_sided_quantile(request.alpha), 0.0
+    elif tier == "bivariate":
+        q, mc_stderr = _bivariate_quantile(request.alpha, float(request.corr[0, 1]))
+    else:
+        q, mc_stderr, jitter = _monte_carlo_quantile(request)
+    return QuantileResult(
+        q=q,
+        mc_stderr=mc_stderr,
+        alpha=request.alpha,
+        dim=request.dim,
+        draws=request.draws if tier == "monte_carlo" else 0,
+        seed=request.seed,
+        jitter=jitter,
+        method=tier,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +332,9 @@ def _cholesky_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _monte_carlo_quantile(request: QuantileRequest) -> QuantileResult:
-    """Empirical quantile of ``request.draws`` simulated maxima.
+def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float]:
+    """Empirical quantile of ``request.draws`` simulated maxima, as
+    ``(q, mc_stderr, jitter)``.
 
     Draws are generated in fixed-size chunks, each from its own
     counter-based substream of ``request.seed``, so the result is
@@ -358,16 +372,7 @@ def _monte_carlo_quantile(request: QuantileRequest) -> QuantileResult:
     else:
         mc_stderr = 0.0
 
-    return QuantileResult(
-        q=q,
-        mc_stderr=mc_stderr,
-        alpha=request.alpha,
-        dim=request.dim,
-        draws=draws,
-        seed=request.seed,
-        jitter=jitter,
-        method="monte_carlo",
-    )
+    return q, mc_stderr, jitter
 
 
 # ---------------------------------------------------------------------------

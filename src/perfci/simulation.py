@@ -54,7 +54,7 @@ from .errors import PerfciError
 from .intervals import IntervalSpec, set_report
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
-from .quantiles import norm_cdf
+from .quantiles import check_alpha, norm_cdf
 
 __all__ = [
     "SampleBatch",
@@ -342,8 +342,7 @@ class CoverageConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.choice not in (1, 2):
             raise ValueError(f"choice must be 1 or 2, got {self.choice}")
         if not self.rules or not self.measure_ids:

@@ -8,7 +8,7 @@ import pytest
 
 from perfci.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
 from perfci.dataset import make_joint_sets, make_targets
-from perfci.quantiles import inv_norm_cdf
+from perfci.quantiles import inv_norm_cdf, two_sided_quantile
 
 TOY = "z,r\n1,1\n1,0\n0,1\n0,0\n"
 TWO_RULES = "z,a,b\n1,1,1\n1,1,0\n1,0,1\n0,0,0\n0,1,0\n0,0,1\n1,1,1\n0,0,0\n"
@@ -202,10 +202,11 @@ def test_quantile_identity_dimension(capsys):
         capsys, ["quantile", "--dim", "1", "--draws", "50000", "--format", "json"]
     )
     assert code == EXIT_OK
-    assert payload["q"] == pytest.approx(1.95996, abs=0.05)
-    assert payload["dim"] == 1 and payload["draws"] == 50000
+    # one coordinate is the exact normal tier: nothing is drawn
+    assert payload["q"] == two_sided_quantile(0.05)
+    assert payload["dim"] == 1 and payload["draws"] == 0
     assert payload["jitter"] == 0.0
-    assert payload["mc_stderr"] > 0
+    assert payload["mc_stderr"] == 0.0
 
 
 def test_quantile_corr_inline_equals_file(tmp_path, capsys):

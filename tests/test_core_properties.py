@@ -285,7 +285,7 @@ def test_quantile_json_is_strict_json(corr_args, alpha, seed):
         out = Path(tmp) / "out.json"
         argv = ["quantile", *corr_args, "--alpha", repr(alpha), "--draws", "1000",
                 "--seed", str(seed), "--format", "json", "--output", str(out)]
-        simulated = corr_args[1] != "2" and corr_args[1].count(";") != 1
+        simulated = corr_args[1] not in ("1", "2") and corr_args[1].count(";") != 1
         if simulated and alpha * 1000 < 1.0:
             # 1000 draws cannot simulate a quantile beyond their largest
             assert main(argv) == 1 and not out.exists()
@@ -293,4 +293,4 @@ def test_quantile_json_is_strict_json(corr_args, alpha, seed):
         assert main(argv) == 0
         payload = strict_loads(out.read_text())
     assert payload["q"] > 0.0 and payload["mc_stderr"] >= 0.0
-    assert payload["method"] == ("bivariate" if payload["dim"] == 2 else "monte_carlo")
+    assert payload["method"] == {1: "normal", 2: "bivariate"}.get(payload["dim"], "monte_carlo")

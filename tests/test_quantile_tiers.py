@@ -19,6 +19,7 @@ from perfci.quantiles import (
     max_abs_quantile,
     planned_bytes,
     sidak_quantile,
+    two_sided_quantile,
 )
 
 ORACLE_RHOS = (0.0, 0.5, -0.5, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1 - 1e-9, 1.0, -1.0)
@@ -102,6 +103,19 @@ def test_planned_bytes_counts_the_maxima_and_two_chunks():
     assert planned_bytes(90, 200_000) == 8 * (200_000 + 2 * 65_536 * 90)
     assert planned_bytes(3, 5_000) == 8 * (5_000 + 2 * 5_000 * 3)
     assert planned_bytes(2, 10**9) == 0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12, 1e-17])
+def test_one_coordinate_is_the_exact_normal_tier(alpha):
+    # dim 1 was simulated: --dim 1 printed 1.9659 for 1.95996
+    res = max_abs_quantile(QuantileRequest(alpha, np.eye(1), draws=1_000, seed=9))
+    assert res.q == two_sided_quantile(alpha)
+    assert (res.method, res.draws, res.mc_stderr, res.jitter) == ("normal", 0, 0.0, 0.0)
+    assert (res.dim, res.seed) == (1, 9)
+
+
+def test_the_exact_tiers_plan_no_bytes():
+    assert planned_bytes(1, 10**12) == 0
 
 
 def test_requests_over_the_budget_are_rejected_before_they_run():

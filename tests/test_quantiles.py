@@ -92,6 +92,20 @@ def test_sidak_frozen_values():
         sidak_quantile(0.05, 0)
 
 
+def test_two_sided_quantile_answers_the_smallest_alpha():
+    # alpha / 2 rounded to 0 at 5e-324, which failed with a probability of 0.0
+    q = two_sided_quantile(1e-323)
+    assert q == pytest.approx(38.4674056, abs=1e-7)
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1e-323) / 2
+        want = mpmath.findroot(lambda x: mpmath.ncdf(-x) - half, mpmath.mpf(q))
+    assert q == pytest.approx(float(want), rel=1e-15)
+    with pytest.raises(ValueError, match="smallest alpha accepted is 1e-323"):
+        two_sided_quantile(5e-324)
+    with pytest.raises(ValueError, match="1e-323"):
+        sidak_quantile(5e-324, 2)
+
+
 def test_request_validation():
     eye = np.eye(2)
     with pytest.raises(OutOfRangeError):
@@ -158,9 +172,9 @@ def test_identity_matches_scalar_quantile():
     req = QuantileRequest(alpha=0.05, corr=np.eye(1), draws=50_000, seed=3)
     res = max_abs_quantile(req)
     assert isinstance(res, QuantileResult)
-    assert res.q == pytest.approx(Z_975, abs=max(0.03, 4 * res.mc_stderr))
+    assert res.q == two_sided_quantile(0.05) == pytest.approx(Z_975, rel=1e-15)
     assert res.jitter == 0.0
-    assert res.dim == 1 and res.draws == 50_000 and res.seed == 3
+    assert res.dim == 1 and res.draws == 0 and res.seed == 3
 
 
 def test_independent_coordinates_match_sidak():
@@ -237,6 +251,6 @@ def test_indefinite_matrix_raises():
 
 def test_mc_stderr_magnitude_at_default_budget():
     res = max_abs_quantile(
-        QuantileRequest(alpha=0.05, corr=np.eye(1), draws=DEFAULT_DRAWS, seed=1)
+        QuantileRequest(alpha=0.05, corr=np.eye(3), draws=DEFAULT_DRAWS, seed=1)
     )
     assert 0.001 < res.mc_stderr < 0.02

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import perfci
@@ -16,7 +18,13 @@ from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_c
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, joint_cis
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec
-from perfci.simulation import CoverageConfig, GaussianMixtureProcess, ThresholdRule
+from perfci.quantiles import two_sided_quantile
+from perfci.simulation import (
+    CoverageConfig,
+    GaussianMixtureProcess,
+    ThresholdRule,
+    rare_positive_stress,
+)
 
 TOY = "z,r\n1,1\n1,0\n0,1\n0,0\n1,1\n0,0\n"
 
@@ -165,9 +173,8 @@ def test_target_set_rejects_a_repeated_index():
             analyze(data, targets, spec)
         with pytest.raises(DimensionMismatchError, match="repeat"):
             joint_cis(fit.estimates, fit.cov, spec)
-    assert analyze(data, targets[:1], IntervalSpec(target_set=(0,), seed=1)).q == pytest.approx(
-        1.9501, abs=1e-4
-    )
+    report = analyze(data, targets[:1], IntervalSpec(target_set=(0,), seed=1))
+    assert report.q == two_sided_quantile(0.05)
 
 
 def test_joint_cis_clamp_needs_targets():
@@ -275,3 +282,56 @@ def test_quantile_refuses_a_simulation_too_short_for_its_alpha(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "10,000 draws" in captured.err
+
+
+def test_monte_carlo_refusal_of_a_tiny_alpha_is_an_error_line(capsys):
+    # 1 / alpha overflowed while the refusal was worded: an OverflowError traceback
+    assert main(["quantile", "--dim", "3", "--alpha", "1e-310"]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha = 1e-310 needs at least")
+
+
+def test_alpha_whose_half_rounds_to_zero_is_refused_by_name(tmp_path, capsys):
+    # the refusal spoke of a probability of 0.0 that the user never gave
+    path = tmp_path / "six.csv"
+    path.write_text(TOY)
+    assert main(["analyze", str(path), "--alpha", "5e-324"]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: alpha = 5e-324 is too small: the smallest alpha accepted is 1e-323\n"
+    )
+    with pytest.raises(ValueError, match="1e-323"):
+        IntervalSpec(alpha=5e-324)
+
+
+def test_one_member_joint_sets_print_the_individual_intervals(tmp_path, capsys):
+    # a one-member set simulated its quantile: method=monte_carlo q=1.9611
+    path = tmp_path / "six.csv"
+    path.write_text(TOY)
+    out = {}
+    for joint in ("0;1", "none"):
+        for fmt in ("table", "json"):
+            assert main(["analyze", str(path), "--joint", joint, "--format", fmt]) == EXIT_OK
+            out[joint, fmt] = capsys.readouterr().out
+    interval = re.compile(r"\(-?\d+\.\d{4}, -?\d+\.\d{4}\)")
+    assert interval.findall(out["0;1", "table"]) == interval.findall(out["none", "table"])
+    assert out["0;1", "table"].splitlines()[1] == out["none", "table"].splitlines()[1] == (
+        "q=1.9600  mc_stderr=0"
+    )
+    sets, single = strict_loads(out["0;1", "json"]), strict_loads(out["none", "json"])
+    assert [t for report in sets for t in report["targets"]] == single["targets"]
+    quantile = ("q", "mc_stderr", "quantile_method", "jitter", "draws")
+    for report in sets:
+        assert [report["meta"][k] for k in quantile] == [single["meta"][k] for k in quantile]
+
+
+def test_stress_study_finishes_when_a_set_loses_a_member():
+    # a set left with one member was simulated, and 1,000 draws cannot reach
+    # alpha = 1e-4, so the first such replication aborted the study
+    plug, fixed = rare_positive_stress(n=3000, replications=200, alpha=1e-4, draws=1000, seed=0)
+    one_member = np.isnan(plug.diagnostics.joint_half["all"]).sum(axis=1) == 1
+    assert one_member.any()
+    assert (plug.diagnostics.joint_q["all"][one_member] == two_sided_quantile(1e-4)).all()
+    assert fixed.joint_set("all").error_rate == 0.0
