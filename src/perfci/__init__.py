@@ -11,12 +11,10 @@ for checking coverage.
 from .covariance import (
     CorrelationMatrix,
     CovarianceEstimate,
-    InfluenceVector,
     blurring_matrix,
     correct,
     correlation,
     covariance_matrix,
-    influence,
 )
 from .dataset import (
     BinaryDataset,
@@ -112,10 +110,8 @@ __all__ = [
     "validate_table",
     "compute_moments",
     # covariance
-    "InfluenceVector",
     "CovarianceEstimate",
     "CorrelationMatrix",
-    "influence",
     "covariance_matrix",
     "blurring_matrix",
     "correct",

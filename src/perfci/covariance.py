@@ -1,16 +1,18 @@
 """Delta-method covariance estimation for measure estimates.
 
-Each target (rule, measure) gets an influence value per table row: the
-linear combination ``d_za * Z*A + d_a * A + d_z * Z`` with the measure
-gradient evaluated at the sample moments.  The sample covariance of these
-values (denominator ``n - 1``) estimates the asymptotic covariance ``V``
-of the scaled estimation errors ``sqrt(n) * (estimate - truth)``;
-dividing by ``n`` gives standard errors.
+Every measure is a function of its rule's three sample moments, the means
+of ``Z*A``, ``A`` and ``Z``.  So the asymptotic covariance ``V`` of the
+scaled estimation errors ``sqrt(n) * (estimate - truth)`` is ``G S G^T``:
+``S`` is the sample covariance (denominator ``n - 1``) of the ``2R + 1``
+indicator columns ``Z*A_r``, ``A_r`` and ``Z``, and row ``k`` of ``G``
+holds target ``k``'s gradient in its rule's three columns.  Dividing by
+``n`` gives standard errors.
 
-Influence values depend on a row only through its ``(z, a_1..a_R)``
-pattern, so :func:`estimate_targets` computes covariances from the counts
-of distinct rows; :func:`influence` and :func:`covariance_from_influences`
-keep the per-row form (every count 1) as a reference.
+:func:`estimate_targets` takes ``S`` from integer sums over the counts of
+the ``m`` distinct ``(z, a_1..a_R)`` rows, exact up to one division, in
+``O(m R + K R)`` memory for ``K`` targets.  :func:`influence` and
+:func:`covariance_from_influences` keep the per-row form, one influence
+value ``d_za * Z*A + d_a * A + d_z * Z`` per target and row, as a reference.
 
 Two variance choices are offered:
 
@@ -25,9 +27,10 @@ Two variance choices are offered:
   accuracy measure this reproduces the familiar add-a-few-successes
   interval adjustment.
 
-A diagonal entry that is zero up to floating tolerance is snapped to
-exactly zero here, so downstream code can test degeneracy with a plain
-comparison and raise :class:`~perfci.errors.SingularVarianceError`.
+A target whose influence values agree, within tolerance, on every
+``(z, a)`` cell its rule occupies gets an exactly zero row and column, so
+downstream code tests degeneracy with a plain comparison and raises
+:class:`~perfci.errors.SingularVarianceError`.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ __all__ = [
     "correlation",
 ]
 
-# relative scale below which a sample variance is considered exactly zero
+# relative spread below which a target's influence values count as constant
 _ZERO_SNAP = 1e-12
 
 
@@ -153,9 +156,11 @@ def estimate_targets(
 ) -> TargetEstimates:
     """Estimates, gradients and plug-in covariance from the distinct rows of
     ``data`` and their counts.  ``UnknownMeasureError``, ``UnknownRuleError``
-    and ``DomainError`` fail one target without stopping the others."""
+    and ``DomainError`` fail one target without stopping the others.
+    ``n (n - 1) S = n C - s s^T``, from the cross-products ``C`` and sums
+    ``s = diag(C)`` of the indicator columns, is int64, exact while ``n < 3e9``."""
     patterns, counts = data.row_counts()
-    alive, measures, estimates, gradients, rows = [], [], [], [], []
+    alive, measures, estimates, gradients, rules = [], [], [], [], []
     errors: dict[int, PerfciError] = {}
     for pos, target in enumerate(targets):
         try:
@@ -170,17 +175,29 @@ def estimate_targets(
         measures.append(measure)
         estimates.append(estimate)
         gradients.append(gradient)
-        a = patterns[:, 1 + data.rule_ids.index(target.rule_id)]
-        rows.append(_influence_values(gradient, patterns[:, 0], a))
-    rows = np.reshape(rows, (len(rows), counts.size))
-    v = _centred_covariance(rows, counts.astype(float), data.n)
+        rules.append(data.rule_ids.index(target.rule_id))
+    n, n_rules = data.n, patterns.shape[1] - 1
+    z, a = patterns[:, :1], patterns[:, 1:]
+    x = np.hstack([z & a, a, z]).astype(float)
+    # 0/1 products weighted by counts: the float sums are exact below 2**53
+    c = ((x * counts[:, np.newaxis]).T @ x).astype(np.int64)
+    s = np.diagonal(c)
+    d = np.reshape([(grad.d_za, grad.d_a, grad.d_z) for grad in gradients], (len(rules), 3))
+    r, k = np.array(rules, dtype=np.intp), np.arange(len(rules))
+    g = np.zeros((len(rules), 2 * n_rules + 1))
+    g[k, r], g[k, n_rules + r], g[:, -1] = d.T
+    v = g @ (n * c - np.outer(s, s)) @ g.T / (n * (n - 1.0))
+    # influence values on the (z, a) cells 00, 01, 10, 11, NaN where one does not occur
+    n_za, n_a, n_z = s[r], s[n_rules + r], s[-1]
+    occur = np.column_stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za]) > 0
+    cells = np.column_stack([np.zeros(len(rules)), d[:, 1], d[:, 2], d[:, 0] + d[:, 1] + d[:, 2]])
     return TargetEstimates(
         alive=tuple(alive),
         measures=tuple(measures),
         estimates=np.array(estimates, dtype=float),
         gradients=tuple(gradients),
         errors=errors,
-        cov=CovarianceEstimate(v=v, n=data.n),
+        cov=CovarianceEstimate(v=_constant_rows_zeroed(v, np.where(occur, cells, np.nan)), n=n),
     )
 
 
@@ -199,19 +216,14 @@ def influence(
     moments = compute_moments(data, target.rule_id)
     estimate = measure.evaluate(moments)
     grad = measure.gradient(moments)
+    z, a = data.z.astype(float), data.rule(target.rule_id).astype(float)
     return InfluenceVector(
         target=target,
-        values=_influence_values(grad, data.z, data.rule(target.rule_id)),
+        values=grad.d_za * (z * a) + grad.d_a * a + grad.d_z * z,
         moments=moments,
         gradient=grad,
         estimate=estimate,
     )
-
-
-def _influence_values(grad: GradientTriple, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    z = z.astype(float)
-    a = a.astype(float)
-    return grad.d_za * (z * a) + grad.d_a * a + grad.d_z * z
 
 
 def covariance_from_influences(
@@ -225,20 +237,19 @@ def covariance_from_influences(
         raise DimensionMismatchError(
             f"influence length {rows.shape[1]} does not match n = {n}"
         )
-    return CovarianceEstimate(v=_centred_covariance(rows, np.ones(n), n), n=n)
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    return CovarianceEstimate(v=_constant_rows_zeroed(centred @ centred.T / (n - 1), rows), n=n)
 
 
-def _centred_covariance(rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """Covariance (denominator ``n - 1``) of influence rows whose columns
-    occur ``counts`` times each; a numerically constant row is snapped to
-    an exact zero row and column."""
-    centred = rows - (rows @ counts / n)[:, np.newaxis]
-    v = (centred * counts) @ centred.T / (n - 1)
+def _constant_rows_zeroed(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``v`` made exactly symmetric, with an exact zero row and column for
+    each target whose influence ``values`` (one row per target, NaN where
+    a cell does not occur) agree within ``_ZERO_SNAP`` of their scale."""
     v = 0.5 * (v + v.T)  # exact symmetry regardless of BLAS kernel paths
-    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
-    degenerate = np.diagonal(v) <= (_ZERO_SNAP * scale) ** 2
-    v[degenerate, :] = 0.0
-    v[:, degenerate] = 0.0
+    hi, lo = np.nanmax(values, axis=1), np.nanmin(values, axis=1)
+    constant = hi - lo <= _ZERO_SNAP * np.maximum(1.0, np.maximum(hi, -lo))
+    v[constant, :] = 0.0
+    v[:, constant] = 0.0
     return v
 
 

@@ -431,6 +431,9 @@ def _bivariate_quantile(alpha: float, rho: float) -> tuple[float, float]:
     ``4 phi(q) [Phi(q (1 - r) / s) - Phi(-q (1 + r) / s)]`` of the box
     probability, and is at least ``ulp(q)``.
     """
+    if alpha < 1.5e-323:  # the Bonferroni bracket's alpha / 4 rounds to 0
+        raise ValueError(f"alpha = {alpha!r} is too small for a joint pair: "
+                         "the smallest alpha a joint pair accepts is 1.5e-323")
     r = abs(rho)
     s = math.sqrt((1.0 - r) * (1.0 + r))
     z = two_sided_quantile(alpha)

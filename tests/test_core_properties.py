@@ -68,7 +68,14 @@ def per_row_reference(data, targets):
     return ivs, errors, alive, cov
 
 
+# 70 rules: the gradient columns of a wide table, and row codes past 62 bits
+# that must keep apart rows differing only in z
+_BASE = np.random.default_rng(11).integers(0, 2, (4, 71))
+WIDE = np.vstack([_BASE, _BASE ^ np.eye(1, 71, dtype=int)])[np.random.default_rng(12).integers(0, 8, 60)]
+
+
 @settings(max_examples=150, deadline=None)
+@example(BinaryDataset.from_arrays(WIDE[:, 0], {f"r{j}": WIDE[:, 1 + j] for j in range(70)}))
 @given(tables())
 def test_core_matches_per_row_reference(data):
     targets = make_targets(data.rule_ids, MEASURES)

@@ -81,6 +81,17 @@ def test_bivariate_tier_is_bracketed_symmetric_and_monotone(rho, other, alpha):
     assert strong.q <= weak.q + weak.mc_stderr + strong.mc_stderr
 
 
+def test_joint_pair_refuses_an_alpha_whose_bracket_underflows_by_name():
+    # the Bonferroni bracket halved alpha again: a refusal about 5e-324
+    with pytest.raises(ValueError) as info:
+        exact(1e-323, 0.5)
+    assert str(info.value) == (
+        "alpha = 1e-323 is too small for a joint pair: "
+        "the smallest alpha a joint pair accepts is 1.5e-323"
+    )
+    assert exact(1.5e-323, 0.5).method == "bivariate"
+
+
 def test_monte_carlo_tier_keeps_its_random_streams():
     """The ``(dim, draws)`` layout draws the same normals from the same
     substreams as the ``(draws, dim)`` reference below."""

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from perfci.covariance import estimate_targets
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_csv
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, joint_cis
-from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec
+from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures
 from perfci.quantiles import two_sided_quantile
 from perfci.simulation import (
     CoverageConfig,
@@ -306,6 +307,22 @@ def test_alpha_whose_half_rounds_to_zero_is_refused_by_name(tmp_path, capsys):
         IntervalSpec(alpha=5e-324)
 
 
+def test_joint_pair_alpha_below_its_bracket_is_refused_by_name(tmp_path, capsys):
+    # the refusal named alpha = 5e-324, half of what the user gave
+    path = tmp_path / "six.csv"
+    path.write_text(TOY)
+    refusal = (
+        "error: alpha = 1e-323 is too small for a joint pair: "
+        "the smallest alpha a joint pair accepts is 1.5e-323\n"
+    )
+    for argv in (["quantile", "--dim", "2"], ["analyze", str(path), "--measures", "accuracy,f1"]):
+        assert main(argv + ["--alpha", "1e-323"]) == EXIT_HARD
+        assert capsys.readouterr() == ("", refusal)
+        assert main(argv + ["--alpha", "1.5e-323", "--format", "json"]) == EXIT_OK
+        assert "bivariate" in capsys.readouterr().out
+    assert main(["quantile", "--dim", "1", "--alpha", "1e-323"]) == EXIT_OK
+
+
 def test_one_member_joint_sets_print_the_individual_intervals(tmp_path, capsys):
     # a one-member set simulated its quantile: method=monte_carlo q=1.9611
     path = tmp_path / "six.csv"
@@ -325,6 +342,26 @@ def test_one_member_joint_sets_print_the_individual_intervals(tmp_path, capsys):
     quantile = ("q", "mc_stderr", "quantile_method", "jitter", "draws")
     for report in sets:
         assert [report["meta"][k] for k in quantile] == [single["meta"][k] for k in quantile]
+
+
+def test_covariance_memory_stays_below_one_target_by_row_matrix():
+    # one influence value per target and distinct row (K = 270, m ~ 50,000)
+    # peaked above 300 MB, against 108 MB for one such float matrix
+    rng = np.random.default_rng(3)
+    n, rules = 50_000, 30
+    data = BinaryDataset.from_arrays(
+        rng.integers(0, 2, n), {f"r{j}": rng.integers(0, 2, n) for j in range(rules)}
+    )
+    targets = make_targets(data.rule_ids, [m.id for m in builtin_measures()])
+    tracemalloc.start()
+    try:
+        fit = estimate_targets(data, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fit.alive) == len(targets) == 270
+    assert data.row_counts()[1].size > 49_000
+    assert peak < 270 * 50_000 * 8
 
 
 def test_stress_study_finishes_when_a_set_loses_a_member():
