@@ -145,6 +145,17 @@ def _split_csv_list(raw: str) -> list[str]:
     return [tok.strip() for tok in re.split(r",(?![^()]*\))", raw) if tok.strip()]
 
 
+def _measure_ids(raw: str) -> list[str]:
+    """The resolved ids of a comma list of measures: at least one, none twice."""
+    ids = [resolve_measure(m).id for m in _split_csv_list(raw)]
+    if not ids:
+        raise ValueError("--measures must name at least one measure")
+    for k, measure_id in enumerate(ids):
+        if measure_id in ids[:k]:
+            raise ValueError(f"duplicate measure id {measure_id!r}")
+    return ids
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -152,9 +163,7 @@ def _split_csv_list(raw: str) -> list[str]:
 
 def _analyze_cmd(args) -> int:
     data = read_csv(args.table)
-    measure_ids = [resolve_measure(m).id for m in _split_csv_list(args.measures)]
-    if not measure_ids:
-        raise ValueError("--measures must name at least one measure")
+    measure_ids = _measure_ids(args.measures)
     targets = make_targets(data.rule_ids, measure_ids)
 
     if args.joint.strip() == "none":
@@ -316,22 +325,19 @@ def _coverage_cmd(args) -> int:
 
     fields = {k: cast(settings[k]) for k, cast in _COVERAGE_FIELDS.items() if k in settings}
     seed = fields.get("seed", CoverageConfig.seed)
+    if seed < 0:  # a one_nn rule trains from it before CoverageConfig checks it
+        raise ValueError(f"seed must be non-negative, got {seed}")
     process, rules = _build_process_and_rules(settings, seed)
     config = CoverageConfig(
         process=process,
         rules=tuple(rules),
-        measure_ids=tuple(
-            resolve_measure(m).id for m in _split_csv_list(settings["measures"])
-        ),
+        measure_ids=_measure_ids(settings["measures"]),
         joint_sets=settings["joint"],
         **fields,
     )
     result = run_coverage(config)
 
-    if args.fmt == "json":
-        text = _dump_json(result.as_dict())
-    else:
-        text = _coverage_table(result)
+    text = _dump_json(result.as_dict()) if args.fmt == "json" else _coverage_table(result)
     _emit(text, args.output)
     return EXIT_OK
 

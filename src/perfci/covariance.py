@@ -8,11 +8,13 @@ indicator columns ``Z*A_r``, ``A_r`` and ``Z``, and row ``k`` of ``G``
 holds target ``k``'s gradient in its rule's three columns.  Dividing by
 ``n`` gives standard errors.
 
-:func:`estimate_targets` takes ``S`` from integer sums over the counts of
-the ``m`` distinct ``(z, a_1..a_R)`` rows, exact up to one division, in
+:func:`estimate_targets` reads only the counts of the ``m`` distinct
+``(z, a_1..a_R)`` rows: integer sums ``s`` over them give each moment triple
+as ``s / n`` and, with the cross-products, ``S`` exact up to one division, in
 ``O(m R + K R)`` memory for ``K`` targets.  :func:`influence` and
-:func:`covariance_from_influences` keep the per-row form, one influence
-value ``d_za * Z*A + d_a * A + d_z * Z`` per target and row, as a reference.
+:func:`covariance_from_influences` are a reference that reads only rows: row
+means for the moments, one influence value ``d_za * Z*A + d_a * A + d_z * Z``
+per target and row.
 
 Two variance choices are offered:
 
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset, EvaluationTarget, compute_moments
+from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -154,18 +156,26 @@ def estimate_targets(
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
-    """Estimates, gradients and plug-in covariance from the distinct rows of
-    ``data`` and their counts.  ``UnknownMeasureError``, ``UnknownRuleError``
-    and ``DomainError`` fail one target without stopping the others.
-    ``n (n - 1) S = n C - s s^T``, from the cross-products ``C`` and sums
-    ``s = diag(C)`` of the indicator columns, is int64, exact while ``n < 3e9``."""
+    """Estimates, gradients and plug-in covariance from one read of the row
+    counts: with ``C`` the cross-products of the indicator columns and ``s =
+    diag(C)`` their sums, each moment triple is ``s / n`` and ``n (n - 1) S =
+    n C - s s^T`` is int64, exact while ``n < 3e9``.  ``UnknownMeasureError``,
+    ``UnknownRuleError`` and ``DomainError`` fail one target, not the others."""
     patterns, counts = data.row_counts()
+    n, n_rules = data.n, patterns.shape[1] - 1
+    z, a = patterns[:, :1], patterns[:, 1:]
+    x = np.hstack([z & a, a, z]).astype(float)
+    # 0/1 products weighted by counts: the float sums are exact below 2**53
+    c = ((x * counts[:, np.newaxis]).T @ x).astype(np.int64)
+    s = np.diagonal(c)
     alive, measures, estimates, gradients, rules = [], [], [], [], []
     errors: dict[int, PerfciError] = {}
     for pos, target in enumerate(targets):
         try:
             measure = resolve_measure(target.measure_id, catalog)
-            m = compute_moments(data, target.rule_id)
+            data.rule(target.rule_id)  # UnknownRuleError for an unknown id
+            r = data.rule_ids.index(target.rule_id)
+            m = MomentTriple(*(int(s[i]) / n for i in (r, n_rules + r, -1)))
             estimate = measure.evaluate(m)
             gradient = measure.gradient(m)
         except (DomainError, UnknownRuleError, UnknownMeasureError) as exc:
@@ -175,13 +185,7 @@ def estimate_targets(
         measures.append(measure)
         estimates.append(estimate)
         gradients.append(gradient)
-        rules.append(data.rule_ids.index(target.rule_id))
-    n, n_rules = data.n, patterns.shape[1] - 1
-    z, a = patterns[:, :1], patterns[:, 1:]
-    x = np.hstack([z & a, a, z]).astype(float)
-    # 0/1 products weighted by counts: the float sums are exact below 2**53
-    c = ((x * counts[:, np.newaxis]).T @ x).astype(np.int64)
-    s = np.diagonal(c)
+        rules.append(r)
     d = np.reshape([(grad.d_za, grad.d_a, grad.d_z) for grad in gradients], (len(rules), 3))
     r, k = np.array(rules, dtype=np.intp), np.arange(len(rules))
     g = np.zeros((len(rules), 2 * n_rules + 1))
@@ -213,10 +217,10 @@ def influence(
     at the sample moments).
     """
     measure = resolve_measure(target.measure_id, catalog)
-    moments = compute_moments(data, target.rule_id)
+    z, a = data.z.astype(float), data.rule(target.rule_id).astype(float)
+    moments = MomentTriple(*(float(np.mean(v)) for v in (z * a, a, z)))
     estimate = measure.evaluate(moments)
     grad = measure.gradient(moments)
-    z, a = data.z.astype(float), data.rule(target.rule_id).astype(float)
     return InfluenceVector(
         target=target,
         values=grad.d_za * (z * a) + grad.d_a * a + grad.d_z * z,

@@ -348,6 +348,8 @@ class CoverageConfig:
         if not self.rules or not self.measure_ids:
             raise ValueError("need at least one rule and one measure")
         check_rule_ids(rule.id for rule in self.rules)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

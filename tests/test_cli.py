@@ -426,3 +426,22 @@ def test_csv_errors_end_in_an_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: field larger than field limit")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "{table}", "--measures", ","], "--measures must name at least one measure"),
+        (["coverage", "--config", "{cfg}"], ":2: expected key=value, got 'rules threshold(0.5)'"),
+        (["coverage", "--n", "50"], "coverage needs rules"),
+        (["coverage", "--process", "nope", "--rules", "a", "--n", "50"], "unknown process 'nope'"),
+        (["quantile", "--corr", ";"], "could not parse correlation matrix from ';'"),
+    ],
+)
+def test_input_refusals_exit_1_with_their_message(tmp_path, capsys, argv, message):
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    cfg = write(tmp_path, "cov.cfg", "n = 50\nrules threshold(0.5)\n")
+    assert main([arg.format(table=table, cfg=cfg) for arg in argv]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

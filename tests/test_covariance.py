@@ -233,3 +233,10 @@ def test_restrict_selects_ordered_submatrix():
     np.testing.assert_array_equal(sub.v, v[np.ix_([2, 0], [2, 0])])
     np.testing.assert_array_equal(sub.d_diag, [3.0, 1.0])
     assert sub.n == 20 and sub.corrected and sub.alpha == 0.1
+
+
+def test_covariance_estimate_checks_its_shapes():
+    with pytest.raises(DimensionMismatchError, match="covariance must be square"):
+        CovarianceEstimate(v=np.ones((2, 3)), n=10)
+    with pytest.raises(DimensionMismatchError, match="d_diag shape"):
+        CovarianceEstimate(v=np.eye(2), n=10, d_diag=np.ones(3))

@@ -57,6 +57,8 @@ def test_from_arrays_shape_checks():
         BinaryDataset.from_arrays([0, 1], {})
     with pytest.raises(NonBinaryValueError):
         BinaryDataset.from_arrays([0, 2], {"r": [0, 1]})
+    with pytest.raises(DatasetError, match="column 'r' must be one-dimensional"):
+        BinaryDataset.from_arrays([0, 1], {"r": [[0, 1], [1, 0]]})
 
 
 def test_unknown_rule_lists_known_ids():

@@ -8,13 +8,14 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import perfci
 from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
-from perfci.covariance import estimate_targets
+from perfci.covariance import estimate_targets, influence
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_csv
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, joint_cis
@@ -372,3 +373,53 @@ def test_stress_study_finishes_when_a_set_loses_a_member():
     assert one_member.any()
     assert (plug.diagnostics.joint_q["all"][one_member] == two_sided_quantile(1e-4)).all()
     assert fixed.joint_set("all").error_rate == 0.0
+
+
+def test_analyze_and_coverage_refuse_a_repeated_measure_id(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("z,a,b\n1,1,0\n1,0,1\n0,1,1\n0,0,0\n1,1,1\n0,0,1\n1,1,0\n0,0,0\n")
+    # f_beta(1) resolves to f1
+    assert main(["analyze", str(table), "--measures", "f1,f_beta(1)"]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == "" and "duplicate measure id 'f1'" in captured.err
+    argv = ["coverage", "--process", "mixture", "--rules", "threshold(0.5)", "--measures",
+            "accuracy,accuracy", "--n", "50", "--replications", "5", "--draws", "1000",
+            "--joint", "all"]
+    assert main(argv) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == "" and "duplicate measure id 'accuracy'" in captured.err
+
+
+def test_coverage_refuses_a_negative_seed_by_name(capsys):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        CoverageConfig(
+            process=GaussianMixtureProcess(),
+            rules=(ThresholdRule(0.5),),
+            measure_ids=("accuracy",),
+            n=50,
+            seed=-1,
+        )
+    # a one_nn rule trains from the seed before the study's config is built
+    for rules, seed in (("threshold(0.5)", "-1"), ("one_nn(50)", "-1"), ("one_nn(50)", "-400000")):
+        argv = ["coverage", "--process", "mixture", "--rules", rules, "--measures", "accuracy",
+                "--n", "50", "--replications", "5", "--draws", "1000", "--seed", seed]
+        assert main(argv) == EXIT_HARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be non-negative, got {seed}\n"
+
+
+def test_a_fit_reads_the_row_counts_once():
+    rng = np.random.default_rng(3)
+    z = rng.integers(0, 2, 200)
+    data = BinaryDataset.from_arrays(z, {f"r{j}": rng.integers(0, 2, 200) for j in range(4)})
+    targets = make_targets(data.rule_ids, ["accuracy", "f1", "jaccard", "lift"])
+    with mock.patch.object(
+        BinaryDataset, "row_counts", autospec=True, side_effect=BinaryDataset.row_counts
+    ) as row_counts:
+        fit = estimate_targets(data, targets)
+        assert len(fit.alive) == len(targets)
+        assert row_counts.call_count == 1
+        # the per-row reference reads rows only
+        influence(data, targets[0])
+        assert row_counts.call_count == 1
