@@ -272,6 +272,13 @@ def _as_binary_column(values, col: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DatasetError(f"column {col!r} must be one-dimensional")
+    if arr.dtype.kind in "biuf" and arr.dtype.itemsize <= 8:
+        # of these dtypes, exactly the values equal to 0 or 1 pass ``_read_cell``
+        binary = (arr == 0) | (arr == 1)
+        if not binary.all():
+            i = int(np.argmin(binary))
+            raise NonBinaryValueError(i + 1, col, arr[i])
+        return arr.astype(np.uint8)
     # mixed types skip the cache: 1 == 1 + 0j reads differently, {} cannot be hashed
     read = _read_cell if arr.dtype == object else _CellCodes().__getitem__
     return _binary_codes(arr.tolist(), read, lambda i: NonBinaryValueError(i + 1, col, arr[i]))

@@ -23,13 +23,16 @@ Two quantile notions drive every interval in this package:
     (with a small jitter ladder for rank-deficient matrices), draw
     correlated Gaussian vectors in fixed-size chunks with counter-based
     substreams so results are reproducible for a given seed, and read
-    the empirical quantile off the sorted maxima.  ``mc_stderr`` is the
+    the empirical quantile off the sorted maxima.  Each chunk's
+    substream is drawn in blocks of about 1 MiB, so a request holds its
+    ``draws`` maxima, a few blocks and its ``dim x dim`` matrices, and
+    its time grows as ``dim**2 * draws``.  ``mc_stderr`` is the
     usual order-statistic standard error: binomial noise of the
     empirical CDF divided by a local density estimate.
 
-  The Monte Carlo tier's memory is planned before it runs
-  (:func:`planned_bytes`); a request whose plan exceeds
-  ``MAX_QUANTILE_BYTES`` is rejected.
+  The Monte Carlo tier's memory is planned from the request's shape
+  before anything is allocated (:func:`planned_bytes`); a request whose
+  plan exceeds ``MAX_QUANTILE_BYTES`` is rejected.
 
 ``sidak_quantile``, the closed form for independent coordinates, bounds
 ``q(alpha, R)`` from above for every ``R`` (Sidak 1967) and equals it at
@@ -145,6 +148,8 @@ def sidak_quantile(alpha: float, dim: int) -> float:
 
 # rows per Monte Carlo chunk; each chunk is one substream, so this fixes the streams
 _CHUNK = 1 << 16
+# bytes of one block of normals: a chunk's substream is drawn a block at a time
+_BLOCK_BYTES = 1 << 20
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CORR_TOL = 1e-8
 
@@ -185,17 +190,28 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def planned_bytes(dim: int, draws: int) -> int:
-    """Bytes a quantile request of this shape allocates besides its
-    correlation matrix and Cholesky factor.
+def _block_rows(dim: int) -> int:
+    """Rows of one block of normals: about ``_BLOCK_BYTES`` of float64."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
 
-    The Monte Carlo tier holds ``draws`` float64 maxima and two chunks of
-    ``min(draws, _CHUNK) x dim`` float64 (the normals and their correlated
-    image).  The exact tiers (dims 1 and 2) need a few hundred bytes, counted as 0.
+
+def planned_bytes(dim: int, draws: int) -> int:
+    """Peak bytes a quantile request of this shape allocates, besides the
+    caller's matrix.
+
+    The Monte Carlo tier counts ``draws`` float64 maxima; three blocks of
+    ``min(draws, _block_rows(dim)) x dim`` float64 (a block's normals, their
+    correlated image, and the last block's image, released when the next is
+    assigned); and four ``dim x dim`` float64 matrices: the validated
+    correlation, a jittered candidate, its Cholesky factor and the copy
+    that LAPACK factors in place.  Validation peaks earlier, at three such
+    matrices.  The exact tiers (dims 1 and 2) need a few hundred bytes,
+    counted as 0.
     """
     if dim <= 2:
         return 0
-    return 8 * (draws + 2 * min(draws, _CHUNK) * dim)
+    rows = min(draws, _block_rows(dim))
+    return 8 * (draws + 3 * rows * dim + 4 * dim * dim)
 
 
 def check_budget(dim: int, draws: int) -> None:
@@ -217,7 +233,9 @@ class QuantileRequest:
     ``corr`` is validated unless it is a :class:`CorrelationMatrix`.
     A simulation is rejected with
     ``ValueError`` when ``alpha * draws < 1`` (``q`` would be the largest
-    draw) or when its plan (:func:`planned_bytes`) exceeds ``MAX_QUANTILE_BYTES``.
+    draw) or when its plan (:func:`planned_bytes`) exceeds
+    ``MAX_QUANTILE_BYTES``; the plan is checked on the shape of ``corr``,
+    before validation copies it.
     """
 
     alpha: float
@@ -228,10 +246,13 @@ class QuantileRequest:
     def __post_init__(self):
         alpha = check_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
+        draws = int(self.draws)
+        shape = np.shape(getattr(self.corr, "values", self.corr))
+        if len(shape) == 2 and shape[0] == shape[1]:
+            check_budget(shape[0], draws)  # before validation copies the matrix
         valid = isinstance(self.corr, CorrelationMatrix)
         corr = self.corr if valid else CorrelationMatrix(self.corr)
         object.__setattr__(self, "corr", corr.values)
-        draws = int(self.draws)
         if draws < MIN_DRAWS:
             raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
         if self.tier == "monte_carlo" and alpha * draws < 1.0:
@@ -245,7 +266,6 @@ class QuantileRequest:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "seed", seed)
-        check_budget(self.dim, draws)
 
     @property
     def dim(self) -> int:
@@ -338,21 +358,24 @@ def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float
 
     Draws are generated in fixed-size chunks, each from its own
     counter-based substream of ``request.seed``, so the result is
-    reproducible as long as ``_CHUNK`` stays fixed.  Each chunk is
-    correlated in ``(dim, rows)`` layout, so the max over coordinates is
-    an elementwise reduction.
+    reproducible as long as ``_CHUNK`` stays fixed.  A chunk's generator
+    is read in consecutive blocks of :func:`_block_rows` rows, which give
+    the draws of one read of the whole chunk, so the block size moves no
+    draw.  Each block is correlated in ``(dim, rows)`` layout, so the max
+    over coordinates is an elementwise reduction.
     """
     factor, jitter = _cholesky_with_jitter(request.corr)
-    draws = request.draws
+    draws, dim = request.draws, request.dim
+    block = _block_rows(dim)
     maxima = np.empty(draws, dtype=float)
     for chunk_index, pos in enumerate(range(0, draws, _CHUNK)):
-        size = min(_CHUNK, draws - pos)
         seq = np.random.SeedSequence(entropy=request.seed, spawn_key=(chunk_index,))
-        normals = np.random.Generator(np.random.Philox(seq)).standard_normal(
-            (size, request.dim)
-        )
-        sample = factor @ normals.T
-        maxima[pos : pos + size] = np.abs(sample, out=sample).max(axis=0)
+        rng = np.random.Generator(np.random.Philox(seq))
+        end = min(draws, pos + _CHUNK)
+        for start in range(pos, end, block):
+            stop = min(end, start + block)
+            sample = factor @ rng.standard_normal((stop - start, dim)).T
+            maxima[start:stop] = np.abs(sample, out=sample).max(axis=0)
     # one sort serves q and the window below; np.partition at those three
     # order statistics measured slower (numpy 2.4: 2.4 ms against 1.3 ms at 200k)
     maxima.sort()

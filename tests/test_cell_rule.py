@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfci import dataset
@@ -121,6 +121,14 @@ def test_validate_table_matches_the_per_cell_oracle(table):
 
 @settings(max_examples=400, deadline=None)
 @given(arrays())
+@example(([0.0, float("nan")], [("r0", [0, 1])]))
+@example(([1.0, 0.0], [("r0", [-float("inf"), 1.0])]))
+@example(([-0.0, 1.0], [("r0", np.array([1.0, -0.0], np.float32))]))
+@example(([1.0, 1.0 + 2.0**-52], [("r0", [0, 1])]))
+@example((np.array([1, 0], np.float16), [("r0", np.array([0.5, 1], np.float16))]))
+@example((np.array([True, False]), [("r0", np.array([False, True]))]))
+@example((np.array([1, 2**64 - 1], np.uint64), [("r0", [0, 1])]))
+@example((np.array([np.longdouble(1) + 2.0**-60, 0]), [("r0", [1, 0])]))
 def test_from_arrays_matches_the_per_cell_oracle(columns):
     z, rules = columns
     assert outcome(BinaryDataset.from_arrays, z, rules) == outcome(oracle_arrays, z, rules)

@@ -3,6 +3,7 @@ memory budget, and the provenance every report carries."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from perfci.dataset import BinaryDataset, make_targets
 from perfci.intervals import IntervalSpec, analyze
 from perfci.quantiles import (
     QuantileRequest,
+    check_budget,
     inv_norm_cdf,
     max_abs_quantile,
     planned_bytes,
@@ -110,10 +112,64 @@ def test_monte_carlo_tier_keeps_its_random_streams():
     assert got.q == pytest.approx(want, abs=1e-12)
 
 
-def test_planned_bytes_counts_the_maxima_and_two_chunks():
-    assert planned_bytes(90, 200_000) == 8 * (200_000 + 2 * 65_536 * 90)
-    assert planned_bytes(3, 5_000) == 8 * (5_000 + 2 * 5_000 * 3)
+def test_monte_carlo_blocks_keep_the_chunk_streams():
+    """Chunks read in blocks of 4,369 rows (15 full blocks and one of a
+    single row per chunk, then a partial chunk) give the ``q`` of whole
+    chunks drawn at once, and repeat bit for bit."""
+    dim, draws, seed = 30, 140_000, 4
+    corr = np.full((dim, dim), 0.4)
+    np.fill_diagonal(corr, 1.0)
+    factor = np.linalg.cholesky(corr)
+    maxima = []
+    for index, pos in enumerate(range(0, draws, 1 << 16)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        sample = np.random.Generator(np.random.Philox(seq)).standard_normal(
+            (min(1 << 16, draws - pos), dim)
+        )
+        maxima.append(np.max(np.abs(sample @ factor.T), axis=1))
+    want = np.sort(np.concatenate(maxima))[math.ceil(0.95 * draws) - 1]
+    request = QuantileRequest(0.05, corr, draws=draws, seed=seed)
+    got = max_abs_quantile(request)
+    assert got.q == pytest.approx(want, abs=1e-12)
+    assert max_abs_quantile(request) == got
+
+
+def test_planned_bytes_counts_the_maxima_blocks_and_matrices():
+    # dim 90: blocks of 1,456 rows; dim 3: the 5,000 draws fit one block
+    assert planned_bytes(90, 200_000) == 8 * (200_000 + 3 * 1_456 * 90 + 4 * 90 * 90)
+    assert planned_bytes(90, 200_000) < 8 << 20
+    assert planned_bytes(3, 5_000) == 8 * (5_000 + 3 * 5_000 * 3 + 4 * 3 * 3)
     assert planned_bytes(2, 10**9) == 0
+
+
+def _low_rank_corr(dim, rank):
+    x = np.random.default_rng(dim).standard_normal((dim, rank))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x @ x.T
+
+
+@pytest.mark.parametrize(
+    "corr, draws",
+    [
+        (np.eye(3), 140_000),  # three chunks
+        (np.eye(90), 200_000),  # the dim-90 set of a 10-rule table
+        (np.full((400, 400), 0.5) + 0.5 * np.eye(400), 2_000),  # 327-row blocks
+        (_low_rank_corr(60, 5), 3_000),  # takes the jitter ladder
+    ],
+    ids=["chunks", "dim-90", "blocks-under-dim", "jitter"],
+)
+def test_the_plan_bounds_the_traced_peak(corr, draws):
+    # modules a first simulation imports are not the request's memory
+    max_abs_quantile(QuantileRequest(0.05, np.eye(3), draws=1_000))
+    tracemalloc.start()
+    try:
+        result = max_abs_quantile(QuantileRequest(0.05, corr, draws=draws))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "monte_carlo"
+    assert (result.jitter > 0.0) == (np.linalg.matrix_rank(corr) < len(corr))
+    assert peak <= planned_bytes(len(corr), draws)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12, 1e-17])
@@ -130,11 +186,12 @@ def test_the_exact_tiers_plan_no_bytes():
 
 
 def test_requests_over_the_budget_are_rejected_before_they_run():
-    # 8 * 65_536 * (1 + 2 * dim) crosses 2**30 between dims 1023 and 1024;
-    # the requests are only built, never run
-    assert QuantileRequest(0.05, np.eye(1023), draws=65_536).dim == 1023
+    # 8 * (65_536 + 3 * rows * dim + 4 * dim**2) crosses 2**30 between dims
+    # 5782 and 5783; the shape is checked before validation copies the
+    # matrix, so a read-only broadcast view stands in for the 5783 x 5783
+    check_budget(5782, 65_536)
     with pytest.raises(ValueError, match="budget"):
-        QuantileRequest(0.05, np.eye(1024), draws=65_536)
+        QuantileRequest(0.05, np.broadcast_to(0.0, (5783, 5783)), draws=65_536)
     corr = np.array([[1.0, 0.5], [0.5, 1.0]])
     assert QuantileRequest(0.05, corr, draws=200_000_000).tier == "bivariate"
 
@@ -145,6 +202,17 @@ def test_quantile_dim_checks_the_budget_before_building_the_identity(monkeypatch
 
     monkeypatch.setattr(perfci.cli.np, "eye", no_identity)
     assert main(["quantile", "--dim", "1000000"]) == EXIT_HARD
+    assert "budget" in capsys.readouterr().err
+
+
+def test_quantile_dim_counts_its_matrices_in_the_budget(monkeypatch, capsys):
+    # one 11000 x 11000 matrix is 968 MB, under the 1 GiB budget, but the
+    # request holds four of them at its peak
+    def no_identity(*args, **kwargs):
+        raise AssertionError("np.eye called for an over-budget dimension")
+
+    monkeypatch.setattr(perfci.cli.np, "eye", no_identity)
+    assert main(["quantile", "--dim", "11000", "--draws", "1000"]) == EXIT_HARD
     assert "budget" in capsys.readouterr().err
 
 
