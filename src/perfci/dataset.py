@@ -15,7 +15,8 @@ by column from ``z``) is rejected with its row and column in the message.
 keeps one int32 line number per row; a quoted field, or a line that
 ``str.split`` would split otherwise, goes through :mod:`csv`, so the
 result is that of :func:`validate_table` on ``csv.reader`` rows.  A file
-is read a block of ``_BLOCK_CHARS`` characters at a time.
+is read a block of ``_BLOCK_CHARS`` characters at a time, or, when it is
+canonical (see :func:`_canonical_table`), as a byte matrix.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def _distinct_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of equal-length 0/1 ``columns``, in lexicographic
     order, and how many rows each stands for (the sum of their ``weights``
-    when given)."""
+    when given).  Unweighted rows whose codes fit in ``2 * n`` bins are
+    counted by ``np.bincount``, others sorted by ``np.unique``."""
     # one bit per column in an int64 code, relabelled densely at 62 bits
     code = np.zeros(len(columns[0]), dtype=np.int64)
     bits = 0
@@ -223,6 +225,11 @@ def _distinct_rows(
             bits = int(code.max()).bit_length()
         code = (code << 1) | column
         bits += 1
+    if weights is None and bits == len(columns) and 2**bits <= 2 * len(code):
+        counts = np.bincount(code)
+        code = np.flatnonzero(counts)
+        rows = (code[:, None] >> np.arange(bits - 1, -1, -1)) & 1
+        return rows.astype(np.uint8), counts[code]
     if weights is None:
         _, first, counts = np.unique(code, return_index=True, return_counts=True)
     else:
@@ -307,7 +314,7 @@ def _table(
     if n < MIN_ROWS:
         raise TooFewRowsError(n)
     order = [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
-    distinct = np.ascontiguousarray(patterns[:, order].T)
+    distinct = patterns.T[order]  # one contiguous row per column
     columns = distinct if index is None else distinct[:, index]
     data = BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
     if index is not None:  # row counts from the counts of the distinct patterns
@@ -347,11 +354,17 @@ def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table from a CSV file or stream.
 
     The result, and every error, is that of ``validate_table(header,
-    csv.reader(stream))``, but each distinct line is split and decoded
-    once: reading holds one int32 per row plus the distinct lines, besides
-    the table's one byte per cell and, for a file, one block of text.
+    csv.reader(stream))``.  A canonical regular file is read as a byte
+    matrix: one byte per cell, a second while the columns are put ``z``
+    first, and one block.  Other input is read line by line, each distinct
+    line split and decoded once: one int32 per row plus the distinct lines,
+    besides the table's byte per cell and, for a file, one block of text.
     """
     if isinstance(source, (str, os.PathLike)):
+        if os.path.isfile(source):  # not a FIFO, which can be read only once
+            with open(source, "rb") as fh:
+                if (data := _canonical_table(fh)) is not None:
+                    return data
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(source, newline="", encoding="utf-8-sig") as fh:
             try:
@@ -365,6 +378,39 @@ def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
 
 
 _BLOCK_CHARS = 1 << 20
+
+
+def _canonical_table(fh) -> BinaryDataset | None:
+    """The table in ``fh``, a regular file opened in binary mode, or None if
+    it is not canonical: a UTF-8 header line without ``"``, ``\\r`` or NUL
+    that ends in ``\\n``, then lines ``c,c,...,c\\n`` of one 0 or 1 per
+    field (the last ``\\n`` may be missing).  These are read as a byte
+    matrix, ``_BLOCK_CHARS`` bytes of whole lines at a time; the table's
+    errors are those of the line reader.
+    """
+    header = fh.readline().decode("utf-8-sig", "replace")  # U+FFFD: maybe not UTF-8
+    fields = header[:-1].split(",")  # as csv.reader splits it
+    if (not header.endswith("\n") or any(c in header for c in '"\r\0\ufffd')
+            or max(map(len, fields)) > csv.field_size_limit()):
+        return None
+    line = 2 * len(fields)
+    n = max(0, -(-(os.fstat(fh.fileno()).st_size - fh.tell()) // line))  # rows, by the size
+    grid = np.empty((len(fields), n), np.uint8)
+    ends = np.frombuffer(b"," * (len(fields) - 1) + b"\n", np.uint8)
+    start = 0
+    for block in iter(partial(fh.read, max(1, _BLOCK_CHARS // line) * line), b""):
+        if len(block) % line == line - 1:  # the last line, without its "\n"
+            block += b"\n"
+        stop = start + len(block) // line
+        if len(block) % line or stop > n:
+            return None
+        view = np.frombuffer(block, np.uint8).reshape(-1, line)
+        cells = view[:, 0::2] - ord("0")  # a byte below "0" wraps past 1
+        if (view[:, 1::2] != ends).any() or (cells > 1).any():
+            return None
+        grid[:, start:stop] = cells.T
+        start = stop
+    return _table(_column_names(fields), grid.T) if start == n else None
 
 
 def _file_lines(fh):

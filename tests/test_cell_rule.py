@@ -1,8 +1,11 @@
 """The 0/1 cell rule shared by CSV tables and arrays, against a per-cell oracle,
-and the line reader of CSV files against the whole-file ``csv.reader``."""
+and the line reader and the byte reader of CSV files against the whole-file
+``csv.reader``."""
 
 import csv
 import io
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -258,6 +261,18 @@ def test_read_csv_keeps_the_csv_field_size_limit():
     assert read_csv(io.StringIO(text)).z.tolist() == [0, 1]
 
 
+def test_read_csv_keeps_the_csv_field_size_limit_in_a_canonical_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"z," + b"r" * 20 + b"\n0,1\n1,0\n")
+    limit = csv.field_size_limit(10)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert read_csv(path).rule_ids == ("r" * 20,)
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_texts(), st.integers(1, 12))
 def test_read_csv_matches_csv_reader_rows_across_blocks(tmp_path_factory, text, block):
@@ -283,3 +298,122 @@ def test_read_csv_fails_on_bytes_that_are_not_utf8_as_line_by_line(tmp_path, rag
     want = read_outcome(reference_csv, opened)
     assert want[1] is (LengthMismatchError if ragged_first else UnicodeDecodeError)
     assert read_outcome(lambda _: read_csv(path), opened) == want
+
+
+# edits that make a canonical table non-canonical: of one data line (its
+# first cell or its line break), or of the whole file or its header
+ROW_EDITS = {
+    "bad cell": lambda row: b"2" + row[1:],
+    "padded cell": lambda row: b" 1 " + row[1:],
+    "float cell": lambda row: b"1.0" + row[1:],
+    "bare CR": lambda row: row[:-1] + b"\r",
+    "quoted cell": lambda row: b'"' + row[:1] + b'"' + row[1:],
+    "blank line": lambda row: b"\n" + row,
+    "extra field": lambda row: row[:-1] + b",1\n",
+    "short row": lambda row: row[2:],
+    "NUL": lambda row: row[:1] + b"\0" + row[1:],
+    "0xff byte": lambda row: row[:1] + b"\xff" + row[1:],
+    "joined cells": lambda row: row[:1] + b"0" + row[2:],
+}
+FILE_EDITS = {
+    "CRLF endings": lambda lines: [line[:-1] + b"\r\n" for line in lines],
+    "trailing blank line": lambda lines: lines + [b"\n"],
+    "header not UTF-8": lambda lines: [lines[0][:-1] + b"\xff\n", *lines[1:]],
+    "CR in header": lambda lines: [lines[0][:1] + b"\r" + lines[0][1:], *lines[1:]],
+    "NUL in header": lambda lines: [lines[0][:1] + b"\0" + lines[0][1:], *lines[1:]],
+    "quoted header field": lambda lines: [b'"' + lines[0][:-1] + b'"\n', *lines[1:]],
+}
+
+
+@st.composite
+def canonical_files(draw):
+    """The bytes of a canonical table, or of one with one edit: ``n`` rows
+    of ``rules`` rules, some with fewer than ``2**(rules + 1) / 2`` rows."""
+    rules = draw(st.integers(1, 6))
+    edit = draw(st.sampled_from([None, None, *ROW_EDITS, *FILE_EDITS]))
+    n = draw(st.integers(1 if edit in ROW_EDITS else 0, 80))
+    names = [f"r{j}" for j in range(rules)]
+    names.insert(draw(st.integers(0, rules)), "z")
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = np.random.default_rng(seed).integers(0, 2, (n, rules + 1))
+    lines = [(",".join(names) + "\n").encode()] + [(",".join(map(str, row)) + "\n").encode() for row in grid]
+    if edit in ROW_EDITS:
+        i = draw(st.integers(1, n))
+        lines[i] = ROW_EDITS[edit](lines[i])
+    elif edit in FILE_EDITS:
+        lines = FILE_EDITS[edit](lines)
+    text = b"".join(lines)
+    if draw(st.booleans()):
+        text = b"\xef\xbb\xbf" + text
+    if draw(st.booleans()) and text.endswith(b"\n"):
+        text = text[:-1]  # no final line break
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_files(), st.integers(1, 64))
+def test_read_csv_reads_canonical_files_as_csv_reader_rows(tmp_path_factory, text, block):
+    # small blocks end a block on every line, and take the missing final
+    # line break in a block of its own
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text)
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        assert read_outcome(lambda _: read_csv(path), opened) == read_outcome(reference_csv, opened)
+
+
+def test_read_csv_reads_a_canonical_file_without_the_line_reader(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xef\xbb\xbfr,z,s\n1,1,0\n0,1,1\n1,1,0\n0,0,0")
+    with mock.patch.object(dataset._Records, "__missing__", side_effect=AssertionError):
+        data = read_csv(path)
+        with pytest.raises(AssertionError):  # the line reader reads any other file
+            read_csv(io.StringIO("z,r\n1,0\n0,1\n"))
+    assert data.rule_ids == ("r", "s")
+    assert data.z.tolist() == [1, 1, 1, 0]
+    assert data.rule("r").tolist() == [1, 0, 1, 0] and data.rule("s").tolist() == [0, 1, 0, 0]
+    patterns, counts = data.row_counts()
+    assert patterns.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 0]] and counts.tolist() == [1, 1, 2]
+
+
+def test_read_csv_reads_every_row_of_a_fifo(tmp_path):
+    # a FIFO has no size to count its rows by; it is opened once, and read
+    # by the line reader
+    path = tmp_path / "table.fifo"
+    os.mkfifo(path)
+    rows = ["1,0", "0,1", "1,1"] * 1000
+
+    def write():
+        with open(path, "w") as fh:
+            fh.write("z,r\n" + "\n".join(rows) + "\n")
+
+    read = []  # a reader that opens the FIFO twice would wait for a writer forever
+    threads = [threading.Thread(target=write, daemon=True),
+               threading.Thread(target=lambda: read.append(read_csv(path)), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    (data,) = read
+    assert data.n == 3000
+    assert data.z.tolist() == [int(row[0]) for row in rows]
+    assert data.rule("r").tolist() == [int(row[2]) for row in rows]
+
+
+@pytest.mark.parametrize("size", [0, 9, 21, 100])
+def test_read_csv_reads_a_file_whose_size_is_wrong(tmp_path, size):
+    # a regular file may report another size than it holds, as Linux procfs
+    # files report 0; the row count taken from the size is then wrong
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"z,r\n1,0\n0,1\n1,1\n0,0\n")
+    true_stat = os.fstat
+
+    def fstat(fd):
+        fields = list(true_stat(fd))
+        fields[6] = size  # st_size
+        return os.stat_result(fields)
+
+    with mock.patch.object(dataset.os, "fstat", fstat):
+        data = read_csv(path)
+    assert data.z.tolist() == [1, 0, 1, 0] and data.rule("r").tolist() == [0, 1, 1, 0]

@@ -29,7 +29,7 @@ from perfci.covariance import (
     estimate_targets,
     influence,
 )
-from perfci.dataset import BinaryDataset, make_targets
+from perfci.dataset import BinaryDataset, _distinct_rows, make_targets
 from perfci.errors import DomainError, UnknownMeasureError, UnknownRuleError
 from perfci.intervals import CHOICE_CORRECTED, CHOICE_PLUGIN, IntervalSpec, analyze, set_report
 from perfci.measures import builtin_measures
@@ -207,6 +207,25 @@ def test_row_counts_match_a_direct_tally_past_the_code_width():
     )
     assert got == want
     assert len(got) == counts.size  # rows are distinct
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 80), width=st.integers(1, 9), distinct=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=64, width=64, distinct=2, seed=0)  # past 62 bits the codes are relabelled
+def test_distinct_rows_counted_as_sorted(n, width, distinct, seed):
+    # unweighted rows are counted in 2**width bins when those are at most
+    # 2n; the same rows with unit weights always go through np.unique
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 2, (distinct, width), dtype=np.uint8)[rng.integers(0, distinct, n)]
+    columns = tuple(grid.T)
+    patterns, counts = _distinct_rows(columns)
+    sorted_patterns, sorted_counts = _distinct_rows(columns, np.ones(n, dtype=np.intp))
+    assert patterns.dtype == sorted_patterns.dtype and counts.dtype == sorted_counts.dtype
+    assert patterns.tolist() == sorted_patterns.tolist()
+    assert counts.tolist() == sorted_counts.tolist()
+    tally = sorted(Counter(map(tuple, grid.tolist())).items())
+    assert [(tuple(p), c) for p, c in zip(patterns.tolist(), counts.tolist())] == tally
 
 
 def test_covariance_matrix_raises_the_first_target_failure():
