@@ -11,19 +11,17 @@ or an array is valid when ``float`` reads it, after ``str.strip`` for
 strings, as 0 or 1.  The first other cell (a CSV row by row, arrays column
 by column from ``z``) is rejected with its row and column in the message.
 
-:func:`read_csv` splits and decodes each distinct line of a CSV once and
-keeps one int32 line number per row; a quoted field, or a line that
-``str.split`` would split otherwise, goes through :mod:`csv`, so the
-result is that of :func:`validate_table` on ``csv.reader`` rows.  A file
-is read a block of ``_BLOCK_CHARS`` characters at a time, or, when it is
-canonical (see :func:`_canonical_table`), as a byte matrix.
+:func:`read_csv` reads a regular file in the canonical layout (see
+:func:`_canonical_table`) as a byte matrix, and any other input as
+:func:`validate_table` of ``csv.reader`` rows, which holds one chunk of
+cell strings at a time; either way the result, and every error, is that
+of ``validate_table(header, csv.reader(stream))``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -209,13 +207,11 @@ class BinaryDataset:
         return f"BinaryDataset(n={self.n}, rules={list(self._rules)})"
 
 
-def _distinct_rows(
-    columns, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of equal-length 0/1 ``columns``, in lexicographic
-    order, and how many rows each stands for (the sum of their ``weights``
-    when given).  Unweighted rows whose codes fit in ``2 * n`` bins are
-    counted by ``np.bincount``, others sorted by ``np.unique``."""
+    order, and how many times each occurs.  Rows whose codes fit in
+    ``2 * n`` bins are counted by ``np.bincount``, others sorted by
+    ``np.unique``."""
     # one bit per column in an int64 code, relabelled densely at 62 bits
     code = np.zeros(len(columns[0]), dtype=np.int64)
     bits = 0
@@ -225,17 +221,12 @@ def _distinct_rows(
             bits = int(code.max()).bit_length()
         code = (code << 1) | column
         bits += 1
-    if weights is None and bits == len(columns) and 2**bits <= 2 * len(code):
+    if bits == len(columns) and 2**bits <= 2 * len(code):
         counts = np.bincount(code)
         code = np.flatnonzero(counts)
         rows = (code[:, None] >> np.arange(bits - 1, -1, -1)) & 1
         return rows.astype(np.uint8), counts[code]
-    if weights is None:
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    else:
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        counts = np.zeros(len(first), dtype=np.intp)
-        np.add.at(counts, inverse, weights)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
     return np.column_stack([c[first] for c in columns]), counts
 
 
@@ -304,22 +295,17 @@ def _column_names(header: Sequence[str]) -> list[str]:
     return names
 
 
-def _table(
-    names: list[str], patterns: np.ndarray, index: np.ndarray | None = None
-) -> BinaryDataset:
-    """The dataset whose rows are ``patterns[index]`` (all of ``patterns``
-    when ``index`` is None), columns named by ``names``; raises
-    :class:`TooFewRowsError`.  With ``index``, the row counts come from it."""
-    n = len(patterns if index is None else index)
-    if n < MIN_ROWS:
-        raise TooFewRowsError(n)
+def _table(names: list[str], patterns: np.ndarray) -> BinaryDataset:
+    """The dataset whose rows are ``patterns``, columns named by ``names``;
+    raises :class:`TooFewRowsError`."""
+    if len(patterns) < MIN_ROWS:
+        raise TooFewRowsError(len(patterns))
     order = [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
-    distinct = patterns.T[order]  # one contiguous row per column
-    columns = distinct if index is None else distinct[:, index]
-    data = BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
-    if index is not None:  # row counts from the counts of the distinct patterns
-        data._row_counts = _distinct_rows(distinct, np.bincount(index, minlength=len(patterns)))
-    return data
+    columns = patterns.T[order]  # one contiguous row per column
+    return BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
+
+
+_BLOCK_CHARS = 1 << 20
 
 
 def validate_table(
@@ -329,36 +315,62 @@ def validate_table(
 
     Raises the specific :class:`~perfci.errors.DatasetError` subclass
     for each defect: unknown/duplicate columns, ragged rows, non-binary
-    cells, too few rows.  Blank rows are skipped.
+    cells, too few rows.  Blank rows are skipped.  An error raised while
+    iterating ``rows``, before their end or a ragged row, comes first, then
+    the first bad cell, then a ragged row.  The cells are read in chunks of
+    whole rows, each of at least ``_BLOCK_CHARS // 16`` cells (65,536), so
+    one chunk of cells is held at a time besides the table's byte per cell.
     """
     names = _column_names(header)
     width = len(names)
-    cells: list[str] = []  # row-major, up to the first ragged row
-    fields = 0
+    read = _CellCodes().__getitem__
+    ragged: list[int] = []
+    codes = bytearray()  # row-major, one byte per cell
+    bad = None  # the first bad cell's error, raised once ``rows`` are drained
+    for cells in _row_chunks(rows, width, max(1, _BLOCK_CHARS // 16), ragged):
+        if bad is not None:
+            continue
+
+        def bad_cell(i):
+            j = len(codes) + i
+            return NonBinaryValueError(j // width + 1, names[j % width], cells[i])
+
+        try:
+            codes.extend(_binary_codes(cells, read, bad_cell))
+        except NonBinaryValueError as exc:
+            bad = exc
+    if bad is not None:
+        raise bad
+    grid = np.frombuffer(codes, np.uint8).reshape(-1, width)
+    if ragged:
+        raise LengthMismatchError(f"row {len(grid) + 1} has {ragged[0]} fields, header has {width}")
+    return _table(names, grid)
+
+
+def _row_chunks(rows, width: int, size: int, ragged: list[int]):
+    """The cells of ``rows`` in row-major lists of whole rows, each of at
+    least ``size`` cells but the last, up to the first ragged row, whose
+    field count is appended to ``ragged``."""
+    cells: list = []
     for row in rows:
         fields = len(row)
         if fields not in (0, width):
+            ragged.append(fields)
             break
         cells.extend(row)
-
-    def bad_cell(i):  # reported before a ragged row below it
-        return NonBinaryValueError(i // width + 1, names[i % width], cells[i])
-
-    grid = _binary_codes(cells, _CellCodes().__getitem__, bad_cell).reshape(-1, width)
-    if fields not in (0, width):
-        raise LengthMismatchError(f"row {len(grid) + 1} has {fields} fields, header has {width}")
-    return _table(names, grid)
+        if len(cells) >= size:
+            yield cells
+            cells = []
+    yield cells
 
 
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table from a CSV file or stream.
 
     The result, and every error, is that of ``validate_table(header,
-    csv.reader(stream))``.  A canonical regular file is read as a byte
-    matrix: one byte per cell, a second while the columns are put ``z``
-    first, and one block.  Other input is read line by line, each distinct
-    line split and decoded once: one int32 per row plus the distinct lines,
-    besides the table's byte per cell and, for a file, one block of text.
+    csv.reader(stream))``, which reads any input.  A canonical regular
+    file is read as a byte matrix instead: one byte per cell, a second
+    while the columns are put ``z`` first, and one block.
     """
     if isinstance(source, (str, os.PathLike)):
         if os.path.isfile(source):  # not a FIFO, which can be read only once
@@ -367,152 +379,59 @@ def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
                     return data
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            try:
-                return _read_csv_stream(itertools.chain.from_iterable(_file_lines(fh)))
-            except UnicodeDecodeError:
-                pass
-        # a file that is not UTF-8 fails where reading it line by line fails
-        with open(source, newline="", encoding="utf-8-sig") as fh:
             return _read_csv_stream(fh)
     return _read_csv_stream(source)
 
 
-_BLOCK_CHARS = 1 << 20
+def _read_csv_stream(stream) -> BinaryDataset:
+    rows = csv.reader(stream)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise DatasetError("empty input: no header row") from None
+    return validate_table(header, rows)
 
 
 def _canonical_table(fh) -> BinaryDataset | None:
     """The table in ``fh``, a regular file opened in binary mode, or None if
-    it is not canonical: a UTF-8 header line without ``"``, ``\\r`` or NUL
-    that ends in ``\\n``, then lines ``c,c,...,c\\n`` of one 0 or 1 per
-    field (the last ``\\n`` may be missing).  These are read as a byte
-    matrix, ``_BLOCK_CHARS`` bytes of whole lines at a time; the table's
-    errors are those of the line reader.
+    it is not canonical: a UTF-8 header line, ended by ``\\n`` or
+    ``\\r\\n``, whose fields ``csv.reader`` splits on that line alone
+    (quoted or not, but without a line break), then lines ``c,c,...,c`` of
+    one 0 or 1 per field, each with the header's line end (the last one may
+    be missing).  These are read as a byte matrix, ``_BLOCK_CHARS`` bytes
+    of whole lines at a time; the table's errors are those of
+    :func:`validate_table` on ``csv.reader`` rows.
     """
     header = fh.readline().decode("utf-8-sig", "replace")  # U+FFFD: maybe not UTF-8
-    fields = header[:-1].split(",")  # as csv.reader splits it
-    if (not header.endswith("\n") or any(c in header for c in '"\r\0\ufffd')
-            or max(map(len, fields)) > csv.field_size_limit()):
+    if not header.endswith("\n") or "\ufffd" in header:
         return None
-    line = 2 * len(fields)
+    try:
+        fields = next(csv.reader([header]))
+    except csv.Error:  # a bare "\r", or a field over csv.field_size_limit()
+        return None
+    if not fields or any("\r" in field or "\n" in field for field in fields):
+        return None  # a blank line, or a quoted field that may go on past the line
+    end = b"\r\n" if header.endswith("\r\n") else b"\n"
+    # a line is the cells, "0" or "1" (which differ in the last bit alone),
+    # with commas between them and the line end after them
+    row = np.frombuffer(",".join("0" * len(fields)).encode() + end, np.uint8)
+    mask = np.where(row == ord("0"), np.uint8(0xFE), np.uint8(0xFF))
+    line = len(row)
     n = max(0, -(-(os.fstat(fh.fileno()).st_size - fh.tell()) // line))  # rows, by the size
     grid = np.empty((len(fields), n), np.uint8)
-    ends = np.frombuffer(b"," * (len(fields) - 1) + b"\n", np.uint8)
     start = 0
     for block in iter(partial(fh.read, max(1, _BLOCK_CHARS // line) * line), b""):
-        if len(block) % line == line - 1:  # the last line, without its "\n"
-            block += b"\n"
+        if len(block) % line == line - len(end):  # the last line, without its end
+            block += end
         stop = start + len(block) // line
         if len(block) % line or stop > n:
             return None
         view = np.frombuffer(block, np.uint8).reshape(-1, line)
-        cells = view[:, 0::2] - ord("0")  # a byte below "0" wraps past 1
-        if (view[:, 1::2] != ends).any() or (cells > 1).any():
+        if ((view & mask) != row).any():
             return None
-        grid[:, start:stop] = cells.T
+        grid[:, start:stop] = (view[:, : 2 * len(fields) : 2] & 1).T
         start = stop
     return _table(_column_names(fields), grid.T) if start == n else None
-
-
-def _file_lines(fh):
-    """The lines of ``fh``, a file opened with ``newline=""``, one list per
-    block of ``_BLOCK_CHARS`` characters.
-
-    A block is cut into lines by one ``str.split("\\n")``, so the per-line
-    work is the :class:`_Records` lookup alone; the lines lose their
-    ``\\n``.  From the first ``\\r`` or ``"`` on, where a line break may
-    end a line or sit in a quoted field, lines keep their ends and break
-    where iterating ``fh`` breaks them.
-    """
-    rest = ""  # the block's last line, which may go on in the next block
-    exact = False
-    for block in iter(partial(fh.read, _BLOCK_CHARS), ""):
-        text = rest + block
-        exact = exact or "\r" in text or '"' in text
-        lines = io.StringIO(text, newline="").readlines() if exact else text.split("\n")
-        rest = lines.pop()
-        yield lines
-    if rest:
-        yield [rest]
-
-
-_BLANK, _RAGGED = -1, -2
-
-
-class _Records(dict):
-    """The number of each distinct record of a CSV stream, counted from 0 in
-    order of first appearance, with the fields of numbered records in one
-    row-major list.
-
-    A record is one line, or the lines a quoted field spans; it is keyed by
-    its text.  A blank record reads as ``_BLANK``.  A ragged one reads as
-    ``_RAGGED`` and leaves its field count in ``ragged``.  Neither is
-    numbered.
-    """
-
-    def __init__(self, lines, width: int):
-        super().__init__()
-        self.lines = lines  # the stream's iterator, for the lines of a quoted field
-        self.width = width
-        self.cells: list[str] = []
-        self.ragged = 0
-        self.limit = csv.field_size_limit()
-
-    def __missing__(self, line: str) -> int:
-        body = line.rstrip("\r\n")
-        # csv.reader splits these otherwise than str.split(","), or refuses them
-        special = '"' in body or "\r" in body or "\n" in body or "\0" in body
-        if special or len(body) > self.limit:
-            parts = [line]
-            fields = next(csv.reader(_record_lines(parts, self.lines)))
-            if len(parts) > 1:
-                # not keyed by its first line: the next time that line is
-                # seen, its quoted field must take its other lines again
-                return self["".join(parts)]
-        else:
-            fields = body.split(",") if body else []
-        if len(fields) == self.width:
-            self[line] = number = len(self.cells) // self.width
-            self.cells.extend(fields)
-            return number
-        if fields:
-            self.ragged = len(fields)
-            return _RAGGED
-        self[line] = _BLANK
-        return _BLANK
-
-
-def _record_lines(parts: list[str], lines):
-    """``parts[0]``, then the lines that follow, each added to ``parts``."""
-    yield parts[0]
-    for line in lines:
-        parts.append(line)
-        yield line
-
-
-def _read_csv_stream(stream) -> BinaryDataset:
-    lines = iter(stream)
-    try:
-        header = next(csv.reader(lines))
-    except StopIteration:
-        raise DatasetError("empty input: no header row") from None
-    names = _column_names(header)
-    width = len(names)
-    records = _Records(lines, width)
-    # one number per record, up to the first ragged one
-    index = np.fromiter(iter(map(records.__getitem__, lines).__next__, _RAGGED), np.int32)
-    index = index[index != _BLANK]
-    cells = records.cells
-
-    def bad_cell(i):  # the first row of the first record with a bad cell
-        row = int(np.argmax(index == i // width)) + 1
-        return NonBinaryValueError(row, names[i % width], cells[i])
-
-    patterns = _binary_codes(cells, _CellCodes().__getitem__, bad_cell).reshape(-1, width)
-    if records.ragged:
-        raise LengthMismatchError(
-            f"row {len(index) + 1} has {records.ragged} fields, header has {width}"
-        )
-    return _table(names, patterns, index)
 
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:

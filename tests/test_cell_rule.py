@@ -1,11 +1,13 @@
 """The 0/1 cell rule shared by CSV tables and arrays, against a per-cell oracle,
-and the line reader and the byte reader of CSV files against the whole-file
-``csv.reader``."""
+also across ``validate_table``'s chunks of cells, and the byte reader of
+canonical CSV files against ``validate_table`` on whole-file ``csv.reader``
+rows."""
 
 import csv
 import io
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -120,6 +122,56 @@ def arrays(draw):
 def test_validate_table_matches_the_per_cell_oracle(table):
     header, rows = table
     assert outcome(validate_table, header, rows) == outcome(oracle_table, header, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables(), st.integers(1, 12))
+def test_validate_table_matches_the_per_cell_oracle_across_chunks(table, chunk):
+    # chunks of at least 1 to 12 cells (_BLOCK_CHARS // 16) put a chunk end
+    # after any row of these tables of up to 18 cells, so the first bad
+    # cell and a ragged row fall in one chunk or in two
+    header, rows = table
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * chunk):
+        assert outcome(validate_table, header, rows) == outcome(oracle_table, header, rows)
+
+
+def test_validate_table_holds_one_chunk_of_cells():
+    # 300,000 distinct "1.0" strings, 60 bytes each with their list slot,
+    # would take about 18 MB held at once
+    rows = ([format(1.0, ".1f") for _ in range(10)] for _ in range(30_000))
+    header = ["z", *(f"r{j}" for j in range(9))]
+    tracemalloc.start()
+    try:
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 16):  # 4,096 cells
+            data = validate_table(header, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert data.n == 30_000 and data.z.all() and all(data.rule(r).all() for r in data.rule_ids)
+
+
+def test_validate_table_keeps_the_error_order_across_chunks():
+    def rows(tail):
+        yield ["1", "x"]
+        yield from [["0", "1"]] * 40  # 20 chunks of 4 cells
+        yield from tail
+
+    def stream_error():
+        raise csv.Error("bad stream")
+        yield
+
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * 4):
+        # rows are drained past the first bad cell: a later stream error wins
+        with pytest.raises(csv.Error, match="bad stream"):
+            validate_table(["z", "r"], rows(stream_error()))
+        # a bad cell beats a ragged row below it, chunks away
+        with pytest.raises(NonBinaryValueError, match="'x' at row 1, column 'r'"):
+            validate_table(["z", "r"], rows([["0"], ["1", "y"]]))
+        with pytest.raises(NonBinaryValueError, match="'y' at row 41, column 'r'"):
+            validate_table(["z", "r"], [*rows([["1", "y"], ["0"]])][1:])
+        with pytest.raises(LengthMismatchError, match="row 41 has 1 fields"):
+            validate_table(["z", "r"], [*rows([["0"], ["1", "y"]])][1:])
 
 
 @settings(max_examples=400, deadline=None)
@@ -362,12 +414,58 @@ def test_read_csv_reads_canonical_files_as_csv_reader_rows(tmp_path_factory, tex
         assert read_outcome(lambda _: read_csv(path), opened) == read_outcome(reference_csv, opened)
 
 
-def test_read_csv_reads_a_canonical_file_without_the_line_reader(tmp_path):
+@settings(max_examples=300, deadline=None)
+@given(canonical_files(), st.booleans(), st.booleans(), st.integers(1, 64))
+def test_read_csv_reads_crlf_and_quoted_header_files_as_csv_reader_rows(
+    tmp_path_factory, text, crlf, quoted, block
+):
+    bom = text[:3] if text.startswith(b"\xef\xbb\xbf") else b""
+    header, newline, rows = text[len(bom):].partition(b"\n")
+    if quoted:  # each header field in quotes, as R's write.csv writes them
+        header = b",".join(b'"' + field + b'"' for field in header.split(b","))
+    text = bom + header + newline + rows
+    if crlf:
+        text = text.replace(b"\n", b"\r\n")
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text)
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        assert read_outcome(lambda _: read_csv(path), opened) == read_outcome(reference_csv, opened)
+
+
+@pytest.mark.parametrize("text", [
+    b"r,z,s\r\n1,1,0\r\n0,1,1\r\n1,1,0\r\n0,0,0\r\n",
+    b"r,z,s\r\n1,1,0\r\n0,1,1\r\n1,1,0\r\n0,0,0",
+    b'"r","z","s"\n1,1,0\n0,1,1\n1,1,0\n0,0,0\n',
+    b'\xef\xbb\xbf"r",z," s"\r\n1,1,0\r\n0,1,1\r\n1,1,0\r\n0,0,0',
+], ids=["crlf", "crlf, no final line end", "quoted header", "bom, quoted header, crlf"])
+def test_read_csv_reads_crlf_and_quoted_header_files_as_a_byte_matrix(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    want = read_outcome(reference_csv, opened)
+    assert want[0] == "ok"
+    with mock.patch.object(dataset, "_read_csv_stream", side_effect=AssertionError):
+        assert read_outcome(lambda _: read_csv(path), opened) == want
+
+
+@pytest.mark.parametrize("text", [b'z,"r\n1,0\n0,1\n', b'z,"r\r\n1,0\r\n0,1\r\n'])
+def test_read_csv_reads_a_header_quote_left_open_as_csv_reader_rows(tmp_path, text):
+    # the quoted field takes in every line below the header: there are no rows
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    want = read_outcome(reference_csv, opened)
+    assert want[1] is TooFewRowsError
+    assert read_outcome(lambda _: read_csv(path), opened) == want
+
+
+def test_read_csv_reads_a_canonical_file_as_a_byte_matrix(tmp_path):
     path = tmp_path / "table.csv"
     path.write_bytes(b"\xef\xbb\xbfr,z,s\n1,1,0\n0,1,1\n1,1,0\n0,0,0")
-    with mock.patch.object(dataset._Records, "__missing__", side_effect=AssertionError):
+    with mock.patch.object(dataset, "_read_csv_stream", side_effect=AssertionError):
         data = read_csv(path)
-        with pytest.raises(AssertionError):  # the line reader reads any other file
+        with pytest.raises(AssertionError):  # the csv.reader fallback reads any other input
             read_csv(io.StringIO("z,r\n1,0\n0,1\n"))
     assert data.rule_ids == ("r", "s")
     assert data.z.tolist() == [1, 1, 1, 0]
@@ -378,7 +476,7 @@ def test_read_csv_reads_a_canonical_file_without_the_line_reader(tmp_path):
 
 def test_read_csv_reads_every_row_of_a_fifo(tmp_path):
     # a FIFO has no size to count its rows by; it is opened once, and read
-    # by the line reader
+    # by csv.reader
     path = tmp_path / "table.fifo"
     os.mkfifo(path)
     rows = ["1,0", "0,1", "1,1"] * 1000

@@ -214,16 +214,12 @@ def test_row_counts_match_a_direct_tally_past_the_code_width():
        seed=st.integers(0, 2**32 - 1))
 @example(n=64, width=64, distinct=2, seed=0)  # past 62 bits the codes are relabelled
 def test_distinct_rows_counted_as_sorted(n, width, distinct, seed):
-    # unweighted rows are counted in 2**width bins when those are at most
-    # 2n; the same rows with unit weights always go through np.unique
+    # rows are counted in 2**width bins when those are at most 2n, and
+    # sorted by np.unique otherwise; both branches give the sorted tally
     rng = np.random.default_rng(seed)
     grid = rng.integers(0, 2, (distinct, width), dtype=np.uint8)[rng.integers(0, distinct, n)]
-    columns = tuple(grid.T)
-    patterns, counts = _distinct_rows(columns)
-    sorted_patterns, sorted_counts = _distinct_rows(columns, np.ones(n, dtype=np.intp))
-    assert patterns.dtype == sorted_patterns.dtype and counts.dtype == sorted_counts.dtype
-    assert patterns.tolist() == sorted_patterns.tolist()
-    assert counts.tolist() == sorted_counts.tolist()
+    patterns, counts = _distinct_rows(tuple(grid.T))
+    assert patterns.dtype == np.uint8 and counts.dtype == np.intp
     tally = sorted(Counter(map(tuple, grid.tolist())).items())
     assert [(tuple(p), c) for p, c in zip(patterns.tolist(), counts.tolist())] == tally
 
