@@ -14,7 +14,6 @@ from .covariance import (
     blurring_matrix,
     correct,
     correlation,
-    covariance_matrix,
 )
 from .dataset import (
     BinaryDataset,
@@ -48,8 +47,6 @@ from .intervals import (
     IntervalSpec,
     TargetInterval,
     analyze,
-    individual_ci,
-    joint_cis,
 )
 from .measures import (
     GradientTriple,
@@ -112,7 +109,6 @@ __all__ = [
     # covariance
     "CovarianceEstimate",
     "CorrelationMatrix",
-    "covariance_matrix",
     "blurring_matrix",
     "correct",
     "correlation",
@@ -129,8 +125,6 @@ __all__ = [
     "IntervalSpec",
     "IntervalReport",
     "TargetInterval",
-    "individual_ci",
-    "joint_cis",
     "analyze",
     "CHOICE_PLUGIN",
     "CHOICE_CORRECTED",

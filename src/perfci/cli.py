@@ -96,7 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--replications", type=int, default=None)
     pc.add_argument("--alpha", type=float, default=None)
     pc.add_argument("--choice", type=int, choices=(1, 2), default=None)
-    pc.add_argument("--joint", default=None, help="joint sets, as for analyze (default per-rule)")
+    pc.add_argument(
+        "--joint",
+        default=None,
+        help="joint sets: 'all', 'per-rule' (default), index groups like '0,1;2,3', "
+        "or mixes like 'per-rule,all;0,3'",
+    )
     pc.add_argument("--draws", type=int, default=None)
     pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--format", choices=("json", "table"), default="table", dest="fmt")

@@ -67,7 +67,6 @@ __all__ = [
     "TargetEstimates",
     "estimate_targets",
     "influence",
-    "covariance_matrix",
     "covariance_from_influences",
     "blurring_matrix",
     "correct",
@@ -255,18 +254,6 @@ def _constant_rows_zeroed(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     v[constant, :] = 0.0
     v[:, constant] = 0.0
     return v
-
-
-def covariance_matrix(
-    data: BinaryDataset,
-    targets: Sequence[EvaluationTarget],
-    catalog: MeasureCatalog | None = None,
-) -> CovarianceEstimate:
-    """Plug-in covariance for an ordered target list; raises the first failure."""
-    fit = estimate_targets(data, targets, catalog)
-    if fit.errors:
-        raise fit.errors[min(fit.errors)]
-    return fit.cov
 
 
 def blurring_matrix(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from perfci.cli import main
-from perfci.covariance import covariance_matrix, influence
+from perfci.covariance import estimate_targets, influence
 from perfci.dataset import BinaryDataset, make_targets
 from perfci.measures import (
     MomentTriple,
@@ -195,7 +195,7 @@ def test_criterion_04_delta_method_identity():
         data = BinaryDataset.from_arrays(z, rules)
         picked = list(rng.choice(measures, size=rng.integers(1, 3), replace=False))
         targets = make_targets(data.rule_ids, picked)
-        got = covariance_matrix(data, targets).v
+        got = estimate_targets(data, targets).cov.v
 
         # oracle: np.cov of the stacked raw moment rows, projected
         rows, index = [], {}

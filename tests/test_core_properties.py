@@ -12,6 +12,7 @@ of the rule columns, and every JSON report of ``perfci analyze``,
 """
 
 import dataclasses
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -25,7 +26,6 @@ from perfci.cli import main
 from perfci.covariance import (
     correct,
     covariance_from_influences,
-    covariance_matrix,
     estimate_targets,
     influence,
 )
@@ -169,6 +169,35 @@ def test_reordering_rule_columns_leaves_reports_unchanged(data, random):
                 assert (row.lower, row.upper, row.variance) == close(old.lower, old.upper, old.variance)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data(), st.sampled_from(["individual", "joint"]), st.sampled_from([1, 2]))
+def test_subset_fit_matches_the_full_fit(data, pick, mode, choice):
+    # a subset is analyzed by fitting only its targets; set_report over those
+    # members of the full fit must agree with it
+    targets = make_targets(data.rule_ids, MEASURES)
+    members = pick.draw(
+        st.lists(st.integers(0, len(targets) - 1), min_size=1, max_size=4, unique=True)
+    )
+    subset = [targets[i] for i in members]
+    spec = IntervalSpec(mode=mode, choice=choice, draws=1000, seed=5)
+    full = set_report(estimate_targets(data, targets), targets, members, spec)
+    own = set_report(estimate_targets(data, subset), subset, range(len(subset)), spec)
+    if full.ok_rows:
+        assert (own.q, own.quantile_method, own.draws) == (full.q, full.quantile_method, full.draws)
+    else:
+        assert math.isnan(own.q) and own.quantile_method is None
+    for j, (row, want) in enumerate(zip(own.rows, full.rows, strict=True)):
+        # a singular-variance error names the target's position in its own list
+        error = row.error and row.error.replace(f"for target {j}", f"for target {members[j]}")
+        assert (row.rule_id, row.measure_id, error, row.estimate) == (
+            want.rule_id, want.measure_id, want.error, want.estimate
+        )
+        if row.ok:
+            assert (row.variance, row.half_width) == pytest.approx(
+                (want.variance, want.half_width), rel=1e-12
+            )
+
+
 def test_all_positive_labels_give_exact_zero_lift_and_overlap_variance():
     # z == 1 everywhere: lift and overlap influence values are constant
     data = BinaryDataset.from_arrays([1] * 6, {"a": [1, 0, 1, 1, 0, 0]})
@@ -224,12 +253,12 @@ def test_distinct_rows_counted_as_sorted(n, width, distinct, seed):
     assert [(tuple(p), c) for p, c in zip(patterns.tolist(), counts.tolist())] == tally
 
 
-def test_covariance_matrix_raises_the_first_target_failure():
+def test_estimate_targets_records_each_target_failure():
     data = BinaryDataset.from_arrays([1, 1, 0, 0], {"tie": [0, 0, 1, 1]})
-    with pytest.raises(DomainError):
-        covariance_matrix(data, make_targets(["tie"], ["accuracy", "overlap"]))
-    with pytest.raises(UnknownRuleError):
-        covariance_matrix(data, make_targets(["nope"], ["accuracy"]))
+    fit = estimate_targets(data, make_targets(["tie"], ["accuracy", "overlap"]))
+    assert fit.alive == (0,) and isinstance(fit.errors[1], DomainError)
+    fit = estimate_targets(data, make_targets(["nope"], ["accuracy"]))
+    assert fit.alive == () and isinstance(fit.errors[0], UnknownRuleError)
 
 
 @settings(max_examples=80, deadline=None)

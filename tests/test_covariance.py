@@ -10,7 +10,7 @@ from perfci.covariance import (
     correct,
     correlation,
     covariance_from_influences,
-    covariance_matrix,
+    estimate_targets,
     influence,
 )
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets
@@ -81,7 +81,7 @@ def test_influence_values_for_accuracy_toy():
 
 
 def test_plugin_variance_for_accuracy_toy():
-    est = covariance_matrix(toy_dataset(), [EvaluationTarget("a", "accuracy")])
+    est = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")]).cov
     assert est.v.shape == (1, 1)
     assert est.v[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert est.n == 4 and not est.corrected
@@ -105,7 +105,7 @@ def test_accuracy_variance_matches_binomial_formula():
     for _ in range(50):
         n = int(rng.integers(5, 80))
         data = sample_dataset(rng, 1, n)
-        est = covariance_matrix(data, [EvaluationTarget("r0", "accuracy")])
+        est = estimate_targets(data, [EvaluationTarget("r0", "accuracy")]).cov
         p = float(np.mean(data.z == data.rule("r0")))
         assert est.v[0, 0] == pytest.approx(n * p * (1 - p) / (n - 1), abs=1e-13)
 
@@ -119,7 +119,7 @@ def test_covariance_matches_stacked_moment_oracle():
         data = sample_dataset(rng, rule_count, n)
         picked = list(rng.choice(measures, size=rng.integers(1, 3), replace=False))
         targets = make_targets(data.rule_ids, picked)
-        got = covariance_matrix(data, targets).v
+        got = estimate_targets(data, targets).cov.v
         want = stacked_moment_oracle(data, targets)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -129,7 +129,7 @@ def test_covariance_is_symmetric_and_near_psd():
     for _ in range(25):
         data = sample_dataset(rng, 2, int(rng.integers(12, 40)))
         targets = make_targets(data.rule_ids, ["accuracy", "f1"])
-        v = covariance_matrix(data, targets).v
+        v = estimate_targets(data, targets).cov.v
         np.testing.assert_array_equal(v, v.T)
         assert np.linalg.eigvalsh(v).min() > -1e-10 * max(1.0, np.max(np.abs(v)))
 
@@ -138,7 +138,7 @@ def test_degenerate_rows_snap_to_exact_zero():
     z = np.array([1, 0, 1, 0, 1])
     data = BinaryDataset.from_arrays(z, {"perfect": z.copy(), "noisy": [1, 1, 0, 0, 1]})
     targets = make_targets(["perfect", "noisy"], ["accuracy"])
-    est = covariance_matrix(data, targets)
+    est = estimate_targets(data, targets).cov
     assert est.v[0, 0] == 0.0
     assert est.v[0, 1] == 0.0 and est.v[1, 0] == 0.0
     assert est.v[1, 1] > 0.0
@@ -174,7 +174,7 @@ def test_blurring_values_and_scaling():
 
 
 def test_correct_adds_diagonal_only():
-    est = covariance_matrix(toy_dataset(), [EvaluationTarget("a", "accuracy")])
+    est = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")]).cov
     g = influence(toy_dataset(), EvaluationTarget("a", "accuracy")).gradient
     fixed = correct(est, alpha=0.05, gradients=[g])
     assert fixed.corrected and fixed.alpha == 0.05

@@ -7,9 +7,11 @@ import pytest
 
 from perfci.covariance import (
     CovarianceEstimate,
+    TargetEstimates,
     correct,
     correlation,
     covariance_from_influences,
+    estimate_targets,
     influence,
 )
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets
@@ -17,16 +19,15 @@ from perfci.errors import (
     DimensionMismatchError,
     NoUsableTargetsError,
     OutOfRangeError,
-    SingularVarianceError,
 )
 from perfci.intervals import (
     CHOICE_CORRECTED,
     CHOICE_PLUGIN,
     IntervalSpec,
     analyze,
-    individual_ci,
-    joint_cis,
+    set_report,
 )
+from perfci.measures import GradientTriple, resolve_measure
 from perfci.quantiles import QuantileRequest, inv_norm_cdf, max_abs_quantile, sidak_quantile
 
 Z = inv_norm_cdf(0.975)
@@ -46,22 +47,6 @@ def random_dataset(rng, n, rules=1):
             return BinaryDataset.from_arrays(z, cols)
 
 
-def test_individual_ci_frozen_examples():
-    lo, hi = individual_ci(0.5, 1.0 / 3.0, 4, 0.05)
-    assert (round(lo, 4), round(hi, 4)) == (-0.0658, 1.0658)
-    lo, hi = individual_ci(0.9, 0.01, 100, 0.05)
-    assert (round(lo, 4), round(hi, 4)) == (0.8804, 0.9196)
-
-
-def test_individual_ci_preconditions():
-    with pytest.raises(SingularVarianceError):
-        individual_ci(0.5, 0.0, 10, 0.05)
-    with pytest.raises(SingularVarianceError):
-        individual_ci(0.5, -1.0, 10, 0.05)
-    with pytest.raises(OutOfRangeError):
-        individual_ci(0.5, 1.0, 10, 0.0)
-
-
 def test_interval_spec_validation():
     with pytest.raises(ValueError):
         IntervalSpec(mode="both")
@@ -69,8 +54,6 @@ def test_interval_spec_validation():
         IntervalSpec(choice=3)
     with pytest.raises(OutOfRangeError):
         IntervalSpec(alpha=1.0)
-    spec = IntervalSpec(target_set=[1, 0])
-    assert spec.target_set == (1, 0)
 
 
 def test_accuracy_individual_reduces_to_binomial_interval():
@@ -99,9 +82,17 @@ def test_singleton_joint_matches_individual_to_mc_accuracy():
 
 
 def test_joint_cis_on_synthetic_independent_pair():
-    cov = CovarianceEstimate(v=np.eye(2), n=100)
+    targets = [EvaluationTarget("a", "accuracy"), EvaluationTarget("b", "accuracy")]
+    fit = TargetEstimates(
+        alive=(0, 1),
+        measures=(resolve_measure("accuracy"),) * 2,
+        estimates=np.array([0.5, 0.6]),
+        gradients=(GradientTriple(2.0, -1.0, -1.0),) * 2,
+        errors={},
+        cov=CovarianceEstimate(v=np.eye(2), n=100),
+    )
     spec = IntervalSpec(choice=CHOICE_PLUGIN, draws=50_000, seed=2)
-    report = joint_cis([0.5, 0.6], cov, spec)
+    report = set_report(fit, targets, (0, 1), spec)
     assert report.q == pytest.approx(sidak_quantile(0.05, 2), abs=0.03)
     for row, est in zip(report.rows, (0.5, 0.6)):
         assert row.estimate == est
@@ -110,24 +101,23 @@ def test_joint_cis_on_synthetic_independent_pair():
 
 
 def test_joint_cis_duplicate_targets_collapse_to_scalar_quantile():
-    data = toy_dataset()
-    iv = influence(data, EvaluationTarget("a", "accuracy"))
-    cov = covariance_from_influences([iv, iv], data.n)
-    report = joint_cis(
-        [iv.estimate, iv.estimate], cov, IntervalSpec(choice=CHOICE_PLUGIN, draws=50_000)
-    )
+    target = EvaluationTarget("a", "accuracy")
+    spec = IntervalSpec(choice=CHOICE_PLUGIN, draws=50_000)
+    report = analyze(toy_dataset(), [target, target], spec)
     assert report.q == pytest.approx(Z, abs=0.03)
 
 
 def test_joint_cis_shape_and_subset_checks():
-    cov = CovarianceEstimate(v=np.eye(2), n=50)
+    data = toy_dataset()
     spec = IntervalSpec(choice=CHOICE_PLUGIN)
-    with pytest.raises(DimensionMismatchError):
-        joint_cis([0.5], cov, spec)
-    with pytest.raises(DimensionMismatchError):
-        joint_cis([0.5, 0.6], cov, IntervalSpec(target_set=(0, 5)))
-    with pytest.raises(DimensionMismatchError):
-        joint_cis([0.5, 0.6], cov, IntervalSpec(target_set=()))
+    with pytest.raises(DimensionMismatchError, match="empty"):
+        analyze(data, [], spec)
+    targets = make_targets(["a"], ["accuracy", "f1"])
+    fit = estimate_targets(data, targets)
+    with pytest.raises(DimensionMismatchError, match="out of range"):
+        set_report(fit, targets, (0, 5), spec)
+    with pytest.raises(DimensionMismatchError, match="empty"):
+        set_report(fit, targets, (), spec)
 
 
 def test_analyze_matches_manual_pipeline_exactly():
@@ -159,8 +149,8 @@ def test_analyze_matches_manual_pipeline_exactly():
 def test_analyze_target_order_and_subset():
     data = random_dataset(np.random.default_rng(53), 30, rules=2)
     targets = make_targets(data.rule_ids, ["accuracy", "f1"])
-    spec = IntervalSpec(mode="individual", target_set=(3, 0))
-    report = analyze(data, targets, spec)
+    spec = IntervalSpec(mode="individual")
+    report = analyze(data, [targets[3], targets[0]], spec)
     assert [(r.rule_id, r.measure_id) for r in report.rows] == [
         ("r1", "f1"),
         ("r0", "accuracy"),

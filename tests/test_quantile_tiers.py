@@ -234,9 +234,9 @@ def test_reports_carry_quantile_provenance():
     targets = make_targets(data.rule_ids, ["accuracy", "f1"])
     individual = analyze(data, targets, IntervalSpec(mode="individual"))
     assert (individual.quantile_method, individual.jitter) == ("normal", 0.0)
-    pair = analyze(data, targets, IntervalSpec(target_set=(0, 1), draws=5_000))
+    pair = analyze(data, targets[:2], IntervalSpec(draws=5_000))
     assert (pair.quantile_method, pair.jitter) == ("bivariate", 0.0)
-    other = analyze(data, targets, IntervalSpec(target_set=(0, 1), draws=9_000, seed=3))
+    other = analyze(data, targets[:2], IntervalSpec(draws=9_000, seed=3))
     assert (other.q, other.mc_stderr, other.rows) == (pair.q, pair.mc_stderr, pair.rows)
     four = analyze(data, targets, IntervalSpec(draws=5_000))
     assert four.quantile_method == "monte_carlo" and four.jitter >= 0.0

@@ -18,7 +18,7 @@ from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
 from perfci.covariance import estimate_targets, influence
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_csv
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
-from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, joint_cis
+from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, set_report
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures
 from perfci.quantiles import two_sided_quantile
 from perfci.simulation import (
@@ -169,23 +169,26 @@ def _eight_rows():
 def test_target_set_rejects_a_repeated_index():
     data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "jaccard"])
     fit = estimate_targets(data, targets)
-    for target_set in ((0, 0), (1, 0, 1)):
-        spec = IntervalSpec(target_set=target_set, seed=1)
+    spec = IntervalSpec(seed=1)
+    for members in ((0, 0), (1, 0, 1)):
         with pytest.raises(DimensionMismatchError, match="repeat"):
-            analyze(data, targets, spec)
-        with pytest.raises(DimensionMismatchError, match="repeat"):
-            joint_cis(fit.estimates, fit.cov, spec)
-    report = analyze(data, targets[:1], IntervalSpec(target_set=(0,), seed=1))
+            set_report(fit, targets, members, spec)
+    report = analyze(data, targets[:1], spec)
     assert report.q == two_sided_quantile(0.05)
 
 
-def test_joint_cis_clamp_needs_targets():
+def test_set_report_refuses_members_out_of_range():
+    # these raised a bare StopIteration, with no message
     data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "jaccard"])
     fit = estimate_targets(data, targets)
-    spec = IntervalSpec(clamp=True, seed=1)
-    with pytest.raises(ValueError, match="clamp needs targets"):
-        joint_cis(fit.estimates, fit.cov, spec)
-    report = joint_cis(fit.estimates, fit.cov, spec, targets)
+    for members in ((0, 2), (2,), (-1,)):
+        with pytest.raises(DimensionMismatchError, match="out of range for 2 targets"):
+            set_report(fit, targets, members, IntervalSpec(seed=1))
+
+
+def test_clamp_cuts_unit_range_rows():
+    data, targets = _eight_rows(), make_targets(["a"], ["accuracy", "jaccard"])
+    report = analyze(data, targets, IntervalSpec(clamp=True, seed=1))
     assert all(0.0 <= row.lower <= row.upper <= 1.0 for row in report.rows)
 
 
@@ -227,8 +230,8 @@ def test_reports_record_their_draws(tmp_path, capsys):
         ((0, 1), "joint", "bivariate", 0),
         ((0, 1, 2), "individual", "normal", 0),
     ):
-        spec = IntervalSpec(mode=mode, target_set=members, draws=3000, seed=1)
-        report = analyze(data, targets, spec)
+        spec = IntervalSpec(mode=mode, draws=3000, seed=1)
+        report = analyze(data, [targets[i] for i in members], spec)
         assert (report.quantile_method, report.draws) == (method, draws)
 
     # a set with no usable member reports null draws, as it does q
