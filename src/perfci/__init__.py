@@ -20,6 +20,7 @@ from .dataset import (
     EvaluationTarget,
     compute_moments,
     make_targets,
+    read_counts,
     read_csv,
     validate_table,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "EvaluationTarget",
     "make_targets",
     "read_csv",
+    "read_counts",
     "validate_table",
     "compute_moments",
     # covariance

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import estimate_targets
-from .dataset import make_joint_sets, make_targets, read_csv
+from .dataset import make_joint_sets, make_targets, read_counts, read_csv
 from .errors import PerfciError
 from .intervals import IntervalReport, IntervalSpec, set_report
 from .measures import resolve_measure
@@ -167,7 +167,7 @@ def _measure_ids(raw: str) -> list[str]:
 
 
 def _analyze_cmd(args) -> int:
-    data = read_csv(args.table)
+    data = read_counts(args.table)
     measure_ids = _measure_ids(args.measures)
     targets = make_targets(data.rule_ids, measure_ids)
 

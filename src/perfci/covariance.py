@@ -158,8 +158,9 @@ def estimate_targets(
     """Estimates, gradients and plug-in covariance from one read of the row
     counts: with ``C`` the cross-products of the indicator columns and ``s =
     diag(C)`` their sums, each moment triple is ``s / n`` and ``n (n - 1) S =
-    n C - s s^T`` is int64, exact while ``n < 3e9``.  ``UnknownMeasureError``,
-    ``UnknownRuleError`` and ``DomainError`` fail one target, not the others."""
+    n C - s s^T`` is formed in Python ints, exact at any ``n``.
+    ``UnknownMeasureError``, ``UnknownRuleError`` and ``DomainError`` fail one
+    target, not the others."""
     patterns, counts = data.row_counts()
     n, n_rules = data.n, patterns.shape[1] - 1
     z, a = patterns[:, :1], patterns[:, 1:]
@@ -172,7 +173,8 @@ def estimate_targets(
     for pos, target in enumerate(targets):
         try:
             measure = resolve_measure(target.measure_id, catalog)
-            data.rule(target.rule_id)  # UnknownRuleError for an unknown id
+            if target.rule_id not in data.rule_ids:
+                raise UnknownRuleError(target.rule_id, data.rule_ids)
             r = data.rule_ids.index(target.rule_id)
             m = MomentTriple(*(int(s[i]) / n for i in (r, n_rules + r, -1)))
             estimate = measure.evaluate(m)
@@ -189,7 +191,9 @@ def estimate_targets(
     r, k = np.array(rules, dtype=np.intp), np.arange(len(rules))
     g = np.zeros((len(rules), 2 * n_rules + 1))
     g[k, r], g[k, n_rules + r], g[:, -1] = d.T
-    v = g @ (n * c - np.outer(s, s)) @ g.T / (n * (n - 1.0))
+    # n * C and s s^T pass int64 once n > 3.04e9; Python ints do not
+    s_int = s.astype(object)
+    v = g @ (n * c.astype(object) - np.outer(s_int, s_int)).astype(float) @ g.T / (n * (n - 1.0))
     # influence values on the (z, a) cells 00, 01, 10, 11, NaN where one does not occur
     n_za, n_a, n_z = s[r], s[n_rules + r], s[-1]
     occur = np.column_stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za]) > 0

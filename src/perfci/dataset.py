@@ -3,7 +3,8 @@
 The estimator consumes one table per evaluation: a ground-truth column
 ``z`` plus one 0/1 column per classification rule, all of common length
 ``n``.  Point estimates of the moment triple are the column means, so
-everything downstream is a smooth function of a few sample averages.
+everything downstream is a smooth function of a few sample averages, and
+the counts of the distinct ``(z, a_1..a_R)`` rows hold all of it.
 
 The CSV layout (shared with the command line) is a header row naming
 ``z`` and the rules, then one 0/1 row per observation.  A cell of a CSV
@@ -12,10 +13,14 @@ strings, as 0 or 1.  The first other cell (a CSV row by row, arrays column
 by column from ``z``) is rejected with its row and column in the message.
 
 :func:`read_csv` reads a regular file in the canonical layout (see
-:func:`_canonical_table`) as a byte matrix, and any other input as
+:func:`_canonical_blocks`) as a byte matrix, and any other input as
 :func:`validate_table` of ``csv.reader`` rows, which holds one chunk of
 cell strings at a time; either way the result, and every error, is that
-of ``validate_table(header, csv.reader(stream))``.
+of ``validate_table(header, csv.reader(stream))``.  :func:`read_counts`
+reads the same tables, with the same errors, into the counts-only form
+of :class:`BinaryDataset` (see :meth:`BinaryDataset.from_counts`), which
+``perfci analyze`` fits: a canonical file is folded into counts one block
+at a time, so its memory is one block plus the counts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +53,7 @@ __all__ = [
     "check_rule_ids",
     "validate_table",
     "read_csv",
+    "read_counts",
     "compute_moments",
 ]
 
@@ -133,13 +139,20 @@ class BinaryDataset:
 
     Use :meth:`from_arrays`, :func:`validate_table` or :func:`read_csv`
     to construct; the raw constructor trusts its inputs.
+    :meth:`from_counts` and :func:`read_counts` build the counts-only
+    form, which holds the counts of the distinct rows and not the rows:
+    it has ``n``, ``rule_ids`` and :meth:`row_counts`, which is all
+    :func:`~perfci.covariance.estimate_targets` reads, but ``z`` and
+    :meth:`rule` raise :class:`~perfci.errors.DatasetError`.
     """
 
-    __slots__ = ("_z", "_rules", "_row_counts")
+    __slots__ = ("_z", "_rules", "_rule_ids", "_n", "_row_counts")
 
     def __init__(self, z: np.ndarray, rules: dict[str, np.ndarray]):
         self._z = z
         self._rules = rules
+        self._rule_ids = tuple(rules)
+        self._n = int(z.shape[0])
         self._row_counts: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ------------------------------------------------------
@@ -174,60 +187,194 @@ class BinaryDataset:
             cols[rule_id] = col
         return cls(z_arr, cols)
 
+    @classmethod
+    def from_counts(
+        cls,
+        rule_ids: Sequence[str],
+        patterns: Sequence[Sequence[int]] | np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+    ) -> "BinaryDataset":
+        """Validate a table given as the counts of its rows: the counts-only form.
+
+        ``patterns`` is an ``(m, 1 + R)`` array of 0/1 rows, ``z`` first and
+        then the rules in ``rule_ids`` order, and ``counts`` the ``(m,)``
+        non-negative integers that say how often each row occurs; ``n`` is
+        their sum.  Repeated patterns are added up and zero counts dropped,
+        so :meth:`row_counts` is that of the table the counts describe.  A
+        pattern's cells follow the cell rule of :meth:`from_arrays`, and a
+        bad one is reported at its pattern's row.
+        """
+        rule_ids = tuple(rule_ids)
+        check_rule_ids(rule_ids)
+        if not rule_ids:
+            raise DatasetError("table needs at least one rule column besides z")
+        patterns, counts = np.asarray(patterns), np.asarray(counts)
+        if patterns.ndim != 2 or patterns.shape[1] != 1 + len(rule_ids):
+            raise LengthMismatchError(
+                f"patterns of shape {patterns.shape} for z and {len(rule_ids)} rules"
+            )
+        if counts.shape != patterns.shape[:1]:
+            raise LengthMismatchError(f"{counts.shape} counts for {len(patterns)} patterns")
+        # a uint64 count of 2**63 or more turns negative here
+        if counts.dtype.kind not in "iu" or (counts.astype(np.int64) < 0).any():
+            raise DatasetError("counts must be integers from 0 to 2**63 - 1")
+        columns = [_as_binary_column(col, name) for name, col in zip(("z", *rule_ids), patterns.T)]
+        n = sum(counts.tolist())
+        if n < MIN_ROWS:
+            raise TooFewRowsError(n)
+        if n >= 2**53:
+            raise DatasetError(f"n = {n} is not below 2**53, where the fit's sums are exact")
+        seen = counts > 0
+        keys, counts = _merged((_row_keys([c[seen] for c in columns], 0), counts[seen].astype(np.int64)))
+        return cls._counted(rule_ids, _key_rows(keys, len(columns)), counts)
+
+    @classmethod
+    def _counted(cls, rule_ids, patterns: np.ndarray, counts: np.ndarray) -> "BinaryDataset":
+        """The counts-only dataset of ``row_counts()`` ``(patterns, counts)``, trusted."""
+        data = cls.__new__(cls)
+        data._z = data._rules = None
+        data._rule_ids = tuple(rule_ids)
+        data._n = int(counts.sum())
+        data._row_counts = (patterns, counts)
+        return data
+
     # -- basic accessors ---------------------------------------------------
 
     @property
     def n(self) -> int:
-        return int(self._z.shape[0])
+        return self._n
 
     @property
     def z(self) -> np.ndarray:
+        if self._z is None:
+            raise _counts_only("z")
         return self._z
 
     @property
     def rule_ids(self) -> tuple[str, ...]:
-        return tuple(self._rules)
+        return self._rule_ids
 
     def rule(self, rule_id: str) -> np.ndarray:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise UnknownRuleError(rule_id, self.rule_ids) from None
+        if rule_id not in self._rule_ids:
+            raise UnknownRuleError(rule_id, self._rule_ids)
+        if self._rules is None:
+            raise _counts_only(f"rule {rule_id!r}")
+        return self._rules[rule_id]
 
     def row_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(m, 1 + R)`` distinct rows (``z`` first, then rules in
-        ``rule_ids`` order) and their ``(m,)`` counts, cached.  The row
-        order does not depend on the order of the table.
+        ``rule_ids`` order) as ``uint8``, in lexicographic order, and their
+        ``(m,)`` ``int64`` counts, cached.  The row order does not depend on
+        the order of the table.
         """
         if self._row_counts is None:
             self._row_counts = _distinct_rows((self._z, *self._rules.values()))
         return self._row_counts
 
     def __repr__(self) -> str:
-        return f"BinaryDataset(n={self.n}, rules={list(self._rules)})"
+        return f"BinaryDataset(n={self.n}, rules={list(self._rule_ids)})"
+
+
+def _counts_only(column: str) -> DatasetError:
+    return DatasetError(
+        f"this dataset holds counts only, not the column {column}; use row_counts()"
+    )
 
 
 def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of equal-length 0/1 ``columns``, in lexicographic
-    order, and how many times each occurs.  Rows whose codes fit in
-    ``2 * n`` bins are counted by ``np.bincount``, others sorted by
-    ``np.unique``."""
-    # one bit per column in an int64 code, relabelled densely at 62 bits
-    code = np.zeros(len(columns[0]), dtype=np.int64)
-    bits = 0
+    order, and how many times each occurs."""
+    return _count_rows([columns], len(columns), len(columns[0]), 0)
+
+
+# the most bins, one per possible row, that rows are counted in
+_MAX_BINS = 1 << 20
+
+
+def _count_rows(blocks, width: int, n: int, zero: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``blocks``, each a list of ``width`` equal-length
+    columns whose cells are ``zero`` or ``zero + 1``, as uint8 rows of 0/1 in
+    lexicographic order, and their int64 counts.  While the ``2**width``
+    possible rows fit in ``min(_MAX_BINS, 2 n)`` bins, for about ``n`` rows,
+    each row's code goes into its bin; else each block's distinct rows are
+    merged into sorted runs.  Memory is one block's codes plus the bins and
+    fewer than ``bins / 2`` codes of earlier blocks, or plus the distinct
+    rows."""
+    bins = 1 << width
+    if bins <= min(_MAX_BINS, 2 * n):
+        dtype = np.min_scalar_type(bins - 1)
+        counts = np.zeros(bins, np.int64)
+        # blocks are binned together until they hold bins / 2 rows, so the
+        # bins cost at most twice the rows however short the blocks are
+        batch, rows = [], 0
+        for columns in blocks:
+            batch.append(_row_codes(columns, dtype, zero))
+            rows += len(batch[-1])
+            if 2 * rows >= bins:
+                counts += np.bincount(np.concatenate(batch), minlength=bins)
+                batch, rows = [], 0
+        if batch:
+            counts += np.bincount(np.concatenate(batch), minlength=bins)
+        keys = np.flatnonzero(counts).astype(np.uint64)
+        counts = counts[keys]
+        keys <<= np.uint64(64 - width)
+    else:
+        # each run shorter than the one before: a row is merged about
+        # log2(m) times, and the runs hold at most 2m rows
+        runs = []
+        for columns in blocks:
+            runs.append(np.unique(_row_keys(columns, zero), return_counts=True))
+            while len(runs) > 1 and len(runs[-2][0]) <= len(runs[-1][0]):
+                runs[-2:] = [_merged(*runs[-2:])]
+        if not runs:  # no rows
+            runs.append((np.zeros(0, np.uint64), np.zeros(0, np.int64)))
+        keys, counts = runs[0] if len(runs) == 1 else _merged(*runs)
+    return _key_rows(keys, width), counts
+
+
+def _row_codes(columns, dtype, zero: int) -> np.ndarray:
+    """Each row of ``columns`` (cells ``zero`` or ``zero + 1``) as the bits of
+    one ``dtype`` code, the first column highest."""
+    code = np.zeros(len(columns[0]), dtype)
     for column in columns:
-        if bits == 62:
-            _, code = np.unique(code, return_inverse=True)
-            bits = int(code.max()).bit_length()
-        code = (code << 1) | column
-        bits += 1
-    if bits == len(columns) and 2**bits <= 2 * len(code):
-        counts = np.bincount(code)
-        code = np.flatnonzero(counts)
-        rows = (code[:, None] >> np.arange(bits - 1, -1, -1)) & 1
-        return rows.astype(np.uint8), counts[code]
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    return np.column_stack([c[first] for c in columns]), counts
+        code <<= 1
+        np.add(code, column, out=code, casting="unsafe")
+    # each cell added ``zero`` besides its bit, ``zero * (2**width - 1)`` in
+    # all, taken off modulo the dtype's range as the sums were
+    code -= zero * ((1 << len(columns)) - 1) % (1 << 8 * code.itemsize)
+    return code
+
+
+def _row_keys(columns, zero: int) -> np.ndarray:
+    """One key per row of ``columns`` whose order is the rows' lexicographic
+    order: the :func:`_row_codes` bits in the highest bits of 64-bit words;
+    a ``uint64`` for up to 64 columns, else a void of the words in
+    big-endian byte order."""
+    words = []
+    for i in range(0, len(columns), 64):
+        part = columns[i : i + 64]
+        words.append(_row_codes(part, np.uint64, zero) << np.uint64(64 - len(part)))
+    if len(words) == 1:
+        return words[0]
+    return np.column_stack(words).astype(">u8").view(np.dtype((np.void, 8 * len(words))))[:, 0]
+
+
+def _key_rows(keys: np.ndarray, width: int) -> np.ndarray:
+    """The ``(m, width)`` rows of :func:`_row_keys` ``keys``."""
+    words = keys.astype(">u8") if keys.dtype == np.uint64 else keys
+    return np.unpackbits(words.view(np.uint8).reshape(len(keys), words.itemsize), axis=1, count=width)
+
+
+def _merged(*runs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of ``(keys, counts)`` runs, sorted, and the sum of
+    the counts of each."""
+    keys, counts = (np.concatenate(arrays) for arrays in zip(*runs))
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def check_rule_ids(rule_ids: Iterable[str]) -> None:
@@ -300,9 +447,14 @@ def _table(names: list[str], patterns: np.ndarray) -> BinaryDataset:
     raises :class:`TooFewRowsError`."""
     if len(patterns) < MIN_ROWS:
         raise TooFewRowsError(len(patterns))
-    order = [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
+    order = _z_first(names)
     columns = patterns.T[order]  # one contiguous row per column
     return BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
+
+
+def _z_first(names: list[str]) -> list[int]:
+    """The column indices of :func:`_column_names` ``names``, ``z`` first."""
+    return [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
 
 
 _BLOCK_CHARS = 1 << 20
@@ -369,14 +521,42 @@ def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
 
     The result, and every error, is that of ``validate_table(header,
     csv.reader(stream))``, which reads any input.  A canonical regular
-    file is read as a byte matrix instead: one byte per cell, a second
-    while the columns are put ``z`` first, and one block.
+    file (see :func:`_canonical_blocks`) is read as a byte matrix instead:
+    one byte per cell, a second while the columns are put ``z`` first,
+    and one block.
     """
+    return _read_table(source, _canonical_grid)
+
+
+def read_counts(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
+    """Read and validate an evaluation table into the counts-only form.
+
+    The result has the ``rule_ids``, ``n`` and :meth:`~BinaryDataset.row_counts`
+    of :func:`read_csv`, and every error is that of :func:`read_csv`.  A
+    canonical regular file is folded into the counts block by block: one
+    block of about ``_BLOCK_CHARS`` bytes and its row codes, plus the
+    counts, held in one bin per possible row while the ``2**width`` bins
+    are at most ``min(_MAX_BINS, 2 n)``, else as the sorted distinct rows,
+    of which there are at most ``min(n, 2**width)``.  So up to 20 columns
+    its memory does not grow with ``n``.  Any other input is read as
+    :func:`read_csv` reads it, and only its counts are kept.
+    """
+    data = _read_table(source, _canonical_counts)
+    if data._z is None:  # folded from the file
+        return data
+    return BinaryDataset._counted(data.rule_ids, *data.row_counts())
+
+
+def _read_table(source, fold) -> BinaryDataset:
+    """``fold(fields, n, blocks)`` of :func:`_canonical_blocks` for a canonical
+    regular file, else ``validate_table`` of ``csv.reader`` rows."""
     if isinstance(source, (str, os.PathLike)):
         if os.path.isfile(source):  # not a FIFO, which can be read only once
             with open(source, "rb") as fh:
-                if (data := _canonical_table(fh)) is not None:
-                    return data
+                try:
+                    return fold(*_canonical_blocks(fh))
+                except _NotCanonical:
+                    pass
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(source, newline="", encoding="utf-8-sig") as fh:
             return _read_csv_stream(fh)
@@ -392,52 +572,97 @@ def _read_csv_stream(stream) -> BinaryDataset:
     return validate_table(header, rows)
 
 
-def _canonical_table(fh) -> BinaryDataset | None:
-    """The table in ``fh``, a regular file opened in binary mode, or None if
-    it is not canonical: a UTF-8 header line, ended by ``\\n`` or
-    ``\\r\\n``, whose fields ``csv.reader`` splits on that line alone
-    (quoted or not, but without a line break), then lines ``c,c,...,c`` of
-    one 0 or 1 per field, each with the header's line end (the last one may
-    be missing).  These are read as a byte matrix, ``_BLOCK_CHARS`` bytes
-    of whole lines at a time; the table's errors are those of
-    :func:`validate_table` on ``csv.reader`` rows.
+class _NotCanonical(Exception):
+    """The file is not canonical; it is read by ``csv.reader`` instead."""
+
+
+def _canonical_blocks(fh) -> tuple[list[str], int, Iterator[np.ndarray]]:
+    """The header fields of ``fh``, a regular file opened in binary mode, its
+    row count by its size, and its lines in blocks: ``(rows, line)`` uint8
+    views of ``_BLOCK_CHARS`` bytes of whole lines at most, each valid until
+    the next is read.  Raises :class:`_NotCanonical`, at once or while the
+    blocks are read, unless the file is canonical: a UTF-8 header line,
+    ended by ``\\n`` or ``\\r\\n``, whose fields ``csv.reader`` splits on
+    that line alone (quoted or not, but without a line break), then lines
+    ``c,c,...,c`` of one 0 or 1 per field, each with the header's line end
+    (the last one may be missing).  The table's errors are those of
+    :func:`validate_table` on ``csv.reader`` rows: the header's names are
+    not checked here.
     """
     header = fh.readline().decode("utf-8-sig", "replace")  # U+FFFD: maybe not UTF-8
     if not header.endswith("\n") or "\ufffd" in header:
-        return None
+        raise _NotCanonical
     try:
         fields = next(csv.reader([header]))
     except csv.Error:  # a bare "\r", or a field over csv.field_size_limit()
-        return None
+        raise _NotCanonical from None
     if not fields or any("\r" in field or "\n" in field for field in fields):
-        return None  # a blank line, or a quoted field that may go on past the line
+        raise _NotCanonical  # a blank line, or a quoted field that may go on past the line
     end = b"\r\n" if header.endswith("\r\n") else b"\n"
     # a line is the cells, "0" or "1" (which differ in the last bit alone),
     # with commas between them and the line end after them
     row = np.frombuffer(",".join("0" * len(fields)).encode() + end, np.uint8)
-    mask = np.where(row == ord("0"), np.uint8(0xFE), np.uint8(0xFF))
+    n = max(0, -(-(os.fstat(fh.fileno()).st_size - fh.tell()) // len(row)))
+    return fields, n, _blocks(fh, row, end, max(1, min(_BLOCK_CHARS // len(row), n + 1)))
+
+
+def _blocks(fh, row: np.ndarray, end: bytes, lines: int) -> Iterator[np.ndarray]:
+    """The rest of ``fh`` in views of ``lines`` lines, each line checked
+    against ``row`` with its cells' last bit masked off."""
     line = len(row)
-    n = max(0, -(-(os.fstat(fh.fileno()).st_size - fh.tell()) // line))  # rows, by the size
+    # bytes repeat far faster than np.tile of a short line
+    cell_bits = np.where(row == ord("0"), 0xFE, 0xFF).astype(np.uint8)
+    mask = np.frombuffer(cell_bits.tobytes() * lines, np.uint8)
+    template = row.tobytes() * lines
+    block = np.empty(len(template), np.uint8)
+    masked = bytearray(len(template))
+    for size in iter(partial(fh.readinto, block), 0):
+        if size % line == line - len(end):  # the last line, without its end
+            block[size : size + len(end)] = np.frombuffer(end, np.uint8)
+            size += len(end)
+        if size % line:
+            raise _NotCanonical
+        np.bitwise_and(block[:size], mask[:size], out=np.frombuffer(masked, np.uint8, size))
+        if not masked.startswith(template[:size]):
+            raise _NotCanonical
+        yield block[:size].reshape(-1, line)
+
+
+def _canonical_grid(fields: list[str], n: int, blocks) -> BinaryDataset:
+    """The table of :func:`_canonical_blocks` as a ``(width, n)`` byte grid;
+    raises :class:`_NotCanonical` if the file does not hold ``n`` rows."""
     grid = np.empty((len(fields), n), np.uint8)
     start = 0
-    for block in iter(partial(fh.read, max(1, _BLOCK_CHARS // line) * line), b""):
-        if len(block) % line == line - len(end):  # the last line, without its end
-            block += end
-        stop = start + len(block) // line
-        if len(block) % line or stop > n:
-            return None
-        view = np.frombuffer(block, np.uint8).reshape(-1, line)
-        if ((view & mask) != row).any():
-            return None
+    for view in blocks:
+        stop = start + len(view)
+        if stop > n:
+            raise _NotCanonical
         grid[:, start:stop] = (view[:, : 2 * len(fields) : 2] & 1).T
         start = stop
-    return _table(_column_names(fields), grid.T) if start == n else None
+    if start != n:
+        raise _NotCanonical
+    return _table(_column_names(fields), grid.T)
+
+
+def _canonical_counts(fields: list[str], n: int, blocks) -> BinaryDataset:
+    """The table of :func:`_canonical_blocks` as counts-only, by
+    :func:`_count_rows` of the blocks' cells, ``z`` first."""
+    # a bad header is the error of csv.reader rows too, whatever the lines
+    names = _column_names(fields)
+    order = _z_first(names)
+    patterns, counts = _count_rows(
+        ([view[:, 2 * j] for j in order] for view in blocks), len(order), n, ord("0")
+    )
+    if (total := int(counts.sum())) < MIN_ROWS:
+        raise TooFewRowsError(total)
+    return BinaryDataset._counted([names[j] for j in order[1:]], patterns, counts)
 
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:
     """Plug-in moment triple for one rule: sample means of ZA, A, Z, taken
     as integer counts over the distinct rows divided by ``n``."""
-    data.rule(rule_id)  # UnknownRuleError for an unknown id
+    if rule_id not in data.rule_ids:
+        raise UnknownRuleError(rule_id, data.rule_ids)
     patterns, counts = data.row_counts()
     z = patterns[:, 0]
     a = patterns[:, 1 + data.rule_ids.index(rule_id)]

@@ -1,7 +1,7 @@
 """The 0/1 cell rule shared by CSV tables and arrays, against a per-cell oracle,
-also across ``validate_table``'s chunks of cells, and the byte reader of
+also across ``validate_table``'s chunks of cells, the byte reader of
 canonical CSV files against ``validate_table`` on whole-file ``csv.reader``
-rows."""
+rows, and ``read_counts`` against ``read_csv``'s row counts."""
 
 import csv
 import io
@@ -16,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfci import dataset
-from perfci.dataset import BinaryDataset, read_csv, validate_table
+from perfci.covariance import estimate_targets
+from perfci.dataset import BinaryDataset, make_targets, read_counts, read_csv, validate_table
 from perfci.errors import DatasetError, LengthMismatchError, NonBinaryValueError, TooFewRowsError
+from perfci.measures import builtin_measures
 
 TOKENS = ["0", "1", " 1 ", "1.0", "-0", "+1", "1e0", "1_0", "0x1", "", "nan", "inf",
           "0.5", "yes", " 1", "\x1c1"]
@@ -515,3 +517,117 @@ def test_read_csv_reads_a_file_whose_size_is_wrong(tmp_path, size):
     with mock.patch.object(dataset.os, "fstat", fstat):
         data = read_csv(path)
     assert data.z.tolist() == [1, 0, 1, 0] and data.rule("r").tolist() == [0, 1, 1, 0]
+
+
+def counts_outcome(read, source):
+    """``read(source)`` as its counts: rule ids, ``n`` and the row counts with
+    their dtypes, or the error."""
+    try:
+        data = read(source)
+    except Exception as exc:  # the outcomes are compared, whatever they are
+        return ("error", type(exc), str(exc))
+    patterns, counts = data.row_counts()
+    return ("ok", data.rule_ids, data.n, patterns.dtype, patterns.tolist(), counts.dtype, counts.tolist())
+
+
+@st.composite
+def canonical_variants(draw):
+    """``canonical_files``, some with ``\\r\\n`` line ends or a quoted header."""
+    text = draw(canonical_files())
+    bom = text[:3] if text.startswith(b"\xef\xbb\xbf") else b""
+    header, newline, rows = text[len(bom):].partition(b"\n")
+    if draw(st.booleans()):
+        header = b",".join(b'"' + field + b'"' for field in header.split(b","))
+    text = bom + header + newline + rows
+    return text.replace(b"\n", b"\r\n") if draw(st.booleans()) else text
+
+
+def _table_bytes(names, grid):
+    return (",".join(names) + "\n").encode() + b"".join((",".join(map(str, row)) + "\n").encode() for row in grid)
+
+
+# 70 columns, z the 31st: row keys of two 64-bit words, past the 62 bits of one int64 code
+_WIDE_GRID = np.random.default_rng(11).integers(0, 2, (5, 70))[np.random.default_rng(12).integers(0, 5, 40)]
+WIDE_FILE = _table_bytes([f"r{j}" for j in range(30)] + ["z"] + [f"r{j}" for j in range(30, 69)], _WIDE_GRID)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_variants(), st.integers(1, 64))
+@example(WIDE_FILE, 64)  # a line per block
+@example(WIDE_FILE, 1 << 20)  # one block
+@example(_table_bytes(["z", "r0"], [[1, 0], [0, 0], [1, 1], [1, 0]]), 64)  # 4 bins for 4 rows: bincount
+@example(_table_bytes(["r0", "z", "r1"], [[1, 0, 1], [0, 0, 1], [1, 0, 1]]), 6)  # 8 bins for 3 rows: sorted
+@example(_table_bytes(["r0", "z", "r1"], [[1, 0, 1], [0, 0, 1], [1, 1, 1]] * 2 + [[0, 1, 0]]), 6)  # binned 4 + 3
+def test_read_counts_counts_as_read_csv_rows(tmp_path_factory, text, block):
+    # rows go to one bin per possible row when there are at most 2n bins,
+    # binned in batches of at least half as many rows as bins, else into
+    # sorted runs of distinct rows; blocks of 1 to 64 bytes put block ends
+    # on every line, between the batches and between the runs
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        want = counts_outcome(read_csv, path)
+        assert counts_outcome(read_counts, path) == want
+    if want[0] == "ok":
+        with pytest.raises(DatasetError, match="counts only"):
+            read_counts(path).z
+
+
+def test_read_counts_merges_sorted_runs_of_distinct_rows(tmp_path):
+    # 24 columns are past the bins' cap; one row per block makes a run each
+    grid = np.random.default_rng(4).integers(0, 2, (6, 24))[np.random.default_rng(5).integers(0, 6, 200)]
+    path = tmp_path / "table.csv"
+    path.write_bytes(_table_bytes(["z"] + [f"r{j}" for j in range(23)], grid))
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 48):
+        assert counts_outcome(read_counts, path) == counts_outcome(read_csv, path)
+
+
+@pytest.mark.parametrize("text", [
+    b"\xef\xbb\xbfr,z,s\n1,1,0\n0,1,1\n1,1,0\n0,0,0",
+    b"r,z,s\r\n1,1,0\r\n0,1,1\r\n1,1,0\r\n0,0,0\r\n",
+    b'"r","z","s"\n1,1,0\n0,1,1\n1,1,0\n0,0,0\n',
+])
+def test_read_counts_folds_a_canonical_file_without_csv_reader(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    want = counts_outcome(read_csv, path)
+    assert want[:3] == ("ok", ("r", "s"), 4)
+    with mock.patch.object(dataset, "_read_csv_stream", side_effect=AssertionError):
+        assert counts_outcome(read_counts, path) == want
+        with pytest.raises(AssertionError):  # any other input is read by csv.reader
+            read_counts(io.StringIO(text.decode("utf-8-sig")))
+
+
+def test_read_counts_fits_as_the_rows_do(tmp_path):
+    rng = np.random.default_rng(8)
+    grid = rng.integers(0, 2, (3000, 4))
+    path = tmp_path / "table.csv"
+    path.write_bytes(_table_bytes(["r0", "z", "r1", "r2"], grid))
+    rows, counts = read_csv(path), read_counts(path)
+    targets = make_targets(rows.rule_ids, [m.id for m in builtin_measures()])
+    want, got = estimate_targets(rows, targets), estimate_targets(counts, targets)
+    assert got.alive == want.alive and got.errors.keys() == want.errors.keys()
+    assert np.array_equal(got.estimates, want.estimates)
+    assert np.array_equal(got.cov.v, want.cov.v)
+
+
+def test_read_counts_memory_does_not_grow_with_n(tmp_path):
+    # 10**6 rows of z and 10 rules, the layout of the benchmark's table;
+    # read_csv holds about 30 MB for them, a byte per cell twice and a code per row
+    rows = 10**6
+    rng = np.random.default_rng(9)
+    text = np.empty((rows, 22), np.uint8)
+    text[:, 0::2] = rng.integers(0, 2, (rows, 11), np.uint8) + ord("0")
+    text[:, 1::2] = ord(",")
+    text[:, -1] = ord("\n")
+    path = tmp_path / "table.csv"
+    path.write_bytes((",".join(["z"] + [f"rule{j}" for j in range(10)]) + "\n").encode() + text.tobytes())
+    del text
+    tracemalloc.start()
+    try:
+        data = read_counts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == rows and data.row_counts()[1].sum() == rows
+    assert peak < 8 * 2**20

@@ -68,6 +68,51 @@ def test_unknown_rule_lists_known_ids():
     assert "good" in str(err.value)
 
 
+def test_from_counts_adds_up_repeated_patterns_in_row_order():
+    data = BinaryDataset.from_counts(
+        ["a", "b"], [[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 0]], np.array([2, 3, 4, 0], np.uint16)
+    )
+    rows = BinaryDataset.from_arrays([0, 0, 0] + [1] * 6, {"a": [0, 0, 0] + [1] * 6, "b": [1, 1, 1] + [0] * 6})
+    for got, want in zip(data.row_counts(), rows.row_counts()):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert (data.n, data.rule_ids) == (9, ("a", "b"))
+    assert repr(data) == "BinaryDataset(n=9, rules=['a', 'b'])"
+    m = compute_moments(data, "a")
+    assert (m.m_za, m.m_a, m.m_z) == (6 / 9, 6 / 9, 6 / 9)
+
+
+def test_from_counts_validates_its_input():
+    with pytest.raises(DuplicateRuleIdError):
+        BinaryDataset.from_counts(["a", "a"], [[0, 1, 1]], [2])
+    with pytest.raises(DatasetError, match="at least one rule"):
+        BinaryDataset.from_counts([], [[0], [1]], [1, 1])
+    with pytest.raises(LengthMismatchError, match="for z and 1 rules"):
+        BinaryDataset.from_counts(["a"], [[0, 1, 1]], [2])
+    with pytest.raises(LengthMismatchError, match="counts for 2 patterns"):
+        BinaryDataset.from_counts(["a"], [[0, 1], [1, 1]], [2])
+    for counts in ([-1, 3], [1.0, 2.0], np.array([2**63, 1], np.uint64)):
+        with pytest.raises(DatasetError, match="counts must be integers"):
+            BinaryDataset.from_counts(["a"], [[0, 1], [1, 1]], counts)
+    with pytest.raises(NonBinaryValueError, match="at row 2, column 'a'"):
+        BinaryDataset.from_counts(["a"], [[0, 1], [1, 2]], [1, 1])
+    with pytest.raises(TooFewRowsError):
+        BinaryDataset.from_counts(["a"], [[0, 1], [1, 1]], [1, 0])
+    with pytest.raises(DatasetError, match="2\\*\\*53"):
+        BinaryDataset.from_counts(["a"], [[0, 1], [1, 1]], [2**52, 2**52])
+
+
+def test_counts_only_dataset_has_no_columns():
+    data = BinaryDataset.from_counts(["a"], [[0, 1], [1, 1]], [3, 4])
+    with pytest.raises(DatasetError, match="holds counts only, not the column z"):
+        data.z
+    with pytest.raises(DatasetError, match="holds counts only, not the column rule 'a'"):
+        data.rule("a")
+    with pytest.raises(UnknownRuleError):
+        data.rule("b")
+    with pytest.raises(UnknownRuleError):
+        compute_moments(data, "b")
+
+
 def test_validate_table_happy_path_with_float_spellings():
     data = validate_table(
         ["z", "r"],

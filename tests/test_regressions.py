@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -426,3 +427,22 @@ def test_a_fit_reads_the_row_counts_once():
         # the per-row reference reads rows only
         influence(data, targets[0])
         assert row_counts.call_count == 1
+
+
+def test_covariance_is_exact_past_the_int64_range_of_n_times_c():
+    # n of about 8e9: n * C and s s^T pass 2**63, where int64 products wrap
+    counts = [2_000_000_011, 1_999_999_973, 2_000_000_029, 2_100_000_001]
+    patterns = [[0, 0], [0, 1], [1, 0], [1, 1]]  # (z, a)
+    data = BinaryDataset.from_counts(["a"], patterns, counts)
+    n = sum(counts)
+    assert data.n == n
+    fit = estimate_targets(data, make_targets(["a"], ["accuracy", "f1", "lift"]))
+    # indicator columns Z*A, A, Z of each pattern, and their exact cross-products
+    x = [(z * a, a, z) for z, a in patterns]
+    c = [[sum(k * row[i] * row[j] for k, row in zip(counts, x)) for j in range(3)] for i in range(3)]
+    s = [c[i][i] for i in range(3)]
+    cov = [[Fraction(n * c[i][j] - s[i] * s[j], n * (n - 1)) for j in range(3)] for i in range(3)]
+    g = [[Fraction(v) for v in (grad.d_za, grad.d_a, grad.d_z)] for grad in fit.gradients]
+    want = [[float(sum(gk[i] * cov[i][j] * gl[j] for i in range(3) for j in range(3))) for gl in g] for gk in g]
+    np.testing.assert_allclose(fit.cov.v, want, rtol=1e-12, atol=0)
+
