@@ -75,6 +75,8 @@ __all__ = [
 
 # relative spread below which a target's influence values count as constant
 _ZERO_SNAP = 1e-12
+# bytes a fit's two float matrices of indicator rows take, summed a chunk at a time
+_FIT_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +158,20 @@ def estimate_targets(
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
     """Estimates, gradients and plug-in covariance from one read of the row
-    counts: with ``C`` the cross-products of the indicator columns and ``s =
-    diag(C)`` their sums, each moment triple is ``s / n`` and ``n (n - 1) S =
-    n C - s s^T`` is formed in Python ints, exact at any ``n``.
-    ``UnknownMeasureError``, ``UnknownRuleError`` and ``DomainError`` fail one
-    target, not the others."""
+    counts: with ``C`` the cross-products of the indicator columns, summed
+    over chunks of the distinct rows, and ``s = diag(C)`` their sums, each
+    moment triple is ``s / n`` and ``n (n - 1) S = n C - s s^T`` is formed
+    in Python ints, exact at any ``n``.  ``UnknownMeasureError``,
+    ``UnknownRuleError`` and ``DomainError`` fail one target, not the others."""
     patterns, counts = data.row_counts()
     n, n_rules = data.n, patterns.shape[1] - 1
-    z, a = patterns[:, :1], patterns[:, 1:]
-    x = np.hstack([z & a, a, z]).astype(float)
-    # 0/1 products weighted by counts: the float sums are exact below 2**53
-    c = ((x * counts[:, np.newaxis]).T @ x).astype(np.int64)
+    c = np.zeros((2 * n_rules + 1,) * 2, np.int64)
+    step = max(1, _FIT_BYTES // (16 * len(c)))
+    for start in range(0, len(counts), step):
+        z, a = patterns[start : start + step, :1], patterns[start : start + step, 1:]
+        x = np.hstack([z & a, a, z]).astype(float)
+        # 0/1 products weighted by counts: the float sums are exact below 2**53
+        c += ((x * counts[start : start + step, np.newaxis]).T @ x).astype(np.int64)
     s = np.diagonal(c)
     alive, measures, estimates, gradients, rules = [], [], [], [], []
     errors: dict[int, PerfciError] = {}

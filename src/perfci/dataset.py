@@ -12,15 +12,14 @@ or an array is valid when ``float`` reads it, after ``str.strip`` for
 strings, as 0 or 1.  The first other cell (a CSV row by row, arrays column
 by column from ``z``) is rejected with its row and column in the message.
 
-:func:`read_csv` reads a regular file in the canonical layout (see
-:func:`_canonical_blocks`) as a byte matrix, and any other input as
-:func:`validate_table` of ``csv.reader`` rows, which holds one chunk of
-cell strings at a time; either way the result, and every error, is that
-of ``validate_table(header, csv.reader(stream))``.  :func:`read_counts`
-reads the same tables, with the same errors, into the counts-only form
-of :class:`BinaryDataset` (see :meth:`BinaryDataset.from_counts`), which
-``perfci analyze`` fits: a canonical file is folded into counts one block
-at a time, so its memory is one block plus the counts.
+A table is read in blocks of rows, from a regular file in the canonical
+layout (see :func:`_canonical_blocks`) as a byte matrix and from any other
+input as chunks of ``csv.reader`` rows, with the result and every error of
+``validate_table(header, csv.reader(stream))``.  Each block is folded in
+at once: :func:`read_csv` stacks the rows, and :func:`read_counts` adds
+them into the counts-only form of :class:`BinaryDataset` (see
+:meth:`BinaryDataset.from_counts`), which ``perfci analyze`` fits, so its
+memory is one block plus the counts on any input.
 """
 
 from __future__ import annotations
@@ -226,10 +225,10 @@ class BinaryDataset:
             raise DatasetError(f"n = {n} is not below 2**53, where the fit's sums are exact")
         seen = counts > 0
         keys, counts = _merged((_row_keys([c[seen] for c in columns], 0), counts[seen].astype(np.int64)))
-        return cls._counted(rule_ids, _key_rows(keys, len(columns)), counts)
+        return cls._trusted_counts(rule_ids, _key_rows(keys, len(columns)), counts)
 
     @classmethod
-    def _counted(cls, rule_ids, patterns: np.ndarray, counts: np.ndarray) -> "BinaryDataset":
+    def _trusted_counts(cls, rule_ids, patterns: np.ndarray, counts: np.ndarray) -> "BinaryDataset":
         """The counts-only dataset of ``row_counts()`` ``(patterns, counts)``, trusted."""
         data = cls.__new__(cls)
         data._z = data._rules = None
@@ -291,17 +290,18 @@ def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
 _MAX_BINS = 1 << 20
 
 
-def _count_rows(blocks, width: int, n: int, zero: int) -> tuple[np.ndarray, np.ndarray]:
+def _count_rows(blocks, width: int, n: int | None, zero: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``blocks``, each a list of ``width`` equal-length
     columns whose cells are ``zero`` or ``zero + 1``, as uint8 rows of 0/1 in
     lexicographic order, and their int64 counts.  While the ``2**width``
     possible rows fit in ``min(_MAX_BINS, 2 n)`` bins, for about ``n`` rows,
-    each row's code goes into its bin; else each block's distinct rows are
-    merged into sorted runs.  Memory is one block's codes plus the bins and
-    fewer than ``bins / 2`` codes of earlier blocks, or plus the distinct
-    rows."""
+    each row's code goes into its bin; else, and when ``n`` is None (not
+    known), each block's distinct rows are merged into sorted runs.  Both
+    give the same counts.  Memory is one block's codes plus the bins and
+    fewer than ``bins / 2`` codes of earlier blocks, or plus at most twice
+    the distinct rows."""
     bins = 1 << width
-    if bins <= min(_MAX_BINS, 2 * n):
+    if n is not None and bins <= min(_MAX_BINS, 2 * n):
         dtype = np.min_scalar_type(bins - 1)
         counts = np.zeros(bins, np.int64)
         # blocks are binned together until they hold bins / 2 rows, so the
@@ -442,16 +442,6 @@ def _column_names(header: Sequence[str]) -> list[str]:
     return names
 
 
-def _table(names: list[str], patterns: np.ndarray) -> BinaryDataset:
-    """The dataset whose rows are ``patterns``, columns named by ``names``;
-    raises :class:`TooFewRowsError`."""
-    if len(patterns) < MIN_ROWS:
-        raise TooFewRowsError(len(patterns))
-    order = _z_first(names)
-    columns = patterns.T[order]  # one contiguous row per column
-    return BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
-
-
 def _z_first(names: list[str]) -> list[int]:
     """The column indices of :func:`_column_names` ``names``, ``z`` first."""
     return [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
@@ -471,32 +461,38 @@ def validate_table(
     iterating ``rows``, before their end or a ragged row, comes first, then
     the first bad cell, then a ragged row.  The cells are read in chunks of
     whole rows, each of at least ``_BLOCK_CHARS // 16`` cells (65,536), so
-    one chunk of cells is held at a time besides the table's byte per cell.
+    one chunk of cells is held at a time besides two bytes per cell.
     """
+    return _stacked(*_cell_blocks(header, rows))
+
+
+def _cell_blocks(header: Sequence[str], rows: Iterable[Sequence[str]]):
+    """The table source of ``header`` and ``rows`` (see :func:`_read_table`):
+    the checked names, no row count, and the rows coded 0/1 in chunks of
+    whole rows, each of at least ``_BLOCK_CHARS // 16`` cells.  Once
+    ``rows`` are drained the blocks raise the first bad cell's error, else
+    that of the first ragged row, where ``rows`` stop being read."""
     names = _column_names(header)
-    width = len(names)
-    read = _CellCodes().__getitem__
-    ragged: list[int] = []
-    codes = bytearray()  # row-major, one byte per cell
-    bad = None  # the first bad cell's error, raised once ``rows`` are drained
-    for cells in _row_chunks(rows, width, max(1, _BLOCK_CHARS // 16), ragged):
+    width, read = len(names), _CellCodes().__getitem__
+
+    def blocks():
+        done, bad, ragged = 0, None, []  # rows yielded, first bad cell's error, ragged row's fields
+        for cells in _row_chunks(rows, width, max(1, _BLOCK_CHARS // 16), ragged):
+            if bad is None:
+                try:
+                    codes = _binary_codes(cells, read, lambda i: NonBinaryValueError(
+                        done + i // width + 1, names[i % width], cells[i]))
+                except NonBinaryValueError as exc:
+                    bad = exc
+                    continue
+                done += len(codes) // width
+                yield codes.reshape(-1, width)
         if bad is not None:
-            continue
+            raise bad
+        if ragged:
+            raise LengthMismatchError(f"row {done + 1} has {ragged[0]} fields, header has {width}")
 
-        def bad_cell(i):
-            j = len(codes) + i
-            return NonBinaryValueError(j // width + 1, names[j % width], cells[i])
-
-        try:
-            codes.extend(_binary_codes(cells, read, bad_cell))
-        except NonBinaryValueError as exc:
-            bad = exc
-    if bad is not None:
-        raise bad
-    grid = np.frombuffer(codes, np.uint8).reshape(-1, width)
-    if ragged:
-        raise LengthMismatchError(f"row {len(grid) + 1} has {ragged[0]} fields, header has {width}")
-    return _table(names, grid)
+    return names, None, 0, blocks()
 
 
 def _row_chunks(rows, width: int, size: int, ragged: list[int]):
@@ -516,40 +512,62 @@ def _row_chunks(rows, width: int, size: int, ragged: list[int]):
     yield cells
 
 
+def _stacked(names: list[str], n, zero: int, blocks) -> BinaryDataset:
+    """The dataset of a table source's rows: each block is copied ``z`` first,
+    as the next block may reuse its buffer, and the copies are joined into
+    one contiguous row per column.  Memory is two bytes per cell."""
+    order = _z_first(names)
+    parts = [block.T[order] - np.uint8(zero) for block in blocks]
+    if (rows := sum(part.shape[1] for part in parts)) < MIN_ROWS:
+        raise TooFewRowsError(rows)
+    columns = np.concatenate(parts, axis=1)
+    return BinaryDataset(columns[0], {names[j]: col for j, col in zip(order[1:], columns[1:])})
+
+
+def _counted(names: list[str], n, zero: int, blocks) -> BinaryDataset:
+    """The counts-only dataset of a table source's rows, by :func:`_count_rows`
+    of each block's cells, ``z`` first."""
+    order = _z_first(names)
+    patterns, counts = _count_rows(([b[:, j] for j in order] for b in blocks), len(order), n, zero)
+    if (total := int(counts.sum())) < MIN_ROWS:
+        raise TooFewRowsError(total)
+    return BinaryDataset._trusted_counts([names[j] for j in order[1:]], patterns, counts)
+
+
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table from a CSV file or stream.
 
     The result, and every error, is that of ``validate_table(header,
     csv.reader(stream))``, which reads any input.  A canonical regular
-    file (see :func:`_canonical_blocks`) is read as a byte matrix instead:
-    one byte per cell, a second while the columns are put ``z`` first,
-    and one block.
+    file (see :func:`_canonical_blocks`) is read as a byte matrix instead.
+    Either way the rows are copied one block at a time, so memory is two
+    bytes per cell and one block.
     """
-    return _read_table(source, _canonical_grid)
+    return _read_table(source, _stacked)
 
 
 def read_counts(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table into the counts-only form.
 
     The result has the ``rule_ids``, ``n`` and :meth:`~BinaryDataset.row_counts`
-    of :func:`read_csv`, and every error is that of :func:`read_csv`.  A
-    canonical regular file is folded into the counts block by block: one
-    block of about ``_BLOCK_CHARS`` bytes and its row codes, plus the
-    counts, held in one bin per possible row while the ``2**width`` bins
-    are at most ``min(_MAX_BINS, 2 n)``, else as the sorted distinct rows,
-    of which there are at most ``min(n, 2**width)``.  So up to 20 columns
-    its memory does not grow with ``n``.  Any other input is read as
-    :func:`read_csv` reads it, and only its counts are kept.
+    of :func:`read_csv`, and every error is that of :func:`read_csv`.  The
+    table is folded into the counts one block at a time: about
+    ``_BLOCK_CHARS`` bytes of a canonical file, or ``_BLOCK_CHARS // 16``
+    cell strings of any other input, and the block's row codes.  A
+    canonical file's counts take one bin per possible row while there are
+    at most ``min(_MAX_BINS, 2 n)`` (see :func:`_count_rows`), else, as for
+    any other input, the sorted distinct rows, at most ``min(n, 2**width)``.
+    So up to 20 columns its memory does not grow with ``n``.
     """
-    data = _read_table(source, _canonical_counts)
-    if data._z is None:  # folded from the file
-        return data
-    return BinaryDataset._counted(data.rule_ids, *data.row_counts())
+    return _read_table(source, _counted)
 
 
 def _read_table(source, fold) -> BinaryDataset:
-    """``fold(fields, n, blocks)`` of :func:`_canonical_blocks` for a canonical
-    regular file, else ``validate_table`` of ``csv.reader`` rows."""
+    """``fold(names, n, zero, blocks)`` of the table source of ``source``:
+    :func:`_canonical_blocks` of a canonical regular file, else
+    :func:`_cell_blocks` of ``csv.reader`` rows.  ``blocks`` yields ``(rows,
+    width)`` uint8 arrays whose cells are ``zero`` or ``zero + 1``, and ``n``
+    is about the row count, or None where it is not known."""
     if isinstance(source, (str, os.PathLike)):
         if os.path.isfile(source):  # not a FIFO, which can be read only once
             with open(source, "rb") as fh:
@@ -559,35 +577,33 @@ def _read_table(source, fold) -> BinaryDataset:
                     pass
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return _read_csv_stream(fh)
-    return _read_csv_stream(source)
+            return _read_csv_stream(fh, fold)
+    return _read_csv_stream(source, fold)
 
 
-def _read_csv_stream(stream) -> BinaryDataset:
+def _read_csv_stream(stream, fold) -> BinaryDataset:
     rows = csv.reader(stream)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DatasetError("empty input: no header row") from None
-    return validate_table(header, rows)
+    if (header := next(rows, None)) is None:
+        raise DatasetError("empty input: no header row")
+    return fold(*_cell_blocks(header, rows))
 
 
 class _NotCanonical(Exception):
     """The file is not canonical; it is read by ``csv.reader`` instead."""
 
 
-def _canonical_blocks(fh) -> tuple[list[str], int, Iterator[np.ndarray]]:
-    """The header fields of ``fh``, a regular file opened in binary mode, its
-    row count by its size, and its lines in blocks: ``(rows, line)`` uint8
-    views of ``_BLOCK_CHARS`` bytes of whole lines at most, each valid until
-    the next is read.  Raises :class:`_NotCanonical`, at once or while the
-    blocks are read, unless the file is canonical: a UTF-8 header line,
-    ended by ``\\n`` or ``\\r\\n``, whose fields ``csv.reader`` splits on
-    that line alone (quoted or not, but without a line break), then lines
+def _canonical_blocks(fh):
+    """The table source of ``fh``, a regular file opened in binary mode (see
+    :func:`_read_table`): the checked header names, the row count by the
+    file's size, and the lines in blocks of ``_BLOCK_CHARS`` bytes of whole
+    lines at most, as strided views of their ``"0"``/``"1"`` cells, each
+    valid until the next is read.  Raises :class:`_NotCanonical`, at once or
+    while the blocks are read, unless the file is canonical: a UTF-8 header
+    line, ended by ``\\n`` or ``\\r\\n``, whose fields ``csv.reader`` splits
+    on that line alone (quoted or not, but without a line break), then lines
     ``c,c,...,c`` of one 0 or 1 per field, each with the header's line end
-    (the last one may be missing).  The table's errors are those of
-    :func:`validate_table` on ``csv.reader`` rows: the header's names are
-    not checked here.
+    (the last one may be missing).  Refused header names raise once every
+    line is read as canonical: ``csv.reader`` may fail on a line first.
     """
     header = fh.readline().decode("utf-8-sig", "replace")  # U+FFFD: maybe not UTF-8
     if not header.endswith("\n") or "\ufffd" in header:
@@ -603,7 +619,14 @@ def _canonical_blocks(fh) -> tuple[list[str], int, Iterator[np.ndarray]]:
     # with commas between them and the line end after them
     row = np.frombuffer(",".join("0" * len(fields)).encode() + end, np.uint8)
     n = max(0, -(-(os.fstat(fh.fileno()).st_size - fh.tell()) // len(row)))
-    return fields, n, _blocks(fh, row, end, max(1, min(_BLOCK_CHARS // len(row), n + 1)))
+    views = _blocks(fh, row, end, max(1, min(_BLOCK_CHARS // len(row), n + 1)))
+    try:
+        names = _column_names(fields)
+    except DatasetError:
+        for _ in views:
+            pass
+        raise
+    return names, n, ord("0"), (view[:, : 2 * len(fields) : 2] for view in views)
 
 
 def _blocks(fh, row: np.ndarray, end: bytes, lines: int) -> Iterator[np.ndarray]:
@@ -626,36 +649,6 @@ def _blocks(fh, row: np.ndarray, end: bytes, lines: int) -> Iterator[np.ndarray]
         if not masked.startswith(template[:size]):
             raise _NotCanonical
         yield block[:size].reshape(-1, line)
-
-
-def _canonical_grid(fields: list[str], n: int, blocks) -> BinaryDataset:
-    """The table of :func:`_canonical_blocks` as a ``(width, n)`` byte grid;
-    raises :class:`_NotCanonical` if the file does not hold ``n`` rows."""
-    grid = np.empty((len(fields), n), np.uint8)
-    start = 0
-    for view in blocks:
-        stop = start + len(view)
-        if stop > n:
-            raise _NotCanonical
-        grid[:, start:stop] = (view[:, : 2 * len(fields) : 2] & 1).T
-        start = stop
-    if start != n:
-        raise _NotCanonical
-    return _table(_column_names(fields), grid.T)
-
-
-def _canonical_counts(fields: list[str], n: int, blocks) -> BinaryDataset:
-    """The table of :func:`_canonical_blocks` as counts-only, by
-    :func:`_count_rows` of the blocks' cells, ``z`` first."""
-    # a bad header is the error of csv.reader rows too, whatever the lines
-    names = _column_names(fields)
-    order = _z_first(names)
-    patterns, counts = _count_rows(
-        ([view[:, 2 * j] for j in order] for view in blocks), len(order), n, ord("0")
-    )
-    if (total := int(counts.sum())) < MIN_ROWS:
-        raise TooFewRowsError(total)
-    return BinaryDataset._counted([names[j] for j in order[1:]], patterns, counts)
 
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:

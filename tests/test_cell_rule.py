@@ -289,6 +289,10 @@ def test_read_csv_matches_csv_reader_rows(tmp_path_factory, text):
     assert read_outcome(lambda _: read_csv(str(path)), opened) == want
     streams = lambda: io.StringIO(text)
     assert read_outcome(read_csv, streams) == read_outcome(reference_csv, streams)
+    # read_counts folds csv.reader chunks into counts as it folds canonical blocks
+    want = counts_outcome(read_csv, path)
+    assert counts_outcome(read_counts, path) == counts_outcome(read_counts, str(path)) == want
+    assert counts_outcome(read_counts, streams()) == counts_outcome(read_csv, streams())
 
 
 def test_read_csv_joins_quoted_fields_over_lines():
@@ -337,6 +341,9 @@ def test_read_csv_matches_csv_reader_rows_across_blocks(tmp_path_factory, text, 
     opened = lambda: open(path, newline="", encoding="utf-8-sig")
     with mock.patch.object(dataset, "_BLOCK_CHARS", block):
         assert read_outcome(lambda _: read_csv(path), opened) == read_outcome(reference_csv, opened)
+        assert counts_outcome(read_counts, path) == counts_outcome(read_csv, path)
+        streams = lambda: io.StringIO(text)
+        assert counts_outcome(read_counts, streams()) == counts_outcome(read_csv, streams())
 
 
 @pytest.mark.parametrize("ragged_first", [True, False])
@@ -596,6 +603,58 @@ def test_read_counts_folds_a_canonical_file_without_csv_reader(tmp_path, text):
         assert counts_outcome(read_counts, path) == want
         with pytest.raises(AssertionError):  # any other input is read by csv.reader
             read_counts(io.StringIO(text.decode("utf-8-sig")))
+
+
+@pytest.mark.parametrize("text", [b"a,r\n0,1\n1,\xff\n", b"a,r\n0,1\n1,0\n", b"z,r\n0,1\n1,\xff\n"])
+def test_a_refused_header_fails_as_csv_reader_rows(tmp_path, text):
+    # csv.reader decodes the line that is not UTF-8 with the header, so that
+    # error comes before the header's; below canonical lines the header's comes
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    want = read_outcome(reference_csv, opened)
+    assert want[0] == "error"
+    assert read_outcome(lambda _: read_csv(path), opened) == want
+    assert counts_outcome(read_counts, path) == want
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_read_counts_merges_sorted_runs_of_csv_reader_rows(tmp_path, stream):
+    # csv.reader rows, whose count is not known, are counted in sorted runs,
+    # as 2**24 possible rows would be at any n; a chunk of one row makes a run each
+    grid = np.random.default_rng(4).integers(0, 2, (6, 24))[np.random.default_rng(5).integers(0, 6, 200)]
+    path = tmp_path / "table.csv"
+    path.write_text("z," + ",".join(f"r{j}" for j in range(23)) + "\n"
+                    + "".join(",".join(f"{cell:.1f}" for cell in row) + "\n" for row in grid))
+    source = (lambda: io.StringIO(path.read_text())) if stream else (lambda: path)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * 24):
+        with mock.patch.object(dataset, "_merged", wraps=dataset._merged) as merged:
+            got = counts_outcome(read_counts, source())
+        assert merged.called
+        assert got == counts_outcome(read_csv, source())
+    assert got[:3] == ("ok", tuple(f"r{j}" for j in range(23)), 200)
+
+
+def test_read_counts_of_csv_reader_rows_holds_one_chunk(tmp_path):
+    # 100,000 rows of z and 10 rules with "1.0" cells: the rows, a byte per
+    # cell and its copy, took 2.4 MB; 1,024 cell strings take about 60 kB
+    rows = 100_000
+    text = np.empty((rows, 44), np.uint8)
+    text[:, 0::4] = np.random.default_rng(9).integers(0, 2, (rows, 11), np.uint8) + ord("0")
+    text[:, 1::4], text[:, 2::4], text[:, 3::4] = ord("."), ord("0"), ord(",")
+    text[:, -1] = ord("\n")
+    path = tmp_path / "table.csv"
+    path.write_bytes((",".join(["z"] + [f"rule{j}" for j in range(10)]) + "\n").encode() + text.tobytes())
+    del text
+    tracemalloc.start()
+    try:
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 14):  # 1,024 cells
+            data = read_counts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == rows and data.row_counts()[1].sum() == rows
+    assert peak < 1e6
 
 
 def test_read_counts_fits_as_the_rows_do(tmp_path):

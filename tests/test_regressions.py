@@ -369,6 +369,40 @@ def test_covariance_memory_stays_below_one_target_by_row_matrix():
     assert peak < 270 * 50_000 * 8
 
 
+def test_fit_memory_does_not_grow_with_the_distinct_rows():
+    # every row of 18 columns once or more: m = 2**18 distinct rows; two
+    # (m, 35) float matrices of them took 140 MiB
+    width = 18
+    bits = np.arange(2**width, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    patterns = np.unpackbits(bits, axis=1)[:, 32 - width :]
+    counts = np.random.default_rng(3).integers(1, 5, len(patterns))
+    data = BinaryDataset.from_counts([f"r{j}" for j in range(width - 1)], patterns, counts)
+    data.row_counts()
+    targets = make_targets(data.rule_ids, ["accuracy", "f1"])
+    tracemalloc.start()
+    try:
+        fit = estimate_targets(data, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fit.alive) == len(targets)
+    assert peak < 2**width * (2 * width - 1) * 8 / 2  # half of one such matrix
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 16 * 9 * 7])
+def test_fit_sums_chunks_of_distinct_rows_exactly(chunk_bytes):
+    # chunks of one and of seven distinct rows give the bits of one chunk
+    rng = np.random.default_rng(8)
+    data = BinaryDataset.from_arrays(rng.integers(0, 2, 3000), {f"r{j}": rng.integers(0, 2, 3000) for j in range(4)})
+    targets = make_targets(data.rule_ids, [m.id for m in builtin_measures()])
+    want = estimate_targets(data, targets)
+    with mock.patch("perfci.covariance._FIT_BYTES", chunk_bytes):
+        got = estimate_targets(data, targets)
+    assert data.row_counts()[1].size == 32
+    assert np.array_equal(got.estimates, want.estimates)
+    assert np.array_equal(got.cov.v, want.cov.v)
+
+
 def test_stress_study_finishes_when_a_set_loses_a_member():
     # a set left with one member was simulated, and 1,000 draws cannot reach
     # alpha = 1e-4, so the first such replication aborted the study
