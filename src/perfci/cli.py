@@ -32,7 +32,7 @@ import numpy as np
 from .covariance import estimate_targets
 from .dataset import make_joint_sets, make_targets, read_counts, read_csv
 from .errors import PerfciError
-from .intervals import IntervalReport, IntervalSpec, set_report
+from .intervals import IntervalReport, IntervalSpec, set_reports
 from .measures import resolve_measure
 from .quantiles import DEFAULT_DRAWS, QuantileRequest, check_budget, max_abs_quantile
 from .simulation import (
@@ -187,7 +187,7 @@ def _analyze_cmd(args) -> int:
         clamp=args.clamp,
     )
     fit = estimate_targets(data, targets)
-    reports = [set_report(fit, targets, members, spec) for _, members in sets]
+    reports = set_reports(fit, targets, [members for _, members in sets], spec)
 
     if args.fmt == "json":
         payload = [_report_dict(r) for r in reports]

@@ -422,7 +422,7 @@ def _as_binary_column(values, col: str) -> np.ndarray:
         binary = (arr == 0) | (arr == 1)
         if not binary.all():
             i = int(np.argmin(binary))
-            raise NonBinaryValueError(i + 1, col, arr[i])
+            raise NonBinaryValueError(i + 1, col, arr[i].item())
         return arr.astype(np.uint8)
     # mixed types skip the cache: 1 == 1 + 0j reads differently, {} cannot be hashed
     read = _read_cell if arr.dtype == object else _CellCodes().__getitem__

@@ -21,15 +21,18 @@ mode the correlation matrix fed to the quantile comes from the same
 covariance estimate the widths use.  Every report says which quantile it
 used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
-:func:`set_report` is the one step from a fit to intervals: it turns
+:func:`set_reports` is the one step from a fit to intervals: it turns
 one :func:`~perfci.covariance.estimate_targets` fit of the whole target
-list into the intervals of one set of member indices (restriction,
+list into the intervals of several sets of member indices (restriction,
 correction, degenerate variances, quantile, widths), so one fit serves
-every joint set.  :func:`analyze` (every target, in order), ``perfci
-analyze`` and the coverage harness (:func:`~perfci.simulation.run_coverage`)
-all call it, so the harness scores exactly the intervals ``analyze``
-reports.  A subset is analyzed by passing those targets to
-:func:`analyze`, or its indices as ``members`` to :func:`set_report`.
+every joint set, and one :func:`~perfci.quantiles.max_abs_quantiles`
+call answers every set's quantile.  :func:`set_report` is its batch of
+one.  ``perfci analyze`` calls :func:`set_reports` once; :func:`analyze`
+(every target, in order) and the coverage harness
+(:func:`~perfci.simulation.run_coverage`) call :func:`set_report`, so
+the harness scores exactly the intervals ``analyze`` reports.  A subset
+is analyzed by passing those targets to :func:`analyze`, or its indices
+as ``members`` to :func:`set_report`.
 
 Partial failure policy: a target whose measure is undefined at the
 sample moments, or whose variance degenerates, gets its error recorded
@@ -58,6 +61,7 @@ from .quantiles import (
     QuantileRequest,
     check_alpha,
     max_abs_quantile,
+    max_abs_quantiles,
 )
 
 __all__ = [
@@ -68,6 +72,7 @@ __all__ = [
     "IntervalReport",
     "analyze",
     "set_report",
+    "set_reports",
 ]
 
 CHOICE_PLUGIN = 1
@@ -188,7 +193,9 @@ def set_report(
 ) -> IntervalReport:
     """Intervals for one target set, ``targets[i]`` for ``i`` in ``members``,
     from ``fit = estimate_targets(data, targets)``; one row per member, in
-    member order.
+    member order.  Its quantile comes from
+    :func:`~perfci.quantiles.max_abs_quantile`, the batch of one, so it is
+    the report :func:`set_reports` gives the set in any batch.
 
     ``members`` must be non-empty, distinct and in ``range(len(targets))``,
     else :class:`DimensionMismatchError`.  The fit's covariance is
@@ -201,7 +208,40 @@ def set_report(
     ``q``, ``mc_stderr`` and ``jitter`` are NaN, and ``quantile_method``
     and ``draws`` are ``None``, when no member is usable.
     """
-    members = tuple(members)
+    part, request = _restricted(fit, targets, tuple(members), spec)
+    result = None if request is None else max_abs_quantile(request)
+    return _set_report(fit, targets, spec, part, result)
+
+
+def set_reports(
+    fit: TargetEstimates,
+    targets: Sequence[EvaluationTarget],
+    sets: Sequence[Sequence[int]],
+    spec: IntervalSpec,
+) -> list[IntervalReport]:
+    """:func:`set_report` of every member list in ``sets``, in order.
+
+    Every set is checked, restricted and corrected first, and then one
+    :func:`~perfci.quantiles.max_abs_quantiles` call answers all their
+    quantiles, so the exact dim-2 quantiles of many pairs (``perfci
+    analyze --joint per-rule``) are one vectorized solve.  A set's report
+    does not depend on the other sets: it is the one :func:`set_report`
+    gives it alone.
+    """
+    restricted = [_restricted(fit, targets, tuple(members), spec) for members in sets]
+    asked = [k for k, (_, request) in enumerate(restricted) if request is not None]
+    results = dict(zip(asked, max_abs_quantiles([restricted[k][1] for k in asked])))
+    return [
+        _set_report(fit, targets, spec, part, results.get(k))
+        for k, (part, _) in enumerate(restricted)
+    ]
+
+
+def _restricted(fit, targets, members, spec):
+    """``(members, row_of, cov, variance), request`` of one set: its
+    checked members, the fit's row of each live one, their (corrected)
+    covariance and variances, and the request for its quantile (``None``
+    when no member is usable)."""
     if not members:
         raise DimensionMismatchError("a target set must not be empty")
     if not all(0 <= i < len(targets) for i in members):
@@ -217,11 +257,19 @@ def set_report(
         cov = correct(cov, spec.alpha, [fit.gradients[row_of[i]] for i in live])
     variance = dict(zip(live, cov.v.diagonal().tolist()))
     usable = [k for k, i in enumerate(live) if variance[i] > 0.0]
-    q = mc_stderr = jitter = float("nan")
-    method = draws = None
+    request = None
     if usable:
         corr = correlation(cov.restrict(usable)) if spec.mode == "joint" else [[1.0]]
-        result = max_abs_quantile(QuantileRequest(spec.alpha, corr, spec.draws, spec.seed))
+        request = QuantileRequest(spec.alpha, corr, spec.draws, spec.seed)
+    return (members, row_of, cov, variance), request
+
+
+def _set_report(fit, targets, spec, part, result) -> IntervalReport:
+    """The report of one :func:`_restricted` set, given its quantile ``result``."""
+    members, row_of, cov, variance = part
+    q = mc_stderr = jitter = float("nan")
+    method = draws = None
+    if result is not None:
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
         method, draws = result.method, result.draws
     rows = []

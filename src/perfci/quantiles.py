@@ -7,7 +7,8 @@ Two quantile notions drive every interval in this package:
   ``inv_norm_cdf``: the standard library's :meth:`statistics.NormalDist.inv_cdf`
   (Wichura's AS 241, Applied Statistics 37, 1988), good to a few ulps.
 
-* ``max_abs_quantile`` -- the two-sided equicoordinate quantile
+* ``max_abs_quantile`` (one request) and ``max_abs_quantiles`` (a list)
+  -- the two-sided equicoordinate quantile
   ``q(alpha, R)`` with ``P[max_j |z_j| < q] = 1 - alpha`` for
   ``z ~ N(0, R)``.  The dimension of ``R`` picks one of three tiers:
 
@@ -16,9 +17,13 @@ Two quantile notions drive every interval in this package:
   - ``"bivariate"`` (dim 2): exact up to quadrature.  The box
     probability is one integral over the first coordinate (Drezner &
     Wesolowsky 1990; Genz 2004), evaluated by Gauss-Legendre on three
-    panels, and ``q`` is its root by Illinois regula falsi between the
-    scalar and the Bonferroni quantiles.  ``mc_stderr`` is then an error
-    bound on ``q``, not a standard error.
+    panels, and ``q`` is its root by Newton steps on the box
+    probability's slope ``4 phi(q) [Phi(q (1 - r) / s) - Phi(-q (1 + r) / s)]``,
+    from the scalar quantile, inside a bracket that starts at the
+    Bonferroni quantile.  ``mc_stderr`` is then an error bound on ``q``
+    (residual plus quadrature error, over the slope), not a standard
+    error.  :func:`max_abs_quantiles` solves all the dim-2 requests of a
+    list at once; a result does not depend on its batch.
   - ``"monte_carlo"`` (dim 3 and above): Cholesky-factor ``R``
     (with a small jitter ladder for rank-deficient matrices), draw
     correlated Gaussian vectors in fixed-size chunks with counter-based
@@ -46,6 +51,7 @@ import math
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +72,7 @@ __all__ = [
     "QuantileRequest",
     "QuantileResult",
     "max_abs_quantile",
+    "max_abs_quantiles",
     "planned_bytes",
     "check_budget",
     "DEFAULT_DRAWS",
@@ -308,6 +315,9 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
     """``q`` with ``P[max_j |z_j| < q] = 1 - alpha``, ``z ~ N(0, R)``, from
     the request's tier (see :class:`QuantileRequest`).
 
+    A dim-2 request is the batch of one of :func:`max_abs_quantiles`: the
+    same solve, so the same ``q`` and ``mc_stderr`` bit for bit.
+
     Raises
     ------
     NotPositiveSemidefiniteError
@@ -315,10 +325,10 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
         ladder.
     """
     tier, jitter = request.tier, 0.0
+    if tier == "bivariate":
+        return _bivariate_quantiles([request])[0]
     if tier == "normal":
         q, mc_stderr = two_sided_quantile(request.alpha), 0.0
-    elif tier == "bivariate":
-        q, mc_stderr = _bivariate_quantile(request.alpha, float(request.corr[0, 1]))
     else:
         q, mc_stderr, jitter = _monte_carlo_quantile(request)
     return QuantileResult(
@@ -331,6 +341,23 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
         jitter=jitter,
         method=tier,
     )
+
+
+def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResult]:
+    """:func:`max_abs_quantile` of every request, in request order.
+
+    The dim-2 requests are answered together, by one vectorized root-find
+    over all their ``(alpha, rho)``; every other request is answered on its
+    own, by :func:`max_abs_quantile`.  Each element of the solve follows
+    its own steps, so a result is the one its request gets alone, bit for
+    bit, whatever shares its batch; a bivariate ``mc_stderr`` is the same
+    error bound.  Raises what :func:`max_abs_quantile` raises, a dim-2
+    request's error before any other request is answered.
+    """
+    requests = list(requests)
+    pairs = [r for r in requests if r.tier == "bivariate"]
+    solved = iter(_bivariate_quantiles(pairs) if pairs else ())
+    return [next(solved) if r.tier == "bivariate" else max_abs_quantile(r) for r in requests]
 
 
 # ---------------------------------------------------------------------------
@@ -412,93 +439,140 @@ _MAX_STEPS = 100
 # relative rounding allowance of one quadrature sum, counted in the error bound
 _ROUNDING = 3 * _GL_NODES * sys.float_info.epsilon
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
 
 @functools.cache
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _panels(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(x_q, x_edge, w_q, w_edge)``: the nodes of :func:`_box_miss` are
+    ``q x_q + edge x_edge`` and their weights ``q w_q + edge w_edge``.
+
+    Three Gauss-Legendre panels of ``nodes`` points each cover
+    ``[-q, -q + edge]``, ``[-q + edge, q - edge]`` and ``[q - edge, q]``;
+    a last node at ``x = q`` has weight 0 and gives the slope its
+    conditional probability.  The weights carry the integrand's constant
+    factor ``1 / (2 sqrt(2 pi))``.
+    """
     # built on first use: importing numpy.polynomial costs milliseconds
-    return np.polynomial.legendre.leggauss(nodes)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    w = w / (2.0 * _SQRT_2PI)
+    ones, zeros = np.ones(nodes), np.zeros(nodes)
+    x_q = np.concatenate([-ones, t, ones, [1.0]])
+    x_edge = np.concatenate([0.5 * (1.0 + t), -t, -0.5 * (1.0 - t), [0.0]])
+    w_q = np.concatenate([zeros, w, zeros, [0.0]])
+    w_edge = np.concatenate([0.5 * w, -w, 0.5 * w, [0.0]])
+    return x_q, x_edge, w_q, w_edge
 
 
-def _box_miss(q: float, r: float, s: float, nodes: int = _GL_NODES) -> float:
-    """``P[max(|X|, |Y|) >= q]`` for standard normals with correlation
-    ``r`` in ``[0, 1)`` and ``s = sqrt(1 - r^2)``.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of every element of ``x``, mapped over a list."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-    It is ``P[|X| >= q]`` plus the integral over ``|x| < q`` of
+
+def _box_miss(
+    q: np.ndarray, r: np.ndarray, s: np.ndarray, nodes: int = _GL_NODES
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(miss, slope)``: ``miss = P[max(|X|, |Y|) >= q]`` for standard
+    normals with correlation ``r`` in ``[0, 1)`` and ``s = sqrt(1 - r^2)``,
+    and ``slope = 4 phi(q) [Phi(q (1 - r) / s) - Phi(-q (1 + r) / s)]``,
+    its rate of decrease in ``q``; elementwise over arrays of ``(q, r, s)``.
+
+    ``miss`` is ``P[|X| >= q]`` plus the integral over ``|x| < q`` of
     ``phi(x) P[|Y| >= q | X = x]``, with ``Y | X = x ~ N(r x, s^2)``.
     Every term is a tail probability, so the sum keeps its relative
     accuracy when ``alpha`` is small.  The integrand turns over a scale
     of ``s`` next to ``x = +-q``, so each end gets its own Gauss-Legendre
-    panel, ``_END_PANEL * s`` wide (at most ``q``), and a third panel
-    covers the middle.
+    panel, ``edge = _END_PANEL * s`` wide (at most ``q``), and a third
+    panel covers the middle (:func:`_panels`).  ``slope`` is
+    ``4 phi(q) P[|Y| < q | X = q]``.  Each element's nodes are summed on
+    their own row, so no element depends on the others.
     """
-    t, w = _gauss_legendre(nodes)
-    edge = min(q, _END_PANEL * s)
-    ends = np.array([-q, -q + edge, q - edge, q])
-    half = 0.5 * np.diff(ends)[:, np.newaxis]
-    x = (0.5 * (ends[:-1] + ends[1:])[:, np.newaxis] + half * t).ravel()
-    weights = (half * w).ravel()
-    tails = _erfc(np.concatenate([q - r * x, q + r * x]) / (s * _SQRT2)).astype(float)
-    given_x = 0.5 * (tails[: x.size] + tails[x.size :])
-    inside = float(weights @ (np.exp(-0.5 * x * x) * given_x)) / _SQRT_2PI
-    return math.erfc(q / _SQRT2) + inside
+    x_q, x_edge, w_q, w_edge = _panels(nodes)
+    q_, edge = q[:, np.newaxis], np.minimum(q, _END_PANEL * s)[:, np.newaxis]
+    x = q_ * x_q + edge * x_edge
+    rx = r[:, np.newaxis] * x
+    tails = _erfc(np.concatenate([q_ - rx, q_ + rx], axis=1) / (s * _SQRT2)[:, np.newaxis])
+    twice = tails[:, : x.shape[1]] + tails[:, x.shape[1] :]  # 2 P[|Y| >= q | X = x]
+    density = np.exp(-0.5 * x * x)  # sqrt(2 pi) phi(x)
+    inside = ((q_ * w_q + edge * w_edge) * density * twice).sum(axis=1)
+    slope = density[:, -1] * (2.0 - twice[:, -1]) * (2.0 / _SQRT_2PI)
+    return _erfc(q / _SQRT2) + inside, slope
 
 
-def _bivariate_quantile(alpha: float, rho: float) -> tuple[float, float]:
-    """The dim-2 quantile for correlation ``rho`` and a bound on its error.
+def _bivariate_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResult]:
+    """The dim-2 quantiles of ``requests``, each with a bound on its error,
+    from one vectorized solve of ``_box_miss(q) = alpha``.
 
-    Solves ``_box_miss(q) = alpha`` by Illinois regula falsi between the
-    scalar quantile (the root at ``|rho| = 1``) and the Bonferroni
-    quantile (an upper bound at every ``rho``).  The bound is the final
-    residual plus the quadrature error estimate (the change from doubling
-    the nodes, plus a rounding allowance), divided by the slope
-    ``4 phi(q) [Phi(q (1 - r) / s) - Phi(-q (1 + r) / s)]`` of the box
-    probability, and is at least ``ulp(q)``.
+    Each element starts from the scalar quantile (the root at
+    ``|rho| = 1``) and takes Newton steps on ``log _box_miss(q)``, whose
+    derivative is minus the slope over the miss: the tail's curvature is
+    mostly in that log, so the steps take fewer evaluations than on the
+    miss itself.  The steps stay inside a bracket, the last points on
+    either side of the root, which starts as the scalar and the Bonferroni
+    quantiles (an upper bound at every ``rho``).  A step past the bracket
+    tries its upper end, and one below it bisects it.  An element is done
+    when its step no longer moves ``q``, when its bracket is down to
+    adjacent floats, or once its residual is within ``_ROUNDING * alpha``
+    and a step fails to lower it; it keeps the point of smallest residual.
+    The bound is that residual plus the quadrature error estimate (the
+    change from doubling the nodes, plus a rounding allowance), divided by
+    the slope, and is at least ``ulp(q)``.  At ``|rho| = 1`` the pair is
+    one coordinate and ``q`` the scalar quantile.  Every step is
+    elementwise, so an element's steps and result do not depend on the
+    other elements.
     """
-    if alpha < 1.5e-323:  # the Bonferroni bracket's alpha / 4 rounds to 0
-        raise ValueError(f"alpha = {alpha!r} is too small for a joint pair: "
-                         "the smallest alpha a joint pair accepts is 1.5e-323")
-    r = abs(rho)
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-    z = two_sided_quantile(alpha)
-    if s == 0.0:
-        # one coordinate repeated: the scalar two-sided quantile
-        miss = math.erfc(z / _SQRT2)
-        return z, max(math.ulp(z), (abs(miss - alpha) + _ROUNDING * miss) / (2.0 * norm_pdf(z)))
+    for request in requests:
+        if request.alpha < 1.5e-323:  # the Bonferroni bracket's alpha / 4 rounds to 0
+            raise ValueError(f"alpha = {request.alpha!r} is too small for a joint pair: "
+                             "the smallest alpha a joint pair accepts is 1.5e-323")
+    alpha = np.array([request.alpha for request in requests], dtype=float)
+    r = np.abs(np.array([request.corr[0, 1] for request in requests], dtype=float))
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    q = np.array([two_sided_quantile(a) for a in alpha.tolist()])
+    bonferroni = np.array([two_sided_quantile(a / 2.0) for a in alpha.tolist()])
+    flat = s == 0.0  # one coordinate repeated: the scalar quantile
+    excess = _erfc(q / _SQRT2) - alpha  # _box_miss(q) - alpha, decreasing in q; right where flat
+    slope = 2.0 * np.exp(-0.5 * q * q) / _SQRT_2PI
 
-    def excess(q: float) -> float:  # decreasing in q
-        return _box_miss(q, r, s) - alpha
-
-    a, b = z, two_sided_quantile(alpha / 2.0)  # Bonferroni
-    fa, fb = excess(a), excess(b)
-    q, fq = min((a, fa), (b, fb), key=lambda point: abs(point[1]))
-    moved = 0  # which end the last step replaced: -1 lower, +1 upper
+    # the elements still stepping, as compact arrays; idx maps them back
+    idx = np.flatnonzero(~flat)
+    at, lo, hi = q[idx], q[idx], bonferroni[idx]
+    best, least = q[idx], np.full(idx.size, math.inf)
+    a, ra, sa, tol = alpha[idx], r[idx], s[idx], _ROUNDING * alpha[idx]
     for _ in range(_MAX_STEPS):
-        if not (fa > 0.0 > fb):
-            break  # an end is already a root, within rounding
-        c = (a * fb - b * fa) / (fb - fa)
-        if not a < c < b:
-            break  # the bracket is down to adjacent floats
-        fc = excess(c)
-        if abs(fc) < abs(fq):
-            q, fq = c, fc
-        if fc > 0.0:
-            a, fa = c, fc
-            if moved == -1:
-                fb *= 0.5  # Illinois: halve the stale end's value
-            moved = -1
-        elif fc < 0.0:
-            b, fb = c, fc
-            if moved == 1:
-                fa *= 0.5
-            moved = 1
-        else:
+        if not idx.size:
             break
-        if abs(fq) <= _ROUNDING * alpha:
-            break
+        miss, rate = _box_miss(at, ra, sa)
+        fx = miss - a
+        better = np.abs(fx) < np.abs(least)
+        np.copyto(best, at, where=better)
+        np.copyto(least, fx, where=better)
+        above = fx > 0.0
+        np.copyto(lo, at, where=above)
+        np.copyto(hi, at, where=~above)
+        newton = at + np.log(miss / a) * miss / rate
+        done = newton == at  # the step is below an ulp of q
+        done |= np.nextafter(lo, hi) >= hi  # the bracket is down to adjacent floats
+        done |= ~better & (np.abs(least) <= tol)
+        # a step past hi tries hi, which starts as the Bonferroni quantile: at
+        # small alpha and |rho| the root can round to it; one below lo bisects
+        at = np.minimum(newton, hi)
+        np.copyto(at, (lo + hi) / 2.0, where=at <= lo)
+        if done.any():
+            q[idx[done]], excess[idx[done]] = best[done], least[done]
+            keep = ~done
+            idx, at, lo, hi, best = idx[keep], at[keep], lo[keep], hi[keep], best[keep]
+            least, a, ra, sa, tol = least[keep], a[keep], ra[keep], sa[keep], tol[keep]
+    q[idx], excess[idx] = best, least  # any left at the step cap
 
-    miss = fq + alpha
-    quadrature = abs(miss - _box_miss(q, r, s, 2 * _GL_NODES)) + _ROUNDING * miss
-    slope = 4.0 * norm_pdf(q) * (norm_cdf(q * (1.0 - r) / s) - norm_cdf(-q * (1.0 + r) / s))
-    return q, max(math.ulp(q), (abs(fq) + quadrature) / slope)
+    miss = excess + alpha
+    # below the smallest normal float, sums round in absolute steps
+    quadrature = _ROUNDING * np.maximum(miss, sys.float_info.min)
+    curved = ~flat
+    if curved.any():
+        fine, slope[curved] = _box_miss(q[curved], r[curved], s[curved], 2 * _GL_NODES)
+        quadrature[curved] += np.abs(miss[curved] - fine)
+    bound = np.maximum(np.spacing(q), (np.abs(excess) + quadrature) / slope)
+    return [
+        QuantileResult(q=qk, mc_stderr=bk, alpha=request.alpha, dim=2, draws=0,
+                       seed=request.seed, jitter=0.0, method="bivariate")
+        for qk, bk, request in zip(q.tolist(), bound.tolist(), requests)
+    ]

@@ -60,12 +60,14 @@ def oracle_table(header, rows):
 def oracle_column(values, col):
     out = []
     for i, v in enumerate(np.asarray(values)):
+        # a bad cell of a numeric array is named by its Python number
+        shown = v.item() if isinstance(v, np.generic) and v.dtype.kind in "biuf" else v
         try:
             value = _read(v)
         except (TypeError, ValueError, OverflowError):
-            raise NonBinaryValueError(i + 1, col, v) from None
+            raise NonBinaryValueError(i + 1, col, shown) from None
         if value not in (0.0, 1.0):
-            raise NonBinaryValueError(i + 1, col, v)
+            raise NonBinaryValueError(i + 1, col, shown)
         out.append(int(value))
     return out
 

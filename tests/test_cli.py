@@ -4,6 +4,7 @@ import json
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from perfci.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
@@ -59,6 +60,26 @@ def test_analyze_per_rule_emits_array(tmp_path, capsys):
     assert isinstance(payload, list) and len(payload) == 2
     assert {r["rule"] for r in payload[0]["targets"]} == {"a"}
     assert {r["rule"] for r in payload[1]["targets"]} == {"b"}
+
+
+def test_analyze_per_rule_reports_each_rule_as_its_own_run_does(tmp_path, capsys):
+    # one batch answers every rule's pair; the lift of a rule whose predictions
+    # are all 0 is undefined, so the batch mixes dim-1 and dim-2 requests
+    rng = np.random.default_rng(5)
+    z = rng.random(300) < 0.4
+    rules = np.where(z[:, None], rng.random((300, 5)) > 0.3, rng.random((300, 5)) < 0.1)
+    rules[:, 2] = False
+    lines = ["z," + ",".join(f"r{j}" for j in range(5))]
+    lines += [",".join(str(int(v)) for v in row) for row in np.column_stack([z, rules])]
+    table = write(tmp_path, "five.csv", "\n".join(lines) + "\n")
+    argv = ["analyze", table, "--format", "json", "--measures", "accuracy,lift"]
+    code = main(argv)
+    per_rule = json.loads(capsys.readouterr().out)
+    assert len(per_rule) == 5
+    for r, report in enumerate(per_rule):
+        assert main(argv + ["--joint", f"{2 * r},{2 * r + 1}"]) in (code, EXIT_OK)
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    assert {report["meta"]["quantile_method"] for report in per_rule} == {"normal", "bivariate"}
 
 
 def test_analyze_joint_none_gives_individual_mode(tmp_path, capsys):

@@ -19,6 +19,7 @@ from perfci.quantiles import (
     check_budget,
     inv_norm_cdf,
     max_abs_quantile,
+    max_abs_quantiles,
     planned_bytes,
     sidak_quantile,
     two_sided_quantile,
@@ -83,6 +84,32 @@ def test_bivariate_tier_is_bracketed_symmetric_and_monotone(rho, other, alpha):
     assert strong.q <= weak.q + weak.mc_stderr + strong.mc_stderr
 
 
+@st.composite
+def mixed_requests(draw):
+    """Dim-2 requests at random and edge correlations (0, +-1, repeats),
+    among dim-1 and simulated dim-3 requests."""
+    alpha = st.one_of(st.floats(1e-3, 0.5), st.sampled_from([1e-6, 1e-12, 1e-30]))
+    rho = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1.0, -1.0, 0.9, 1 - 1e-9]))
+    pair = st.builds(lambda a, r: QuantileRequest(a, np.array([[1.0, r], [r, 1.0]])), alpha, rho)
+    single = st.builds(lambda a: QuantileRequest(a, np.eye(1)), alpha)
+    triple = st.builds(
+        lambda a, c, seed: QuantileRequest(a, np.full((3, 3), c) + (1 - c) * np.eye(3),
+                                           draws=1_000, seed=seed),
+        st.floats(1e-3, 0.5), st.floats(-0.45, 0.95), st.integers(0, 5),
+    )
+    # pairs come twice as often as the other tiers
+    requests = draw(st.lists(st.one_of(pair, pair, single, triple), min_size=1, max_size=8))
+    return requests + draw(st.lists(st.sampled_from(requests), max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_requests())
+def test_a_batch_answers_each_request_as_it_is_answered_alone(requests):
+    batch = max_abs_quantiles(requests)
+    assert batch == [max_abs_quantile(request) for request in requests]
+    assert [(res.alpha, res.dim) for res in batch] == [(req.alpha, req.dim) for req in requests]
+
+
 def test_joint_pair_refuses_an_alpha_whose_bracket_underflows_by_name():
     # the Bonferroni bracket halved alpha again: a refusal about 5e-324
     with pytest.raises(ValueError) as info:
@@ -92,6 +119,13 @@ def test_joint_pair_refuses_an_alpha_whose_bracket_underflows_by_name():
         "the smallest alpha a joint pair accepts is 1.5e-323"
     )
     assert exact(1.5e-323, 0.5).method == "bivariate"
+
+
+def test_a_subnormal_alpha_bounds_q_by_its_rounding():
+    # below the smallest normal float the miss rounds in absolute steps of
+    # about 5e-324, a third of this alpha, so q is known only to about 0.1
+    for rho in (0.0, 0.5, 0.9, 0.999, 1.0):
+        assert exact(1.5e-323, rho).mc_stderr > 0.1
 
 
 def test_monte_carlo_tier_keeps_its_random_streams():

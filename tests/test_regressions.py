@@ -480,3 +480,21 @@ def test_covariance_is_exact_past_the_int64_range_of_n_times_c():
     want = [[float(sum(gk[i] * cov[i][j] * gl[j] for i in range(3) for j in range(3))) for gl in g] for gk in g]
     np.testing.assert_allclose(fit.cov.v, want, rtol=1e-12, atol=0)
 
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BinaryDataset.from_arrays([1, 2, 0], {"a": [1, 0, 1]}), "2 at row 2, column 'z'"),
+        (lambda: BinaryDataset.from_arrays([1, 0, 1], {"a": np.array([0.0, 1.0, 2.5])}),
+         "2.5 at row 3, column 'a'"),
+        (lambda: BinaryDataset.from_counts(["a"], [[0, 1], [1, 2]], [1, 1]), "2 at row 2, column 'a'"),
+    ],
+    ids=["int-column", "float-column", "from-counts"],
+)
+def test_a_numeric_cell_is_reported_as_a_python_number(build, message):
+    # the message held the numpy scalar: "non-binary value np.int64(2) at row 2"
+    with pytest.raises(perfci.NonBinaryValueError) as info:
+        build()
+    assert str(info.value) == f"non-binary value {message}"
+    assert type(info.value.value) in (int, float)
