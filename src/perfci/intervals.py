@@ -21,18 +21,16 @@ mode the correlation matrix fed to the quantile comes from the same
 covariance estimate the widths use.  Every report says which quantile it
 used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
-:func:`set_reports` is the one step from a fit to intervals: it turns
-one :func:`~perfci.covariance.estimate_targets` fit of the whole target
-list into the intervals of several sets of member indices (restriction,
-correction, degenerate variances, quantile, widths), so one fit serves
-every joint set, and one :func:`~perfci.quantiles.max_abs_quantiles`
-call answers every set's quantile.  :func:`set_report` is its batch of
-one.  ``perfci analyze`` calls :func:`set_reports` once; :func:`analyze`
-(every target, in order) and the coverage harness
-(:func:`~perfci.simulation.run_coverage`) call :func:`set_report`, so
-the harness scores exactly the intervals ``analyze`` reports.  A subset
-is analyzed by passing those targets to :func:`analyze`, or its indices
-as ``members`` to :func:`set_report`.
+:func:`set_reports` is the one body from fits to intervals.  Each ask
+``(fit, members, spec)`` pairs an :func:`~perfci.covariance.estimate_targets`
+fit of the whole target list with the member indices of one set and a
+spec.  Every ask is restricted and corrected, one
+:func:`~perfci.quantiles.max_abs_quantiles` call answers all their
+quantiles, and each ask gets the report it would get alone.  ``perfci
+analyze`` asks once per joint set of its one fit; :func:`analyze` and
+:func:`set_report` ask once; :func:`~perfci.simulation.run_coverage`
+asks for every set of a block of replications, so its memory is bounded
+by the block, and it scores exactly the intervals ``analyze`` reports.
 
 Partial failure policy: a target whose measure is undefined at the
 sample moments, or whose variance degenerates, gets its error recorded
@@ -60,7 +58,7 @@ from .quantiles import (
     DEFAULT_DRAWS,
     QuantileRequest,
     check_alpha,
-    max_abs_quantile,
+    max_abs_quantile,  # noqa: F401  (bench/spans.py wraps it in this namespace)
     max_abs_quantiles,
 )
 
@@ -191,63 +189,57 @@ def set_report(
     members: Sequence[int],
     spec: IntervalSpec,
 ) -> IntervalReport:
-    """Intervals for one target set, ``targets[i]`` for ``i`` in ``members``,
-    from ``fit = estimate_targets(data, targets)``; one row per member, in
-    member order.  Its quantile comes from
-    :func:`~perfci.quantiles.max_abs_quantile`, the batch of one, so it is
-    the report :func:`set_reports` gives the set in any batch.
-
-    ``members`` must be non-empty, distinct and in ``range(len(targets))``,
-    else :class:`DimensionMismatchError`.  The fit's covariance is
-    restricted to the members and, for choice 2, corrected.  Members the
-    fit failed, or whose variance is not positive, get inline error rows;
-    the others share the quantile of ``spec.mode``: that of their
-    correlation in joint mode (exact for up to two usable members, else
-    drawn with ``spec.seed``), of one coordinate in individual mode.  With
-    ``spec.clamp``, rows of unit-range measures are cut to ``[0, 1]``.
-    ``q``, ``mc_stderr`` and ``jitter`` are NaN, and ``quantile_method``
-    and ``draws`` are ``None``, when no member is usable.
-    """
-    part, request = _restricted(fit, targets, tuple(members), spec)
-    result = None if request is None else max_abs_quantile(request)
-    return _set_report(fit, targets, spec, part, result)
+    """The report of the one ask ``(fit, members, spec)``: the batch of one
+    of :func:`set_reports`, whose report it is in any batch."""
+    return set_reports(targets, [(fit, members, spec)])[0]
 
 
 def set_reports(
-    fit: TargetEstimates,
     targets: Sequence[EvaluationTarget],
-    sets: Sequence[Sequence[int]],
-    spec: IntervalSpec,
+    asks: Sequence[tuple[TargetEstimates, Sequence[int], IntervalSpec]],
 ) -> list[IntervalReport]:
-    """:func:`set_report` of every member list in ``sets``, in order.
+    """The report of each ask ``(fit, members, spec)``, in ask order.
 
-    Every set is checked, restricted and corrected first, and then one
-    :func:`~perfci.quantiles.max_abs_quantiles` call answers all their
-    quantiles, so the exact dim-2 quantiles of many pairs (``perfci
-    analyze --joint per-rule``) are one vectorized solve.  A set's report
-    does not depend on the other sets: it is the one :func:`set_report`
-    gives it alone.
+    The report holds the intervals of ``targets[i]`` for ``i`` in
+    ``members``, one row per member, in member order, from ``fit =
+    estimate_targets(data, targets)``.  Asks may hold fits of different
+    tables of these targets and different specs.  ``members`` must be
+    non-empty, distinct and in ``range(len(targets))``, else
+    :class:`DimensionMismatchError`.  The fit's covariance is restricted
+    to the members and, for choice 2, corrected.  Members the fit failed,
+    or whose variance is not positive, get inline error rows; the others
+    share the quantile of ``spec.mode``: that of their correlation in
+    joint mode (exact for up to two usable members, else drawn with
+    ``spec.seed``), of one coordinate in individual mode.  With
+    ``spec.clamp``, rows of unit-range measures are cut to ``[0, 1]``.
+    ``q``, ``mc_stderr`` and ``jitter`` are NaN, and ``quantile_method``
+    and ``draws`` are ``None``, when no member is usable.
+
+    Every ask is checked, restricted and corrected before one
+    :func:`~perfci.quantiles.max_abs_quantiles` call answers all the
+    quantiles, so many pairs' exact dim-2 quantiles are one vectorized
+    solve.  A report does not depend on the other asks: it is the one
+    :func:`set_report` gives its ask alone, bit for bit.  Every ask's fit
+    and report are held until the call returns, so the caller bounds the
+    memory by how many asks it passes.
     """
-    restricted = [_restricted(fit, targets, tuple(members), spec) for members in sets]
-    asked = [k for k, (_, request) in enumerate(restricted) if request is not None]
-    results = dict(zip(asked, max_abs_quantiles([restricted[k][1] for k in asked])))
+    parts = [_restricted(fit, targets, tuple(members), spec) for fit, members, spec in asks]
+    results = iter(max_abs_quantiles([request for _, request in parts if request is not None]))
     return [
-        _set_report(fit, targets, spec, part, results.get(k))
-        for k, (part, _) in enumerate(restricted)
+        _set_report(targets, part, None if request is None else next(results))
+        for part, request in parts
     ]
 
 
 def _restricted(fit, targets, members, spec):
-    """``(members, row_of, cov, variance), request`` of one set: its
-    checked members, the fit's row of each live one, their (corrected)
+    """``(fit, spec, members, row_of, cov, variance), request`` of one ask:
+    its checked members, the fit's row of each live one, their (corrected)
     covariance and variances, and the request for its quantile (``None``
     when no member is usable)."""
     if not members:
         raise DimensionMismatchError("a target set must not be empty")
     if not all(0 <= i < len(targets) for i in members):
-        raise DimensionMismatchError(
-            f"target set {members} out of range for {len(targets)} targets"
-        )
+        raise DimensionMismatchError(f"target set {members} out of range for {len(targets)} targets")
     if len(set(members)) < len(members):
         raise DimensionMismatchError(f"target set {members} repeats a target")
     row_of = {pos: r for r, pos in enumerate(fit.alive)}
@@ -261,12 +253,12 @@ def _restricted(fit, targets, members, spec):
     if usable:
         corr = correlation(cov.restrict(usable)) if spec.mode == "joint" else [[1.0]]
         request = QuantileRequest(spec.alpha, corr, spec.draws, spec.seed)
-    return (members, row_of, cov, variance), request
+    return (fit, spec, members, row_of, cov, variance), request
 
 
-def _set_report(fit, targets, spec, part, result) -> IntervalReport:
-    """The report of one :func:`_restricted` set, given its quantile ``result``."""
-    members, row_of, cov, variance = part
+def _set_report(targets, part, result) -> IntervalReport:
+    """The report of one :func:`_restricted` ask, given its quantile ``result``."""
+    fit, spec, members, row_of, cov, variance = part
     q = mc_stderr = jitter = float("nan")
     method = draws = None
     if result is not None:

@@ -10,10 +10,10 @@ Three coverage notions are reported:
   once (the naive reading of a table of marginal intervals);
 * joint: how often the simultaneous intervals cover all their targets.
 
-Each replication fits its sample once and builds every interval with
-:func:`perfci.intervals.set_report`, the step behind
-:func:`~perfci.intervals.analyze` and ``perfci analyze``, so
-:func:`run_coverage` scores the same intervals ``analyze`` reports.
+:func:`run_coverage` fits each replication once and asks
+:func:`perfci.intervals.set_reports`, the body of ``perfci analyze``, for
+a block of replications' intervals at a time: it scores the intervals
+``analyze`` reports and holds one block's fits at any study size.
 
 Data processes
 --------------
@@ -51,7 +51,7 @@ from .dataset import (
     make_targets,
 )
 from .errors import PerfciError
-from .intervals import IntervalSpec, set_report
+from .intervals import IntervalSpec, set_reports
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
 from .quantiles import check_alpha, norm_cdf
@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_SIM_DRAWS = 20_000
+_BLOCK = 64  # replications whose fits are held for one set_reports call
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -453,6 +454,8 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
 
     Replication ``rep`` samples from substream ``(seed, rep, 0)`` and
     joint set ``i`` draws its quantile with seed ``(seed, rep, 1 + i)``.
+    Each ``_BLOCK`` replications' asks go to one ``set_reports`` call; a
+    report is the one its ask gets alone, whatever the block holds.
     """
     rules = config.rules
     truth = true_params(config.process, rules, config.measure_ids)
@@ -470,25 +473,31 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
     joint_q = {label: np.full(reps, np.nan) for label, _ in sets}
     joint_mc = {label: np.full(reps, np.nan) for label, _ in sets}
 
-    for rep in range(reps):
-        batch = config.process.sample(config.n, _substream(config.seed, rep, 0))
-        data = BinaryDataset(
-            np.ascontiguousarray(batch.z, dtype=np.uint8),
-            {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
-        )
-        fit = estimate_targets(data, targets)
-        est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
-
+    for start in range(0, reps, _BLOCK):
+        block = range(start, min(start + _BLOCK, reps))
+        asks = []
+        for rep in block:
+            batch = config.process.sample(config.n, _substream(config.seed, rep, 0))
+            data = BinaryDataset(
+                np.ascontiguousarray(batch.z, dtype=np.uint8),
+                {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
+            )
+            fit = estimate_targets(data, targets)
+            est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
+            asks.append((fit, range(n_targets), individual))
+            asks += [(fit, idx, replace(spec, seed=_substream_seed(config.seed, rep, 1 + i)))
+                     for i, (_, idx) in enumerate(sets)]
         # failed rows carry None, which float arrays store as NaN
-        report = set_report(fit, targets, range(n_targets), individual)
-        variances[rep] = [row.variance for row in report.rows]
-        ind_half[rep] = [row.half_width for row in report.rows]
-        for set_pos, (label, idx) in enumerate(sets):
-            seed = _substream_seed(config.seed, rep, 1 + set_pos)
-            report = set_report(fit, targets, idx, replace(spec, seed=seed))
-            joint_q[label][rep] = report.q
-            joint_mc[label][rep] = report.mc_stderr
-            joint_half[label][rep] = [row.half_width for row in report.rows]
+        reports = iter(set_reports(targets, asks))
+        for rep in block:
+            report = next(reports)
+            variances[rep] = [row.variance for row in report.rows]
+            ind_half[rep] = [row.half_width for row in report.rows]
+            for label, _ in sets:
+                report = next(reports)
+                joint_q[label][rep] = report.q
+                joint_mc[label][rep] = report.mc_stderr
+                joint_half[label][rep] = [row.half_width for row in report.rows]
 
     # ---- aggregate --------------------------------------------------------
     # NaN entries mean "no interval in that replication": comparisons give
@@ -524,14 +533,7 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
         joint_of_individual=float(ind_cover.all(axis=1).mean()),
         joint_sets=tuple(set_results),
         target_error_counts=np.isnan(ind_half).sum(axis=0),
-        diagnostics=CoverageDiagnostics(
-            estimates=est,
-            variances=variances,
-            individual_half=ind_half,
-            joint_half=joint_half,
-            joint_q=joint_q,
-            joint_mc_stderr=joint_mc,
-        ),
+        diagnostics=CoverageDiagnostics(est, variances, ind_half, joint_half, joint_q, joint_mc),
     )
 
 

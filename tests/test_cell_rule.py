@@ -60,8 +60,8 @@ def oracle_table(header, rows):
 def oracle_column(values, col):
     out = []
     for i, v in enumerate(np.asarray(values)):
-        # a bad cell of a numeric array is named by its Python number
-        shown = v.item() if isinstance(v, np.generic) and v.dtype.kind in "biuf" else v
+        # a bad cell of an array is named by its Python value
+        shown = v.item() if isinstance(v, np.generic) else v
         try:
             value = _read(v)
         except (TypeError, ValueError, OverflowError):
@@ -205,8 +205,21 @@ def test_from_arrays_reads_cells_as_csv_cells_do():
     # complex values are not 0/1, even next to a real 1 or with no imaginary part
     with pytest.raises(NonBinaryValueError, match=r"\(1\+0j\) at row 2"):
         BinaryDataset.from_arrays([1, 1 + 0j, None], {"r": [0, 1, 0]})
-    with pytest.raises(NonBinaryValueError, match=r"complex128\(1\+1j\) at row 1"):
+    with pytest.raises(NonBinaryValueError, match=r"value \(1\+1j\) at row 1"):
         BinaryDataset.from_arrays(np.array([1 + 1j, 0j]), {"r": [0, 1]})
+
+
+def test_a_bad_cell_of_any_array_is_named_by_its_python_value():
+    # as a CSV cell reads 'x', not a numpy scalar such as np.str_('x')
+    for column, shown in [
+        (np.array(["0", "x"]), "'x' at row 2"),
+        (np.array([b"1", b"x"]), "b'x' at row 2"),
+        (np.array([1 + 0j, 0j]), r"\(1\+0j\) at row 1"),  # no complex cell is 0/1
+        (np.array([0, "x"], dtype=object), "'x' at row 2"),
+        (np.array([1, np.float64(2)], dtype=object), "2.0 at row 2"),
+    ]:
+        with pytest.raises(NonBinaryValueError, match=rf"value {shown}, column 'r'$"):
+            BinaryDataset.from_arrays([0, 1], {"r": column})
 
 
 def _is_binary(token):

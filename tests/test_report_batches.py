@@ -1,0 +1,150 @@
+"""One report path: ``set_reports`` answers each ``(fit, members, spec)`` ask as
+``set_report`` answers it alone, whatever else the batch holds, and
+``run_coverage``, which asks for a block of replications at once, gives what
+one ``set_report`` call per replication and set gave."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perfci import simulation
+from perfci.covariance import estimate_targets
+from perfci.dataset import BinaryDataset, make_joint_sets, make_targets
+from perfci.intervals import IntervalSpec, set_report, set_reports
+from perfci.measures import builtin_measures
+from perfci.simulation import (
+    CoverageConfig,
+    CoverageDiagnostics,
+    CoverageResult,
+    EmpiricalBootstrapProcess,
+    FixedPredictionRule,
+    JointSetCoverage,
+    run_coverage,
+    stress_population,
+    true_params,
+)
+from test_core_properties import tables
+
+MEASURES = tuple(m.id for m in builtin_measures())
+# no table has a rule "gone", so a set of its targets has no usable member
+RULES = ("r0", "r1", "gone")
+
+
+@st.composite
+def asks(draw, fits, n_targets):
+    size = draw(st.sampled_from([1, 2, 3, 5]))
+    members = draw(st.lists(st.integers(0, n_targets - 1), min_size=size, max_size=size, unique=True))
+    spec = IntervalSpec(
+        alpha=draw(st.sampled_from([0.05, 0.2])),
+        mode=draw(st.sampled_from(["individual", "joint"])),
+        choice=draw(st.sampled_from([1, 2])),
+        draws=1_000,
+        seed=draw(st.integers(0, 3)),
+    )
+    return draw(st.sampled_from(fits)), members, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tables(), min_size=1, max_size=3), st.data())
+def test_a_batch_answers_each_ask_as_set_report_answers_it_alone(datasets, data):
+    targets = make_targets(RULES, MEASURES)
+    fits = [estimate_targets(table, targets) for table in datasets]
+    batch = data.draw(st.lists(asks(fits, len(targets)), min_size=1, max_size=8))
+    gone = [i for i, t in enumerate(targets) if t.rule_id == "gone"][:3]
+    batch.insert(data.draw(st.integers(0, len(batch))), (fits[0], gone, IntervalSpec()))
+
+    reports = set_reports(targets, batch)
+    assert len(reports) == len(batch)
+    for (fit, members, spec), report in zip(batch, reports):
+        # repr names every field, floats to the last bit and NaN as nan
+        assert repr(report) == repr(set_report(fit, targets, members, spec))
+        assert [(r.rule_id, r.measure_id) for r in report.rows] == [
+            (targets[i].rule_id, targets[i].measure_id) for i in members
+        ]
+    unusable = reports[[members for _, members, _ in batch].index(gone)]
+    assert math.isnan(unusable.q) and unusable.quantile_method is None
+
+
+def per_replication_coverage(config):
+    """``run_coverage`` as one ``set_report`` call per replication for the
+    individual set, then one per joint set."""
+    truth = true_params(config.process, config.rules, config.measure_ids)
+    targets = truth.targets
+    sets = make_joint_sets(config.joint_sets, targets)
+    reps, n_targets = config.replications, len(targets)
+    spec = IntervalSpec(alpha=config.alpha, choice=config.choice, draws=config.draws)
+    est = np.full((reps, n_targets), np.nan)
+    variances = np.full((reps, n_targets), np.nan)
+    ind_half = np.full((reps, n_targets), np.nan)
+    joint_half = {label: np.full((reps, len(idx)), np.nan) for label, idx in sets}
+    joint_q = {label: np.full(reps, np.nan) for label, _ in sets}
+    joint_mc = {label: np.full(reps, np.nan) for label, _ in sets}
+    for rep in range(reps):
+        batch = config.process.sample(config.n, simulation._substream(config.seed, rep, 0))
+        data = BinaryDataset(
+            np.ascontiguousarray(batch.z, dtype=np.uint8),
+            {r.id: np.ascontiguousarray(r.predict(batch), dtype=np.uint8) for r in config.rules},
+        )
+        fit = estimate_targets(data, targets)
+        est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
+        report = set_report(fit, targets, range(n_targets), replace(spec, mode="individual"))
+        variances[rep] = [row.variance for row in report.rows]
+        ind_half[rep] = [row.half_width for row in report.rows]
+        for k, (label, idx) in enumerate(sets):
+            seed = simulation._substream_seed(config.seed, rep, 1 + k)
+            report = set_report(fit, targets, idx, replace(spec, seed=seed))
+            joint_q[label][rep] = report.q
+            joint_mc[label][rep] = report.mc_stderr
+            joint_half[label][rep] = [row.half_width for row in report.rows]
+
+    mean = simulation._nanmean
+    ind_cover = np.abs(est - truth.values) <= ind_half
+    joint = []
+    for label, idx in sets:
+        cover = np.abs(est[:, list(idx)] - truth.values[list(idx)]) <= joint_half[label]
+        joint.append(JointSetCoverage(
+            label, tuple(idx), float(cover.all(axis=1).mean()), 2.0 * mean(joint_half[label]),
+            float(mean(joint_q[label])), float(np.isnan(joint_half[label]).any(axis=1).mean()),
+        ))
+    return CoverageResult(
+        config.choice, config.n, config.alpha, reps, config.seed, config.draws, targets,
+        truth.values, truth.provenance, ind_cover.mean(axis=0), 2.0 * mean(ind_half),
+        float(ind_cover.all(axis=1).mean()), tuple(joint), np.isnan(ind_half).sum(axis=0),
+        CoverageDiagnostics(est, variances, ind_half, joint_half, joint_q, joint_mc),
+    )
+
+
+def test_run_coverage_matches_one_set_report_per_replication_and_set():
+    # resamples of the stress population that miss all five overlap rows
+    # have singular plug-in rows under choice 1; two blocks and a part block
+    config = CoverageConfig(
+        process=EmpiricalBootstrapProcess(stress_population()),
+        rules=(FixedPredictionRule("weak"),),
+        measure_ids=("f_beta(0.5)", "accuracy", "f1"),
+        n=3000,
+        replications=2 * simulation._BLOCK + 3,
+        joint_sets="0,1;all",  # a pair and a Monte Carlo triple
+        draws=1_000,
+        seed=4,
+    )
+    for choice in (1, 2):
+        got = run_coverage(replace(config, choice=choice))
+        want = per_replication_coverage(replace(config, choice=choice))
+        assert got.as_dict() == want.as_dict()
+        g, w = got.diagnostics, want.diagnostics
+        for name in ("estimates", "variances", "individual_half"):
+            assert same_bits(getattr(g, name), getattr(w, name))
+        for name in ("joint_half", "joint_q", "joint_mc_stderr"):
+            assert getattr(g, name).keys() == getattr(w, name).keys() == {"set0", "all"}
+            for label, values in getattr(w, name).items():
+                assert same_bits(getattr(g, name)[label], values)
+        if choice == 1:
+            assert np.isnan(g.individual_half[:, 0]).any()
+
+
+def same_bits(a, b):
+    """Equal shapes and dtypes, and the same bits in every entry, NaN included."""
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
