@@ -42,7 +42,7 @@ measure's natural range unless ``clamp`` is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .covariance import TargetEstimates, correct, correlation, estimate_targets
@@ -75,6 +75,7 @@ __all__ = [
 
 CHOICE_PLUGIN = 1
 CHOICE_CORRECTED = 2
+_NAN = object()  # stands for NaN in IntervalReport._key, where it equals itself
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,9 @@ class IntervalReport:
     simulation needed (0.0 otherwise), and ``draws`` the number of
     simulated maxima behind ``q`` (0 for the normal and bivariate
     quantiles).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
-    ``draws`` is ``None``, when no row is usable.
+    ``draws`` is ``None``, when no row is usable.  Reports compare and hash
+    field by field with NaN equal to NaN, so two reports of the same failed
+    set are equal.
     """
 
     n: int
@@ -149,6 +152,19 @@ class IntervalReport:
     draws: int | None
     seed: int
     rows: tuple[TargetInterval, ...]
+
+    def _key(self) -> tuple:
+        """The fields, with every NaN replaced by one sentinel."""
+        return tuple(_NAN if isinstance(v, float) and math.isnan(v) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def ok_rows(self) -> tuple[TargetInterval, ...]:

@@ -39,6 +39,16 @@ Two quantile notions drive every interval in this package:
   before anything is allocated (:func:`planned_bytes`); a request whose
   plan exceeds ``MAX_QUANTILE_BYTES`` is rejected.
 
+  :func:`max_abs_quantiles` draws the simulated requests of dimension
+  below 16 on a thread pool of its own when a list holds two or more of
+  them and the process may run on two or more cores.  Such a request is
+  drawn in blocks of 256 KiB, whose product OpenBLAS runs on the calling
+  thread; from dim 16 OpenBLAS threads a block's product itself, and a
+  pool only slows it.  The substreams make every result the one its
+  request gets alone on one thread, bit for bit, and the pool holds at
+  most ``workers`` requests' plans, which must fit ``MAX_QUANTILE_BYTES``
+  together.
+
 ``sidak_quantile``, the closed form for independent coordinates, bounds
 ``q(alpha, R)`` from above for every ``R`` (Sidak 1967) and equals it at
 identity ``R``, which makes it the natural test oracle.
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -157,6 +168,11 @@ def sidak_quantile(alpha: float, dim: int) -> float:
 _CHUNK = 1 << 16
 # bytes of one block of normals: a chunk's substream is drawn a block at a time
 _BLOCK_BYTES = 1 << 20
+# Monte Carlo requests of a batch below this dimension share the cores, each
+# drawn in blocks of _POOL_BLOCK_BYTES: such a block's product, 2**15 * dim
+# multiply-adds, stays under the 2**19 at which OpenBLAS threads it itself
+_POOL_DIM = 16
+_POOL_BLOCK_BYTES = 1 << 18
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CORR_TOL = 1e-8
 
@@ -197,9 +213,9 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def _block_rows(dim: int) -> int:
-    """Rows of one block of normals: about ``_BLOCK_BYTES`` of float64."""
-    return max(1, _BLOCK_BYTES // (8 * dim))
+def _block_rows(dim: int, block_bytes: int = _BLOCK_BYTES) -> int:
+    """Rows of one block of normals: about ``block_bytes`` of float64."""
+    return max(1, block_bytes // (8 * dim))
 
 
 def planned_bytes(dim: int, draws: int) -> int:
@@ -207,9 +223,9 @@ def planned_bytes(dim: int, draws: int) -> int:
     caller's matrix.
 
     The Monte Carlo tier counts ``draws`` float64 maxima; three blocks of
-    ``min(draws, _block_rows(dim)) x dim`` float64 (a block's normals, their
-    correlated image, and the last block's image, released when the next is
-    assigned); and four ``dim x dim`` float64 matrices: the validated
+    ``min(draws, _block_rows(dim)) x dim`` float64 (the buffers of a block's
+    normals and of their correlated image, and one block to spare); and
+    four ``dim x dim`` float64 matrices: the validated
     correlation, a jittered candidate, its Cholesky factor and the copy
     that LAPACK factors in place.  Validation peaks earlier, at three such
     matrices.  The exact tiers (dims 1 and 2) need a few hundred bytes,
@@ -324,40 +340,87 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
         If a simulated ``R`` admits no Cholesky factor after the jitter
         ladder.
     """
-    tier, jitter = request.tier, 0.0
-    if tier == "bivariate":
+    if request.tier == "bivariate":
         return _bivariate_quantiles([request])[0]
-    if tier == "normal":
-        q, mc_stderr = two_sided_quantile(request.alpha), 0.0
-    else:
-        q, mc_stderr, jitter = _monte_carlo_quantile(request)
-    return QuantileResult(
-        q=q,
-        mc_stderr=mc_stderr,
-        alpha=request.alpha,
-        dim=request.dim,
-        draws=request.draws if tier == "monte_carlo" else 0,
-        seed=request.seed,
-        jitter=jitter,
-        method=tier,
-    )
+    return _result(request, _monte_carlo_quantile(request) if request.tier == "monte_carlo" else None)
 
 
 def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResult]:
     """:func:`max_abs_quantile` of every request, in request order.
 
     The dim-2 requests are answered together, by one vectorized root-find
-    over all their ``(alpha, rho)``; every other request is answered on its
-    own, by :func:`max_abs_quantile`.  Each element of the solve follows
-    its own steps, so a result is the one its request gets alone, bit for
-    bit, whatever shares its batch; a bivariate ``mc_stderr`` is the same
-    error bound.  Raises what :func:`max_abs_quantile` raises, a dim-2
-    request's error before any other request is answered.
+    over all their ``(alpha, rho)``.  When the process may run on two or
+    more cores and the list holds two or more simulated requests of
+    dimension below 16, those are drawn on a thread pool of
+    ``min(cores, requests)`` workers made for this call, each in blocks
+    of 256 KiB.  Such a block's product, ``2**15 * dim`` multiply-adds,
+    is one that OpenBLAS runs on the calling thread; it threads products
+    of ``2**19`` and more itself, and its threads would take the cores
+    the pool needs.  A request joins the pool only while ``workers`` times
+    its :func:`planned_bytes` is within ``MAX_QUANTILE_BYTES``, which
+    bounds the pool's peak.  Every other request is answered by
+    :func:`max_abs_quantile` on the calling thread, once the pool is done.
+
+    A result is the one its request gets alone, bit for bit, whatever
+    shares its batch: each element of the solve follows its own steps,
+    and each simulated request reads its own substreams whatever block
+    size or thread draws it.  Raises what :func:`max_abs_quantile`
+    raises: a dim-2 request's error before any other request is
+    answered, then the first failing request's, in request order.
     """
     requests = list(requests)
     pairs = [r for r in requests if r.tier == "bivariate"]
     solved = iter(_bivariate_quantiles(pairs) if pairs else ())
-    return [next(solved) if r.tier == "bivariate" else max_abs_quantile(r) for r in requests]
+    drawn = _pooled_draws(requests)
+    return [
+        next(solved) if r.tier == "bivariate"
+        else _result(r, drawn[k].result()) if k in drawn
+        else max_abs_quantile(r)
+        for k, r in enumerate(requests)
+    ]
+
+
+def _result(request: QuantileRequest, simulated: tuple[float, float, float] | None) -> QuantileResult:
+    """The result of a dim-1 request (``simulated`` is ``None``) or of a
+    simulated one, given its ``(q, mc_stderr, jitter)``."""
+    q, mc_stderr, jitter = simulated or (two_sided_quantile(request.alpha), 0.0, 0.0)
+    return QuantileResult(
+        q=q,
+        mc_stderr=mc_stderr,
+        alpha=request.alpha,
+        dim=request.dim,
+        draws=0 if simulated is None else request.draws,
+        seed=request.seed,
+        jitter=jitter,
+        method=request.tier,
+    )
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux; the CPU affinity set by taskset
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pooled_draws(requests: list[QuantileRequest]) -> dict:
+    """``{position: done future of _monte_carlo_quantile}`` for the requests
+    that :func:`max_abs_quantiles` draws on its thread pool; empty when it
+    pools none.  The workers call only private functions, and the pool is
+    shut down, its threads joined, before this returns."""
+    small = [k for k, r in enumerate(requests) if r.tier == "monte_carlo" and r.dim < _POOL_DIM]
+    if len(small) < 2:
+        return {}
+    workers = min(_cores(), len(small))
+    pooled = [k for k in small
+              if workers * planned_bytes(requests[k].dim, requests[k].draws) <= MAX_QUANTILE_BYTES]
+    workers = min(workers, len(pooled))
+    if workers < 2:
+        return {}
+    from concurrent.futures import ThreadPoolExecutor  # its import costs milliseconds
+
+    with ThreadPoolExecutor(workers) as pool:
+        return {k: pool.submit(_monte_carlo_quantile, requests[k], _POOL_BLOCK_BYTES) for k in pooled}
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +444,37 @@ def _cholesky_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float]:
+def _monte_carlo_quantile(
+    request: QuantileRequest, block_bytes: int = _BLOCK_BYTES
+) -> tuple[float, float, float]:
     """Empirical quantile of ``request.draws`` simulated maxima, as
     ``(q, mc_stderr, jitter)``.
 
     Draws are generated in fixed-size chunks, each from its own
     counter-based substream of ``request.seed``, so the result is
     reproducible as long as ``_CHUNK`` stays fixed.  A chunk's generator
-    is read in consecutive blocks of :func:`_block_rows` rows, which give
-    the draws of one read of the whole chunk, so the block size moves no
-    draw.  Each block is correlated in ``(dim, rows)`` layout, so the max
-    over coordinates is an elementwise reduction.
+    is read in consecutive blocks of ``_block_rows(dim, block_bytes)``
+    rows, which give the draws of one read of the whole chunk, so the
+    block size moves no draw.  Each block is correlated in ``(dim, rows)``
+    layout, so the max over coordinates is an elementwise reduction.  The
+    normals and their image are written into two buffers allocated once
+    per request: a worker of :func:`max_abs_quantiles` that allocated
+    them per block kept more memory in its thread's malloc arena.
     """
     factor, jitter = _cholesky_with_jitter(request.corr)
     draws, dim = request.draws, request.dim
-    block = _block_rows(dim)
+    block = _block_rows(dim, block_bytes)
     maxima = np.empty(draws, dtype=float)
+    normals, image = np.empty(min(draws, block) * dim), np.empty(min(draws, block) * dim)
     for chunk_index, pos in enumerate(range(0, draws, _CHUNK)):
         seq = np.random.SeedSequence(entropy=request.seed, spawn_key=(chunk_index,))
         rng = np.random.Generator(np.random.Philox(seq))
         end = min(draws, pos + _CHUNK)
         for start in range(pos, end, block):
-            stop = min(end, start + block)
-            sample = factor @ rng.standard_normal((stop - start, dim)).T
-            maxima[start:stop] = np.abs(sample, out=sample).max(axis=0)
+            rows = min(end, start + block) - start
+            z = rng.standard_normal(out=normals[: rows * dim].reshape(rows, dim))
+            sample = np.matmul(factor, z.T, out=image[: rows * dim].reshape(dim, rows))
+            np.abs(sample, out=sample).max(axis=0, out=maxima[start : start + rows])
     # one sort serves q and the window below; np.partition at those three
     # order statistics measured slower (numpy 2.4: 2.4 ms against 1.3 ms at 200k)
     maxima.sort()

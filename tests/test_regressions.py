@@ -1,7 +1,9 @@
 """Regression tests for defects fixed after the first release."""
 
+import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -498,3 +500,20 @@ def test_a_numeric_cell_is_reported_as_a_python_number(build, message):
         build()
     assert str(info.value) == f"non-binary value {message}"
     assert type(info.value.value) in (int, float)
+
+
+def test_reports_of_the_same_failed_set_compare_equal():
+    # q, mc_stderr and jitter are NaN when no member is usable, and NaN != NaN
+    # made two identical reports unequal while their reprs matched
+    data = BinaryDataset.from_arrays([1, 0, 1, 1, 0, 0], {"a": [1, 0, 0, 1, 1, 0]})
+    targets = [EvaluationTarget("a", "no_such_measure")]
+    fit = estimate_targets(data, targets)
+    first, second = (set_report(fit, targets, [0], IntervalSpec()) for _ in range(2))
+    assert first.quantile_method is None and first.q != first.q
+    assert first == second and hash(first) == hash(second)
+    restored = pickle.loads(pickle.dumps(first))
+    assert restored == second and hash(restored) == hash(second)
+    assert first != dataclasses.replace(first, seed=1)
+    assert first != dataclasses.replace(first, q=1.0)
+    assert dataclasses.replace(first, q=1.0) != first
+    assert first != dataclasses.replace(first, rows=())
