@@ -357,9 +357,9 @@ def _build_process_and_rules(settings: dict[str, str], seed: int):
         lone_nn = sum(token.startswith("one_nn(") for token in rule_tokens) == 1
         for pos, token in enumerate(rule_tokens):
             if token.startswith("threshold(") and token.endswith(")"):
-                rules.append(ThresholdRule(float(token[len("threshold(") : -1])))
+                rules.append(ThresholdRule(_rule_argument(token, float)))
             elif token.startswith("one_nn(") and token.endswith(")"):
-                size = int(token[len("one_nn(") : -1])
+                size = _rule_argument(token, int)
                 rule_id = "one_nn" if lone_nn else f"one_nn_{pos}"
                 rules.append(
                     OneNNRule.train(
@@ -381,6 +381,15 @@ def _build_process_and_rules(settings: dict[str, str], seed: int):
         rules = [FixedPredictionRule(token) for token in rule_tokens]
         return process, rules
     raise ValueError(f"unknown process {settings['process']!r}")
+
+
+def _rule_argument(token: str, cast: type):
+    """The argument between the parentheses of a rule token, read by ``cast``."""
+    raw = token[token.index("(") + 1 : -1]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"rule {token!r}: cannot read {raw!r} as {cast.__name__}") from None
 
 
 def _coverage_table(result) -> str:
@@ -426,6 +435,9 @@ def _parse_corr_argument(raw: str) -> np.ndarray:
     rows = [[float(tok) for tok in line.split(",")] for line in lines if line.strip()]
     if not rows:
         raise ValueError(f"could not parse correlation matrix from {raw!r}")
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"correlation matrix row {k} has length {len(row)}, row 1 has length {len(rows[0])}")
     return np.asarray(rows, dtype=float)
 
 

@@ -46,6 +46,8 @@ class UnknownMeasureError(PerfciError, KeyError):
         hint = f"; known ids: {', '.join(known)}" if known else ""
         super().__init__(f"unknown measure id {measure_id!r}{hint}")
 
+    __str__ = Exception.__str__  # the message, where KeyError's str() is its repr
+
 
 class DatasetError(PerfciError, ValueError):
     """Base class for evaluation-table validation failures."""
@@ -95,6 +97,8 @@ class UnknownRuleError(PerfciError, KeyError):
         self.rule_id = rule_id
         hint = f"; known rules: {', '.join(known)}" if known else ""
         super().__init__(f"unknown rule id {rule_id!r}{hint}")
+
+    __str__ = Exception.__str__  # the message, where KeyError's str() is its repr
 
 
 class SingularVarianceError(PerfciError, ArithmeticError):

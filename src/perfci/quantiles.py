@@ -29,9 +29,10 @@ Two quantile notions drive every interval in this package:
     correlated Gaussian vectors in fixed-size chunks with counter-based
     substreams so results are reproducible for a given seed, and read
     the empirical quantile off the sorted maxima.  Each chunk's
-    substream is drawn in blocks of about 1 MiB, so a request holds its
-    ``draws`` maxima, a few blocks and its ``dim x dim`` matrices, and
-    its time grows as ``dim**2 * draws``.  ``mc_stderr`` is the
+    substream is drawn in blocks of 256 KiB below dim 16 and of 1 MiB
+    from it, whoever draws the request (:func:`_block_rows`), so a
+    request holds its ``draws`` maxima, a few blocks and its ``dim x dim``
+    matrices, and its time grows as ``dim**2 * draws``.  ``mc_stderr`` is the
     usual order-statistic standard error: binomial noise of the
     empirical CDF divided by a local density estimate.
 
@@ -40,11 +41,9 @@ Two quantile notions drive every interval in this package:
   plan exceeds ``MAX_QUANTILE_BYTES`` is rejected.
 
   :func:`max_abs_quantiles` draws the simulated requests of dimension
-  below 16 on a thread pool of its own when a list holds two or more of
-  them and the process may run on two or more cores.  Such a request is
-  drawn in blocks of 256 KiB, whose product OpenBLAS runs on the calling
-  thread; from dim 16 OpenBLAS threads a block's product itself, and a
-  pool only slows it.  The substreams make every result the one its
+  below 16, whose block products OpenBLAS leaves on the drawing thread,
+  on a thread pool of its own when a list holds two or more of them and
+  the process may run on two or more cores.  Every result is the one its
   request gets alone on one thread, bit for bit, and the pool holds at
   most ``workers`` requests' plans, which must fit ``MAX_QUANTILE_BYTES``
   together.
@@ -166,13 +165,10 @@ def sidak_quantile(alpha: float, dim: int) -> float:
 
 # rows per Monte Carlo chunk; each chunk is one substream, so this fixes the streams
 _CHUNK = 1 << 16
-# bytes of one block of normals: a chunk's substream is drawn a block at a time
-_BLOCK_BYTES = 1 << 20
-# Monte Carlo requests of a batch below this dimension share the cores, each
-# drawn in blocks of _POOL_BLOCK_BYTES: such a block's product, 2**15 * dim
-# multiply-adds, stays under the 2**19 at which OpenBLAS threads it itself
+# Monte Carlo requests below this dimension are drawn in 256 KiB blocks, whose
+# product, 2**15 * dim multiply-adds, stays under the 2**19 at which OpenBLAS
+# threads one, and the requests of a batch share the cores
 _POOL_DIM = 16
-_POOL_BLOCK_BYTES = 1 << 18
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CORR_TOL = 1e-8
 
@@ -213,9 +209,11 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def _block_rows(dim: int, block_bytes: int = _BLOCK_BYTES) -> int:
-    """Rows of one block of normals: about ``block_bytes`` of float64."""
-    return max(1, block_bytes // (8 * dim))
+def _block_rows(dim: int) -> int:
+    """Rows of one block of normals, whoever draws the request: about
+    256 KiB of float64 below ``_POOL_DIM``, and 1 MiB from it, where
+    OpenBLAS threads every block's product and larger blocks gain."""
+    return max(1, (1 << 18 if dim < _POOL_DIM else 1 << 20) // (8 * dim))
 
 
 def planned_bytes(dim: int, draws: int) -> int:
@@ -223,8 +221,9 @@ def planned_bytes(dim: int, draws: int) -> int:
     caller's matrix.
 
     The Monte Carlo tier counts ``draws`` float64 maxima; three blocks of
-    ``min(draws, _block_rows(dim)) x dim`` float64 (the buffers of a block's
-    normals and of their correlated image, and one block to spare); and
+    ``min(draws, _block_rows(dim)) x dim`` float64, the blocks the request
+    is drawn in on any thread (the buffers of a block's normals and of
+    their correlated image, and one block to spare); and
     four ``dim x dim`` float64 matrices: the validated
     correlation, a jittered candidate, its Cholesky factor and the copy
     that LAPACK factors in place.  Validation peaks earlier, at three such
@@ -352,21 +351,22 @@ def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResul
     over all their ``(alpha, rho)``.  When the process may run on two or
     more cores and the list holds two or more simulated requests of
     dimension below 16, those are drawn on a thread pool of
-    ``min(cores, requests)`` workers made for this call, each in blocks
-    of 256 KiB.  Such a block's product, ``2**15 * dim`` multiply-adds,
-    is one that OpenBLAS runs on the calling thread; it threads products
-    of ``2**19`` and more itself, and its threads would take the cores
-    the pool needs.  A request joins the pool only while ``workers`` times
-    its :func:`planned_bytes` is within ``MAX_QUANTILE_BYTES``, which
-    bounds the pool's peak.  Every other request is answered by
-    :func:`max_abs_quantile` on the calling thread, once the pool is done.
+    ``min(cores, requests)`` workers made for this call.  Such a request
+    is drawn in blocks of 256 KiB on any thread (:func:`_block_rows`),
+    whose product, ``2**15 * dim`` multiply-adds, OpenBLAS runs on the
+    drawing thread; it threads products of ``2**19`` and more itself,
+    and its threads would take the cores the pool needs.  A request
+    joins the pool only while ``workers`` times its :func:`planned_bytes`
+    is within ``MAX_QUANTILE_BYTES``, which bounds the pool's peak.
+    Every other request is answered by :func:`max_abs_quantile` on the
+    calling thread, once the pool is done.
 
     A result is the one its request gets alone, bit for bit, whatever
     shares its batch: each element of the solve follows its own steps,
-    and each simulated request reads its own substreams whatever block
-    size or thread draws it.  Raises what :func:`max_abs_quantile`
-    raises: a dim-2 request's error before any other request is
-    answered, then the first failing request's, in request order.
+    and each simulated request reads its own substreams whatever thread
+    draws it.  Raises what :func:`max_abs_quantile` raises: a dim-2
+    request's error before any other request is answered, then the
+    first failing request's, in request order.
     """
     requests = list(requests)
     pairs = [r for r in requests if r.tier == "bivariate"]
@@ -380,20 +380,33 @@ def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResul
     ]
 
 
-def _result(request: QuantileRequest, simulated: tuple[float, float, float] | None) -> QuantileResult:
-    """The result of a dim-1 request (``simulated`` is ``None``) or of a
-    simulated one, given its ``(q, mc_stderr, jitter)``."""
-    q, mc_stderr, jitter = simulated or (two_sided_quantile(request.alpha), 0.0, 0.0)
+def _result(request: QuantileRequest, found: tuple[float, float, float] | None) -> QuantileResult:
+    """The result of ``request`` given its ``(q, mc_stderr, jitter)``, or of a
+    dim-1 request (``found`` is ``None``); ``draws`` and ``method`` follow
+    from the request's tier."""
+    q, mc_stderr, jitter = found or (two_sided_quantile(request.alpha), 0.0, 0.0)
     return QuantileResult(
         q=q,
         mc_stderr=mc_stderr,
         alpha=request.alpha,
         dim=request.dim,
-        draws=0 if simulated is None else request.draws,
+        draws=request.draws if request.tier == "monte_carlo" else 0,
         seed=request.seed,
         jitter=jitter,
         method=request.tier,
     )
+
+
+def _substream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator of substream ``key`` of ``seed``.  Keys in use:
+    ``(chunk,)`` for a chunk of a simulated quantile of seed ``seed``;
+    ``(rep, 0)`` for the sample of coverage replication ``rep``;
+    ``(rep, 1 + i)`` for the quantile seed of its joint set ``i``; and
+    ``(0xF17, 0, 0)`` for the sample ``OneNNRule.train`` fits.  Each use
+    has keys of its own length, so no two share a stream while every
+    index is below ``2**32`` (numpy splits a larger one into words)."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def _cores() -> int:
@@ -420,7 +433,7 @@ def _pooled_draws(requests: list[QuantileRequest]) -> dict:
     from concurrent.futures import ThreadPoolExecutor  # its import costs milliseconds
 
     with ThreadPoolExecutor(workers) as pool:
-        return {k: pool.submit(_monte_carlo_quantile, requests[k], _POOL_BLOCK_BYTES) for k in pooled}
+        return {k: pool.submit(_monte_carlo_quantile, requests[k]) for k in pooled}
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +457,15 @@ def _cholesky_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _monte_carlo_quantile(
-    request: QuantileRequest, block_bytes: int = _BLOCK_BYTES
-) -> tuple[float, float, float]:
+def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float]:
     """Empirical quantile of ``request.draws`` simulated maxima, as
     ``(q, mc_stderr, jitter)``.
 
     Draws are generated in fixed-size chunks, each from its own
     counter-based substream of ``request.seed``, so the result is
     reproducible as long as ``_CHUNK`` stays fixed.  A chunk's generator
-    is read in consecutive blocks of ``_block_rows(dim, block_bytes)``
-    rows, which give the draws of one read of the whole chunk, so the
+    is read in consecutive blocks of ``_block_rows(dim)`` rows on any
+    thread, which give the draws of one read of the whole chunk, so the
     block size moves no draw.  Each block is correlated in ``(dim, rows)``
     layout, so the max over coordinates is an elementwise reduction.  The
     normals and their image are written into two buffers allocated once
@@ -463,12 +474,11 @@ def _monte_carlo_quantile(
     """
     factor, jitter = _cholesky_with_jitter(request.corr)
     draws, dim = request.draws, request.dim
-    block = _block_rows(dim, block_bytes)
+    block = _block_rows(dim)
     maxima = np.empty(draws, dtype=float)
     normals, image = np.empty(min(draws, block) * dim), np.empty(min(draws, block) * dim)
     for chunk_index, pos in enumerate(range(0, draws, _CHUNK)):
-        seq = np.random.SeedSequence(entropy=request.seed, spawn_key=(chunk_index,))
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = _substream(request.seed, chunk_index)
         end = min(draws, pos + _CHUNK)
         for start in range(pos, end, block):
             rows = min(end, start + block) - start
@@ -641,8 +651,4 @@ def _bivariate_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileRe
         fine, slope[curved] = _box_miss(q[curved], r[curved], s[curved], 2 * _GL_NODES)
         quadrature[curved] += np.abs(miss[curved] - fine)
     bound = np.maximum(np.spacing(q), (np.abs(excess) + quadrature) / slope)
-    return [
-        QuantileResult(q=qk, mc_stderr=bk, alpha=request.alpha, dim=2, draws=0,
-                       seed=request.seed, jitter=0.0, method="bivariate")
-        for qk, bk, request in zip(q.tolist(), bound.tolist(), requests)
-    ]
+    return [_result(request, (qk, bk, 0.0)) for qk, bk, request in zip(q.tolist(), bound.tolist(), requests)]

@@ -29,12 +29,12 @@ exists as an end-to-end self-check of the harness.
 
 Reproducibility
 ---------------
-Every replication derives its own counter-based substream from the
-master seed and the replication index, and every simulated quantile gets
-its own derived seed, so runs are deterministic for a fixed seed and
-independent of execution order.  Neither depends on the variance
-``choice``, so two studies that differ only in ``choice`` score the same
-samples with the same quantile seeds.
+Every replication samples from its own counter-based substream of the
+master seed, and every simulated quantile gets its own derived seed
+(:func:`perfci.quantiles._substream` lists the keys), so runs are
+deterministic for a fixed seed and independent of execution order.
+Neither depends on the variance ``choice``, so two studies that differ
+only in ``choice`` score the same samples with the same quantile seeds.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import PerfciError
 from .intervals import IntervalSpec, set_reports
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
-from .quantiles import check_alpha, norm_cdf
+from .quantiles import _substream, check_alpha, norm_cdf
 
 __all__ = [
     "SampleBatch",
@@ -78,14 +78,9 @@ DEFAULT_SIM_DRAWS = 20_000
 _BLOCK = 64  # replications whose fits are held for one set_reports call
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
-
-
 def _substream_seed(seed: int, *key: int) -> int:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """The first 64-bit word of the seed sequence of substream ``key``."""
+    return int(_substream(seed, *key).bit_generator.seed_seq.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +200,7 @@ class OneNNRule:
         seed: int,
         rule_id: str = "one_nn",
     ) -> "OneNNRule":
-        rng = _substream(seed, 0xF17, 0)
-        batch = process.sample(size, rng)
+        batch = process.sample(size, _substream(seed, 0xF17, 0, 0))
         return cls(batch.x, batch.z, rule_id=rule_id)
 
     def predict(self, batch: SampleBatch) -> np.ndarray:

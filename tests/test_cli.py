@@ -457,6 +457,12 @@ def test_csv_errors_end_in_an_error_line(tmp_path, capsys):
         (["coverage", "--n", "50"], "coverage needs rules"),
         (["coverage", "--process", "nope", "--rules", "a", "--n", "50"], "unknown process 'nope'"),
         (["quantile", "--corr", ";"], "could not parse correlation matrix from ';'"),
+        (["analyze", "{table}", "--measures", "nope"], "error: unknown measure id 'nope'; known ids: accuracy"),
+        (["coverage", "--process", "bootstrap", "--population", "{table}", "--rules", "nope", "--n", "10"],
+         "error: unknown rule id 'nope'; known rules: a, b"),
+        (["quantile", "--corr", "1,0.5;0.5"], "correlation matrix row 2 has length 1, row 1 has length 2"),
+        (["coverage", "--n", "10", "--rules", "threshold(x)"], "rule 'threshold(x)': cannot read 'x' as float"),
+        (["coverage", "--n", "10", "--rules", "one_nn(5.5)"], "rule 'one_nn(5.5)': cannot read '5.5' as int"),
     ],
 )
 def test_input_refusals_exit_1_with_their_message(tmp_path, capsys, argv, message):

@@ -43,16 +43,36 @@ def _batch():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """``(dim, block_bytes, on_calling_thread)`` of every simulated request drawn."""
-    calls = []
-    draw = quantiles._monte_carlo_quantile
+    """``(request, rows, on_calling_thread)`` of every simulated request drawn,
+    ``rows`` the most rows one of its blocks of normals held."""
+    calls, local = [], threading.local()
+    draw, substream = quantiles._monte_carlo_quantile, quantiles._substream
 
-    def recorded(request, block_bytes=quantiles._BLOCK_BYTES):
-        calls.append((request.dim, block_bytes, threading.current_thread() is threading.main_thread()))
-        return draw(request, block_bytes)
+    class Recorded:
+        """A chunk's generator that records the rows of each block it fills."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            local.rows.append(out.shape[0])
+            return self.rng.standard_normal(out=out)
+
+    def recorded(request):
+        local.rows = []
+        result = draw(request)
+        calls.append((request, max(local.rows), threading.current_thread() is threading.main_thread()))
+        return result
 
     monkeypatch.setattr(quantiles, "_monte_carlo_quantile", recorded)
+    monkeypatch.setattr(quantiles, "_substream", lambda seed, *key: Recorded(substream(seed, *key)))
     return calls
+
+
+def _in_their_blocks(drawn):
+    """Whether each recorded request was drawn in blocks of ``_block_rows(dim)``
+    rows, or in one block of all its draws when it has fewer."""
+    return all(rows == min(r.draws, quantiles._block_rows(r.dim)) for r, rows, _ in drawn)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -65,11 +85,10 @@ def test_a_batch_is_each_request_alone_bit_for_bit(monkeypatch, drawn, cores):
     assert [r.q.hex() for r in got] == [r.q.hex() for r in alone]
     assert got == alone
     pooled = cores > 1
-    for dim, block_bytes, on_caller in drawn:
-        small = dim < 16
-        assert on_caller == (not (pooled and small))
-        assert block_bytes == (quantiles._POOL_BLOCK_BYTES if pooled and small else quantiles._BLOCK_BYTES)
-    assert sorted(dim for dim, _, _ in drawn) == [3, 3, 6, 6, 12, 12, 15, 16, 20]
+    for r, _, on_caller in drawn:
+        assert on_caller == (not (pooled and r.dim < 16))
+    assert _in_their_blocks(drawn)
+    assert sorted(r.dim for r, _, _ in drawn) == [3, 3, 6, 6, 12, 12, 15, 16, 20]
 
 
 def test_the_pooled_peak_is_within_the_workers_plans(monkeypatch, drawn):
@@ -97,11 +116,30 @@ def test_a_request_over_the_budget_with_its_workers_is_drawn_on_the_calling_thre
     # one large plan fits the budget, two of them do not
     monkeypatch.setattr(quantiles, "MAX_QUANTILE_BYTES", 2 * planned_bytes(6, 40_000) - 1)
     assert max_abs_quantiles([large, *small]) == alone
-    assert drawn == [(3, quantiles._POOL_BLOCK_BYTES, False)] * 2 + [(6, quantiles._BLOCK_BYTES, True)]
+    assert [(r.dim, on_caller) for r, _, on_caller in drawn] == [(3, False)] * 2 + [(6, True)]
+    assert _in_their_blocks(drawn)
     # with the large request out, one small request is left: nothing to share
     drawn.clear()
     assert max_abs_quantiles([large, small[0]]) == alone[:2]
-    assert sorted(drawn) == [(3, quantiles._BLOCK_BYTES, True), (6, quantiles._BLOCK_BYTES, True)]
+    assert sorted((r.dim, on_caller) for r, _, on_caller in drawn) == [(3, True), (6, True)]
+    assert _in_their_blocks(drawn)
+
+
+@pytest.mark.parametrize("dim, rows", [(3, 10_922), (4, 8_192), (6, 5_461), (15, 2_184), (16, 8_192), (90, 1_456)])
+def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(drawn, dim, rows):
+    # 256 KiB blocks below dim 16, 1 MiB blocks from it, as in a pool
+    assert quantiles._block_rows(dim) == rows
+    request = QuantileRequest(0.05, _corr(dim, dim), draws=200_000, seed=dim)
+    max_abs_quantile(QuantileRequest(0.05, np.eye(3), draws=1_000))  # first-use imports
+    drawn.clear()
+    tracemalloc.start()
+    try:
+        max_abs_quantile(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == [(request, rows, True)]
+    assert peak <= planned_bytes(dim, request.draws)
 
 
 def test_no_thread_outlives_the_call(monkeypatch):

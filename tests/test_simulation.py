@@ -19,6 +19,7 @@ from perfci.simulation import (
     OneNNRule,
     SampleBatch,
     ThresholdRule,
+    _substream,
     rare_positive_stress,
     run_coverage,
     stress_population,
@@ -97,6 +98,16 @@ def test_one_nn_training_is_seed_deterministic():
     batch = proc.sample(200, np.random.default_rng(0))
     np.testing.assert_array_equal(a.predict(batch), b.predict(batch))
     assert not np.array_equal(a.predict(batch), c.predict(batch))
+
+
+def test_one_nn_trains_on_no_replication_sample():
+    # replication rep of a study with the same seed samples from key (rep, 0),
+    # so a training key (0xF17, 0) would score replication 3863 on the training set
+    proc = GaussianMixtureProcess()
+    rule = OneNNRule.train(proc, size=500, seed=7)
+    for rep in (0, 0xF17):
+        sample = proc.sample(500, _substream(7, rep, 0))
+        assert not np.array_equal(rule.cuts, OneNNRule(sample.x, sample.z).cuts)
 
 
 def test_bootstrap_process_modes():
