@@ -55,9 +55,6 @@ from .measures import (
     MeasureSpec,
     MomentTriple,
     builtin_measures,
-    default_catalog,
-    evaluate,
-    gradient,
     resolve_measure,
 )
 from .quantiles import (
@@ -96,10 +93,7 @@ __all__ = [
     "MeasureSpec",
     "MeasureCatalog",
     "builtin_measures",
-    "default_catalog",
     "resolve_measure",
-    "evaluate",
-    "gradient",
     # dataset
     "BinaryDataset",
     "EvaluationTarget",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -204,36 +205,20 @@ def _analyze_cmd(args) -> int:
     return EXIT_HARD
 
 
+# the CLI's JSON keys, in order: a report's meta, and an ok row's interval
+_META_KEYS = (
+    "n", "alpha", "choice", "mode", "q", "mc_stderr", "quantile_method", "jitter", "draws", "seed"
+)
+_INTERVAL_KEYS = ("estimate", "lower", "upper", "half_width")
+
+
 def _report_dict(report: IntervalReport) -> dict:
-    targets = []
-    for row in report.rows:
-        entry: dict = {"rule": row.rule_id, "measure": row.measure_id}
-        if row.ok:
-            entry.update(
-                estimate=row.estimate,
-                lower=row.lower,
-                upper=row.upper,
-                half_width=row.half_width,
-            )
-        else:
-            entry["error"] = row.error
-        targets.append(entry)
-    q, mc, jitter = report.q, report.mc_stderr, report.jitter
-    return {
-        "meta": {
-            "n": report.n,
-            "alpha": report.alpha,
-            "choice": report.choice,
-            "mode": report.mode,
-            "q": None if q != q else q,  # NaN -> null
-            "mc_stderr": None if mc != mc else mc,
-            "quantile_method": report.quantile_method,
-            "jitter": None if jitter != jitter else jitter,
-            "draws": report.draws,
-            "seed": report.seed,
-        },
-        "targets": targets,
-    }
+    targets = [
+        {"rule": row.rule_id, "measure": row.measure_id,
+         **{key: getattr(row, key) for key in (_INTERVAL_KEYS if row.ok else ("error",))}}
+        for row in report.rows
+    ]
+    return {"meta": {key: getattr(report, key) for key in _META_KEYS}, "targets": targets}
 
 
 def _dump_json(payload) -> str:
@@ -261,10 +246,10 @@ def _report_table(
                 cells[row.measure_id] = f"error({(row.error or 'error').split(':')[0]})"
     rules = [rid for _, rid in rows]
     show_set = len(set(rules)) < len(rules)
-    single_q = len({round(r.q, 12) for r, _ in rows.values() if r.q == r.q}) <= 1
+    single_q = len({round(r.q, 12) for r, _ in rows.values() if r.q is not None}) <= 1
     header = ["set"] * show_set + ["rule"] + ["q", "mc_stderr"] * (not single_q) + [*measure_ids]
     # a set with no usable target has no q; show the first set that has one
-    shown = next((r for r in reports if r.q == r.q), None)
+    shown = next((r for r in reports if r.q is not None), None)
     # mc_stderr in g notation: an exact quantile's error bound is near 1e-14
     if single_q and shown is not None:
         lines.append(f"q={shown.q:.4f}  mc_stderr={shown.mc_stderr:.3g}")
@@ -272,8 +257,8 @@ def _report_table(
     for (label, rid), (report, cells) in rows.items():
         row = [label] * show_set + [rid]
         if not single_q:
-            q = report.q
-            row += [f"{q:.4f}", f"{report.mc_stderr:.3g}"] if q == q else ["-", "-"]
+            q, mc = report.q, report.mc_stderr
+            row += ["-", "-"] if q is None else [f"{q:.4f}", f"{mc:.3g}"]
         table_rows.append(row + [cells.get(mid, "-") for mid in measure_ids])
     return "\n".join(lines + _aligned([header, *table_rows])) + "\n"
 
@@ -357,15 +342,12 @@ def _build_process_and_rules(settings: dict[str, str], seed: int):
         lone_nn = sum(token.startswith("one_nn(") for token in rule_tokens) == 1
         for pos, token in enumerate(rule_tokens):
             if token.startswith("threshold(") and token.endswith(")"):
-                rules.append(ThresholdRule(_rule_argument(token, float)))
+                cut = _rule_argument(token, float, lambda x: not math.isnan(x), "a number")
+                rules.append(ThresholdRule(cut))
             elif token.startswith("one_nn(") and token.endswith(")"):
-                size = _rule_argument(token, int)
+                size = _rule_argument(token, int, lambda k: k >= 1, "at least 1")
                 rule_id = "one_nn" if lone_nn else f"one_nn_{pos}"
-                rules.append(
-                    OneNNRule.train(
-                        process, size, seed=seed + 0x51_000 + pos, rule_id=rule_id
-                    )
-                )
+                rules.append(OneNNRule.train(process, size, seed=seed + 0x51_000 + pos, rule_id=rule_id))
             else:
                 raise ValueError(
                     f"rule {token!r} not valid for the mixture process; "
@@ -383,13 +365,16 @@ def _build_process_and_rules(settings: dict[str, str], seed: int):
     raise ValueError(f"unknown process {settings['process']!r}")
 
 
-def _rule_argument(token: str, cast: type):
-    """The argument between the parentheses of a rule token, read by ``cast``."""
+def _rule_argument(token: str, cast: type, ok, need: str):
+    """The argument in a rule token's parentheses, read by ``cast`` and refused unless ``ok``."""
     raw = token[token.index("(") + 1 : -1]
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ValueError(f"rule {token!r}: cannot read {raw!r} as {cast.__name__}") from None
+    if not ok(value):
+        raise ValueError(f"rule {token!r}: the argument must be {need}, got {raw!r}")
+    return value
 
 
 def _coverage_table(result) -> str:
@@ -432,7 +417,8 @@ def _parse_corr_argument(raw: str) -> np.ndarray:
             lines = list(fh)
     else:
         lines = raw.split(";")
-    rows = [[float(tok) for tok in line.split(",")] for line in lines if line.strip()]
+    rows = [[_corr_cell(tok, r, c) for c, tok in enumerate(line.split(","), start=1)]
+            for r, line in enumerate(filter(str.strip, lines), start=1)]
     if not rows:
         raise ValueError(f"could not parse correlation matrix from {raw!r}")
     for k, row in enumerate(rows[1:], start=2):
@@ -441,8 +427,19 @@ def _parse_corr_argument(raw: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _corr_cell(tok: str, row: int, column: int) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ValueError(
+            f"correlation matrix row {row}, column {column}: cannot read {tok.strip()!r} as float"
+        ) from None
+
+
 def _quantile_cmd(args) -> int:
     if args.dim is not None:
+        if args.dim < 1:
+            raise ValueError(f"--dim must be at least 1, got {args.dim}")
         check_budget(args.dim, args.draws)  # before the dim x dim identity
         corr = np.eye(args.dim)
     else:

@@ -42,7 +42,7 @@ measure's natural range unless ``clamp`` is set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 from .covariance import TargetEstimates, correct, correlation, estimate_targets
@@ -75,7 +75,6 @@ __all__ = [
 
 CHOICE_PLUGIN = 1
 CHOICE_CORRECTED = 2
-_NAN = object()  # stands for NaN in IntervalReport._key, where it equals itself
 
 
 @dataclass(frozen=True)
@@ -135,36 +134,22 @@ class IntervalReport:
     quantile.  ``jitter`` is the diagonal inflation the
     simulation needed (0.0 otherwise), and ``draws`` the number of
     simulated maxima behind ``q`` (0 for the normal and bivariate
-    quantiles).  ``q``, ``mc_stderr`` and ``jitter`` are NaN, and
-    ``draws`` is ``None``, when no row is usable.  Reports compare and hash
-    field by field with NaN equal to NaN, so two reports of the same failed
-    set are equal.
+    quantiles).  When no row is usable there is no quantile, and all five
+    of these fields are ``None``, so two reports of the same failed set
+    compare and hash equal.
     """
 
     n: int
     alpha: float
     mode: str
     choice: int
-    q: float
-    mc_stderr: float
+    q: float | None
+    mc_stderr: float | None
     quantile_method: str | None
-    jitter: float
+    jitter: float | None
     draws: int | None
     seed: int
     rows: tuple[TargetInterval, ...]
-
-    def _key(self) -> tuple:
-        """The fields, with every NaN replaced by one sentinel."""
-        return tuple(_NAN if isinstance(v, float) and math.isnan(v) else v
-                     for v in (getattr(self, f.name) for f in fields(self)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def ok_rows(self) -> tuple[TargetInterval, ...]:
@@ -228,8 +213,8 @@ def set_reports(
     joint mode (exact for up to two usable members, else drawn with
     ``spec.seed``), of one coordinate in individual mode.  With
     ``spec.clamp``, rows of unit-range measures are cut to ``[0, 1]``.
-    ``q``, ``mc_stderr`` and ``jitter`` are NaN, and ``quantile_method``
-    and ``draws`` are ``None``, when no member is usable.
+    ``q``, ``mc_stderr``, ``jitter``, ``quantile_method`` and ``draws``
+    are ``None`` when no member is usable.
 
     Every ask is checked, restricted and corrected before one
     :func:`~perfci.quantiles.max_abs_quantiles` call answers all the
@@ -275,8 +260,7 @@ def _restricted(fit, targets, members, spec):
 def _set_report(targets, part, result) -> IntervalReport:
     """The report of one :func:`_restricted` ask, given its quantile ``result``."""
     fit, spec, members, row_of, cov, variance = part
-    q = mc_stderr = jitter = float("nan")
-    method = draws = None
+    q = mc_stderr = jitter = method = draws = None
     if result is not None:
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
         method, draws = result.method, result.draws

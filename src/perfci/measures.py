@@ -22,7 +22,10 @@ positive.  ``overlap`` is the one non-smooth entry: its value is defined
 whenever ``min(E[A], E[Z]) > 0`` but its gradient does not exist on the
 ridge ``E[A] = E[Z]``, where ``gradient`` raises
 :class:`~perfci.errors.DomainError` even though ``evaluate`` succeeds.
-A custom :class:`MeasureSpec` supplies its own ``gradient_fn``.
+A custom :class:`MeasureSpec` supplies its own ``gradient_fn``.  Every
+measure is asked through its spec: ``resolve_measure(id, catalog)``
+finds it, and its ``evaluate(m)`` and ``gradient(m)`` give the value
+and the gradient at ``m``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ __all__ = [
     "MeasureSpec",
     "MeasureCatalog",
     "builtin_measures",
-    "default_catalog",
     "resolve_measure",
-    "evaluate",
-    "gradient",
 ]
 
 _BOUND_TOL = 1e-9
@@ -125,10 +125,11 @@ class GradientTriple:
 class MeasureSpec:
     """A performance measure: value, gradient and domain predicate.
 
-    ``unit_range`` marks measures whose values always lie in ``[0, 1]``;
-    interval clamping applies only to those.  ``grad_ok`` defaults to
-    ``domain_ok`` and differs only where the gradient has extra
-    singularities (currently just ``overlap``).
+    ``evaluate(m)`` and ``gradient(m)`` raise :class:`~perfci.errors.DomainError`
+    where ``domain_fn(m)`` is false, and ``gradient`` also where a set
+    ``gradient_domain_fn(m)`` is (only ``overlap`` sets one, for its min
+    kink).  ``unit_range`` marks measures whose values always lie in
+    ``[0, 1]``; interval clamping applies only to those.
     """
 
     id: str
@@ -138,15 +139,6 @@ class MeasureSpec:
     gradient_fn: Callable[[MomentTriple], GradientTriple] = field(repr=False)
     domain_fn: Callable[[MomentTriple], bool] = field(repr=False)
     gradient_domain_fn: Callable[[MomentTriple], bool] | None = field(default=None, repr=False)
-
-    def domain_ok(self, m: MomentTriple) -> bool:
-        """True where the measure value is defined and finite."""
-        return bool(self.domain_fn(m))
-
-    def grad_ok(self, m: MomentTriple) -> bool:
-        """True where the gradient is defined and finite."""
-        kink = self.gradient_domain_fn
-        return bool(self.domain_fn(m)) and (kink is None or bool(kink(m)))
 
     def evaluate(self, m: MomentTriple) -> float:
         if not self.domain_fn(m):
@@ -396,34 +388,5 @@ class MeasureCatalog:
 _DEFAULT = MeasureCatalog()
 
 
-def default_catalog() -> MeasureCatalog:
-    """The module-wide catalog used when callers pass none."""
-    return _DEFAULT
-
-
 def resolve_measure(measure_id: str, catalog: MeasureCatalog | None = None) -> MeasureSpec:
     return (catalog or _DEFAULT).resolve(measure_id)
-
-
-def _as_spec(measure: MeasureSpec | str, catalog: MeasureCatalog | None) -> MeasureSpec:
-    if isinstance(measure, MeasureSpec):
-        return measure
-    return resolve_measure(measure, catalog)
-
-
-def evaluate(
-    measure: MeasureSpec | str,
-    m: MomentTriple,
-    catalog: MeasureCatalog | None = None,
-) -> float:
-    """Value of ``measure`` at the moment triple ``m``."""
-    return _as_spec(measure, catalog).evaluate(m)
-
-
-def gradient(
-    measure: MeasureSpec | str,
-    m: MomentTriple,
-    catalog: MeasureCatalog | None = None,
-) -> GradientTriple:
-    """Gradient of ``measure`` at ``m`` in ``(m_za, m_a, m_z)`` order."""
-    return _as_spec(measure, catalog).gradient(m)

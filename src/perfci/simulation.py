@@ -481,7 +481,7 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
             asks.append((fit, range(n_targets), individual))
             asks += [(fit, idx, replace(spec, seed=_substream_seed(config.seed, rep, 1 + i)))
                      for i, (_, idx) in enumerate(sets)]
-        # failed rows carry None, which float arrays store as NaN
+        # failed rows, and sets without a quantile, carry None, which float arrays store as NaN
         reports = iter(set_reports(targets, asks))
         for rep in block:
             report = next(reports)

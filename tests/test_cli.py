@@ -463,6 +463,15 @@ def test_csv_errors_end_in_an_error_line(tmp_path, capsys):
         (["quantile", "--corr", "1,0.5;0.5"], "correlation matrix row 2 has length 1, row 1 has length 2"),
         (["coverage", "--n", "10", "--rules", "threshold(x)"], "rule 'threshold(x)': cannot read 'x' as float"),
         (["coverage", "--n", "10", "--rules", "one_nn(5.5)"], "rule 'one_nn(5.5)': cannot read '5.5' as int"),
+        (["coverage", "--n", "10", "--rules", "threshold(nan)"],
+         "error: rule 'threshold(nan)': the argument must be a number, got 'nan'"),
+        (["coverage", "--n", "10", "--rules", "one_nn(0)"],
+         "error: rule 'one_nn(0)': the argument must be at least 1, got '0'"),
+        (["coverage", "--n", "10", "--rules", "one_nn(-3)"],
+         "error: rule 'one_nn(-3)': the argument must be at least 1, got '-3'"),
+        (["quantile", "--corr", "1,x;x,1"], "error: correlation matrix row 1, column 2: cannot read 'x' as float"),
+        (["quantile", "--corr", "1,;,1"], "error: correlation matrix row 1, column 2: cannot read '' as float"),
+        (["quantile", "--dim", "-1"], "error: --dim must be at least 1, got -1"),
     ],
 )
 def test_input_refusals_exit_1_with_their_message(tmp_path, capsys, argv, message):

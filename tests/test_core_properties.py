@@ -12,7 +12,6 @@ of the rule columns, and every JSON report of ``perfci analyze``,
 """
 
 import dataclasses
-import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -185,7 +184,7 @@ def test_subset_fit_matches_the_full_fit(data, pick, mode, choice):
     if full.ok_rows:
         assert (own.q, own.quantile_method, own.draws) == (full.q, full.quantile_method, full.draws)
     else:
-        assert math.isnan(own.q) and own.quantile_method is None
+        assert own.q is None and own.quantile_method is None
     for j, (row, want) in enumerate(zip(own.rows, full.rows, strict=True)):
         # a singular-variance error names the target's position in its own list
         error = row.error and row.error.replace(f"for target {j}", f"for target {members[j]}")

@@ -503,13 +503,14 @@ def test_a_numeric_cell_is_reported_as_a_python_number(build, message):
 
 
 def test_reports_of_the_same_failed_set_compare_equal():
-    # q, mc_stderr and jitter are NaN when no member is usable, and NaN != NaN
+    # q, mc_stderr and jitter were NaN when no member was usable, and NaN != NaN
     # made two identical reports unequal while their reprs matched
     data = BinaryDataset.from_arrays([1, 0, 1, 1, 0, 0], {"a": [1, 0, 0, 1, 1, 0]})
     targets = [EvaluationTarget("a", "no_such_measure")]
     fit = estimate_targets(data, targets)
     first, second = (set_report(fit, targets, [0], IntervalSpec()) for _ in range(2))
-    assert first.quantile_method is None and first.q != first.q
+    assert first.quantile_method is None and first.q is None
+    assert (first.q, first.mc_stderr, first.quantile_method, first.jitter, first.draws) == (None,) * 5
     assert first == second and hash(first) == hash(second)
     restored = pickle.loads(pickle.dumps(first))
     assert restored == second and hash(restored) == hash(second)
