@@ -410,21 +410,24 @@ def _coverage_table(result) -> str:
 
 def _parse_corr_argument(raw: str) -> np.ndarray:
     """A correlation matrix from a CSV file (one row per line) or inline
-    (rows separated by ``;``)."""
+    (rows separated by ``;``).  Blank rows are skipped; an error names a
+    row by its line in the file, or its place in the ``;`` list."""
     if os.path.exists(raw):
         # utf-8-sig drops the byte-order mark spreadsheet exports start with
         with open(raw, encoding="utf-8-sig") as fh:
             lines = list(fh)
     else:
         lines = raw.split(";")
-    rows = [[_corr_cell(tok, r, c) for c, tok in enumerate(line.split(","), start=1)]
-            for r, line in enumerate(filter(str.strip, lines), start=1)]
+    rows = {r: [_corr_cell(tok, r, c) for c, tok in enumerate(line.split(","), start=1)]
+            for r, line in enumerate(lines, start=1) if line.strip()}
     if not rows:
         raise ValueError(f"could not parse correlation matrix from {raw!r}")
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"correlation matrix row {k} has length {len(row)}, row 1 has length {len(rows[0])}")
-    return np.asarray(rows, dtype=float)
+    first = next(iter(rows))
+    for k, row in rows.items():
+        if len(row) != len(rows[first]):
+            raise ValueError(f"correlation matrix row {k} has length {len(row)}, "
+                             f"row {first} has length {len(rows[first])}")
+    return np.asarray(list(rows.values()), dtype=float)
 
 
 def _corr_cell(tok: str, row: int, column: int) -> float:

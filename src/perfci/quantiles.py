@@ -29,23 +29,27 @@ Two quantile notions drive every interval in this package:
     correlated Gaussian vectors in fixed-size chunks with counter-based
     substreams so results are reproducible for a given seed, and read
     the empirical quantile off the sorted maxima.  Each chunk's
-    substream is drawn in blocks of 256 KiB below dim 16 and of 1 MiB
-    from it, whoever draws the request (:func:`_block_rows`), so a
-    request holds its ``draws`` maxima, a few blocks and its ``dim x dim``
-    matrices, and its time grows as ``dim**2 * draws``.  ``mc_stderr`` is the
-    usual order-statistic standard error: binomial noise of the
-    empirical CDF divided by a local density estimate.
+    substream is drawn in blocks whose size follows from the dimension
+    and from whether a thread pool draws the request (:func:`_block_rows`),
+    so a request holds its ``draws`` maxima, a few blocks and its
+    ``dim x dim`` matrices, and its time grows as ``dim**2 * draws``.
+    ``mc_stderr`` is the usual order-statistic standard error: binomial
+    noise of the empirical CDF divided by a local density estimate.
 
   The Monte Carlo tier's memory is planned from the request's shape
   before anything is allocated (:func:`planned_bytes`); a request whose
   plan exceeds ``MAX_QUANTILE_BYTES`` is rejected.
 
-  :func:`max_abs_quantiles` draws the simulated requests of dimension
-  below 16, whose block products OpenBLAS leaves on the drawing thread,
-  on a thread pool of its own when a list holds two or more of them and
-  the process may run on two or more cores.  Every result is the one its
-  request gets alone on one thread, bit for bit, and the pool holds at
-  most ``workers`` requests' plans, which must fit ``MAX_QUANTILE_BYTES``
+  Up to dim 90, a chunk is the unit of work of a thread pool made for
+  the call: :func:`max_abs_quantile` draws a lone request's chunks on one,
+  and :func:`max_abs_quantiles` the chunks of all such requests of a
+  list, when the process may run on two or more cores and there are two
+  or more chunks to share.  The pool draws in blocks whose product
+  OpenBLAS runs on the drawing thread.  Above dim 90 the chunks are drawn
+  on the calling thread, in blocks of 1 MiB whose product OpenBLAS
+  threads itself.  Every result is the one its request gets drawn
+  serially on one thread, bit for bit, and a pool of ``workers`` threads
+  holds at most ``workers`` plans, which must fit ``MAX_QUANTILE_BYTES``
   together.
 
 ``sidak_quantile``, the closed form for independent coordinates, bounds
@@ -59,6 +63,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -165,10 +170,10 @@ def sidak_quantile(alpha: float, dim: int) -> float:
 
 # rows per Monte Carlo chunk; each chunk is one substream, so this fixes the streams
 _CHUNK = 1 << 16
-# Monte Carlo requests below this dimension are drawn in 256 KiB blocks, whose
-# product, 2**15 * dim multiply-adds, stays under the 2**19 at which OpenBLAS
-# threads one, and the requests of a batch share the cores
-_POOL_DIM = 16
+# the chunks of Monte Carlo requests up to this dimension share the cores, in
+# blocks whose product stays under the 2**19 multiply-adds at which OpenBLAS
+# threads one
+_POOL_DIM = 90
 _JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _CORR_TOL = 1e-8
 
@@ -209,33 +214,49 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def _block_rows(dim: int) -> int:
-    """Rows of one block of normals, whoever draws the request: about
-    256 KiB of float64 below ``_POOL_DIM``, and 1 MiB from it, where
-    OpenBLAS threads every block's product and larger blocks gain."""
-    return max(1, (1 << 18 if dim < _POOL_DIM else 1 << 20) // (8 * dim))
+def _block_rows(dim: int, pooled: bool) -> int:
+    """Rows of one block of normals.  On a thread pool (up to ``_POOL_DIM``),
+    at most 256 KiB of float64 and a product of fewer than ``2**19``
+    multiply-adds, ``min(2**15 // dim, (2**19 - 1) // dim**2)`` rows (64 at
+    dim 90), so OpenBLAS runs each block's product on the drawing thread
+    and the pool's threads keep the cores; it threads a product of exactly
+    ``2**19``, as ``2**19 // dim**2`` rows give at dims 16, 32 and 64.  On
+    the calling thread, 256 KiB below dim 16 (the same blocks) and 1 MiB
+    from it, where larger blocks gain: on one core of a 2-core VM, 64-row
+    blocks drew a dim-90 request 8% slower."""
+    if pooled:
+        return min((1 << 15) // dim, ((1 << 19) - 1) // (dim * dim))
+    return max(1, (1 << 15 if dim < 16 else 1 << 17) // dim)
 
 
 def planned_bytes(dim: int, draws: int) -> int:
     """Peak bytes a quantile request of this shape allocates, besides the
     caller's matrix.
 
-    The Monte Carlo tier counts ``draws`` float64 maxima; three blocks of
-    ``min(draws, _block_rows(dim)) x dim`` float64, the blocks the request
-    is drawn in on any thread (the buffers of a block's normals and of
-    their correlated image, and one block to spare); and
-    four ``dim x dim`` float64 matrices: the validated
-    correlation, a jittered candidate, its Cholesky factor and the copy
-    that LAPACK factors in place.  Validation peaks earlier, at three such
-    matrices.  The exact tiers (dims 1 and 2) need a few hundred bytes,
-    counted as 0.  This bounds the ``tracemalloc`` peak, not resident
-    memory: what BLAS and LAPACK take on first use lies outside the plan
-    (a dim-90 request raised a fresh process's RSS by 11.7 MB against 5.0 MB).
+    The Monte Carlo tier counts ``draws`` float64 maxima; blocks of
+    ``min(draws, rows) x dim`` float64 (:func:`_block_rows`): three of the
+    calling thread's (a block's normals, their correlated image and one
+    to spare) or, if more, two of the pool's for each of the
+    ``min(cores, chunks)`` threads that may draw the request up to dim 90
+    (see :func:`max_abs_quantile`) and one; and four ``dim x dim`` float64
+    matrices: the validated correlation, a jittered candidate, its
+    Cholesky factor and the copy that LAPACK factors in place.  Validation
+    peaks earlier, at three such matrices.  The exact tiers (dims 1 and 2)
+    need a few hundred bytes, counted as 0.  In a batch's pool each worker
+    draws one chunk at a time, and the pool holds the maxima and matrices
+    of only the requests whose chunks it draws, so ``workers`` plans bound
+    its peak (:func:`max_abs_quantiles`).  This bounds the ``tracemalloc``
+    peak, not resident memory: what BLAS and LAPACK take on first use lies
+    outside the plan (a dim-90 request raised a fresh process's RSS by
+    11.7 MB against 5.0 MB).
     """
     if dim <= 2:
         return 0
-    rows = min(draws, _block_rows(dim))
-    return 8 * (draws + 3 * rows * dim + 4 * dim * dim)
+    blocks = 3 * min(draws, _block_rows(dim, pooled=False))
+    threads = min(_cores(), _chunks(draws)) if dim <= _POOL_DIM else 1
+    if threads > 1:
+        blocks = max(blocks, (2 * threads + 1) * min(draws, _block_rows(dim, pooled=True)))
+    return 8 * (draws + blocks * dim + 4 * dim * dim)
 
 
 def check_budget(dim: int, draws: int) -> None:
@@ -331,7 +352,13 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
     the request's tier (see :class:`QuantileRequest`).
 
     A dim-2 request is the batch of one of :func:`max_abs_quantiles`: the
-    same solve, so the same ``q`` and ``mc_stderr`` bit for bit.
+    same solve, so the same ``q`` and ``mc_stderr`` bit for bit.  A
+    simulated request of dimension up to 90 and more than 65,536 draws
+    has its chunks drawn on a thread pool made for this call, as a
+    batch's are (see :func:`max_abs_quantiles`): ``min(cores, chunks)``
+    workers, if that is two or more and that many of its
+    :func:`planned_bytes` fit ``MAX_QUANTILE_BYTES``.  The result is the
+    serial draw's, bit for bit.
 
     Raises
     ------
@@ -341,40 +368,48 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
     """
     if request.tier == "bivariate":
         return _bivariate_quantiles([request])[0]
-    return _result(request, _monte_carlo_quantile(request) if request.tier == "monte_carlo" else None)
+    if request.tier == "normal":
+        return _result(request, None)
+    drawn = _pooled_draws([request])
+    return _result(request, _drawn(drawn[0]) if drawn else _monte_carlo_quantile(request))
 
 
 def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResult]:
     """:func:`max_abs_quantile` of every request, in request order.
 
     The dim-2 requests are answered together, by one vectorized root-find
-    over all their ``(alpha, rho)``.  When the process may run on two or
-    more cores and the list holds two or more simulated requests of
-    dimension below 16, those are drawn on a thread pool of
-    ``min(cores, requests)`` workers made for this call.  Such a request
-    is drawn in blocks of 256 KiB on any thread (:func:`_block_rows`),
-    whose product, ``2**15 * dim`` multiply-adds, OpenBLAS runs on the
-    drawing thread; it threads products of ``2**19`` and more itself,
-    and its threads would take the cores the pool needs.  A request
-    joins the pool only while ``workers`` times its :func:`planned_bytes`
-    is within ``MAX_QUANTILE_BYTES``, which bounds the pool's peak.
-    Every other request is answered by :func:`max_abs_quantile` on the
-    calling thread, once the pool is done.
+    over all their ``(alpha, rho)``.  When the list holds two or more
+    simulated requests, the chunks of those of dimension up to 90 (65,536
+    draws each, one substream) are the units of work of a thread pool
+    made for this call, if the process may run on two or more cores and
+    there are two or more chunks; it has ``min(cores, chunks)`` workers.
+    The pool draws in blocks of at most 256 KiB and fewer than ``2**19``
+    multiply-adds (:func:`_block_rows`), whose product OpenBLAS runs on
+    the drawing thread; it threads larger products itself, and its
+    threads would take the cores the pool needs.  The workers take the
+    chunks in request order; the first of a request's chunks to start
+    factors ``R`` and the last to finish sorts its maxima, so the pool
+    holds the maxima of at most ``workers`` requests.  A request joins
+    the pool only while ``workers`` times its :func:`planned_bytes` is
+    within ``MAX_QUANTILE_BYTES``, which bounds the pool's peak.  Every other request is answered by
+    :func:`max_abs_quantile`, once the pool is done; so is a lone
+    simulated request, whose chunks it pools itself.
 
     A result is the one its request gets alone, bit for bit, whatever
     shares its batch: each element of the solve follows its own steps,
     and each simulated request reads its own substreams whatever thread
-    draws it.  Raises what :func:`max_abs_quantile` raises: a dim-2
+    draws them.  Raises what :func:`max_abs_quantile` raises: a dim-2
     request's error before any other request is answered, then the
     first failing request's, in request order.
     """
     requests = list(requests)
     pairs = [r for r in requests if r.tier == "bivariate"]
     solved = iter(_bivariate_quantiles(pairs) if pairs else ())
-    drawn = _pooled_draws(requests)
+    # a lone simulated request is max_abs_quantile's, which pools its chunks itself
+    drawn = _pooled_draws(requests) if sum(r.tier == "monte_carlo" for r in requests) > 1 else {}
     return [
         next(solved) if r.tier == "bivariate"
-        else _result(r, drawn[k].result()) if k in drawn
+        else _result(r, _drawn(drawn[k])) if k in drawn
         else max_abs_quantile(r)
         for k, r in enumerate(requests)
     ]
@@ -417,23 +452,53 @@ def _cores() -> int:
 
 
 def _pooled_draws(requests: list[QuantileRequest]) -> dict:
-    """``{position: done future of _monte_carlo_quantile}`` for the requests
-    that :func:`max_abs_quantiles` draws on its thread pool; empty when it
-    pools none.  The workers call only private functions, and the pool is
-    shut down, its threads joined, before this returns."""
-    small = [k for k, r in enumerate(requests) if r.tier == "monte_carlo" and r.dim < _POOL_DIM]
-    if len(small) < 2:
-        return {}
-    workers = min(_cores(), len(small))
+    """``{position: (q, mc_stderr, jitter), or the error it raised}`` for
+    the simulated requests whose chunks are drawn on a thread pool; empty
+    when the pool would have fewer than two workers (see
+    :func:`max_abs_quantiles`).
+
+    Every chunk of every pooled request is submitted at once, in request
+    and chunk order, and the workers take them in that order
+    (:class:`_ChunkedDraw`).  The workers call only private functions,
+    and the pool is shut down, its threads joined, before this returns.
+    """
+    small = [k for k, r in enumerate(requests) if r.tier == "monte_carlo" and r.dim <= _POOL_DIM]
+    workers = min(_cores(), sum(_chunks(requests[k].draws) for k in small))
     pooled = [k for k in small
               if workers * planned_bytes(requests[k].dim, requests[k].draws) <= MAX_QUANTILE_BYTES]
-    workers = min(workers, len(pooled))
+    workers = min(workers, sum(_chunks(requests[k].draws) for k in pooled))
     if workers < 2:
         return {}
     from concurrent.futures import ThreadPoolExecutor  # its import costs milliseconds
 
+    draws = {k: _ChunkedDraw(requests[k], pooled=True) for k in pooled}
+    if len(draws) == 1:
+        # the calling thread starts a lone request, so that its maxima come from
+        # its own heap, as when drawn serially: a worker's malloc arena kept them
+        [(k, lone)] = draws.items()
+        try:
+            lone.start()
+        except NotPositiveSemidefiniteError as error:
+            return {k: error}
     with ThreadPoolExecutor(workers) as pool:
-        return {k: pool.submit(_monte_carlo_quantile, requests[k]) for k in pooled}
+        chunks = {k: [pool.submit(d.draw, chunk) for chunk in range(d.chunks)] for k, d in draws.items()}
+    found = {}
+    for k, done in chunks.items():
+        errors = [e for e in (chunk.exception() for chunk in done) if e is not None]
+        found[k] = errors[0] if errors else draws[k].found
+    return found
+
+
+def _drawn(found: tuple[float, float, float] | Exception) -> tuple[float, float, float]:
+    """A pooled request's ``(q, mc_stderr, jitter)``; raises its error if it failed."""
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _chunks(draws: int) -> int:
+    """Chunks of ``_CHUNK`` draws, the last one partial, in ``draws`` draws."""
+    return len(range(0, draws, _CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +524,100 @@ def _cholesky_with_jitter(r: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float]:
     """Empirical quantile of ``request.draws`` simulated maxima, as
-    ``(q, mc_stderr, jitter)``.
+    ``(q, mc_stderr, jitter)``, drawn chunk by chunk on the calling thread."""
+    drawing = _ChunkedDraw(request, pooled=False)
+    for chunk in range(drawing.chunks):
+        drawing.draw(chunk)
+    return drawing.found
 
-    Draws are generated in fixed-size chunks, each from its own
-    counter-based substream of ``request.seed``, so the result is
-    reproducible as long as ``_CHUNK`` stays fixed.  A chunk's generator
-    is read in consecutive blocks of ``_block_rows(dim)`` rows on any
-    thread, which give the draws of one read of the whole chunk, so the
-    block size moves no draw.  Each block is correlated in ``(dim, rows)``
-    layout, so the max over coordinates is an elementwise reduction.  The
-    normals and their image are written into two buffers allocated once
-    per request: a worker of :func:`max_abs_quantiles` that allocated
-    them per block kept more memory in its thread's malloc arena.
+
+class _ChunkedDraw:
+    """A simulated request, drawn one chunk at a time on any thread.
+
+    Draws are generated in chunks of ``_CHUNK`` rows, each from its own
+    counter-based substream of ``request.seed`` (:func:`_draw_chunk`), so
+    the result is reproducible as long as ``_CHUNK`` stays fixed, and is
+    the same whichever thread draws each chunk, in whatever order.  The
+    first chunk to start factors ``R`` and allocates the maxima, unless
+    :meth:`start` did, and the last to finish sorts them into ``found``,
+    ``(q, mc_stderr, jitter)``, and lets them go.  So a request holds its
+    maxima only from its start until its last chunk is drawn: a pool that
+    takes chunks in request order holds at most ``workers`` requests'
+    maxima.  A chunk that fails raises, and ``found`` is then not the
+    request's result.
     """
-    factor, jitter = _cholesky_with_jitter(request.corr)
-    draws, dim = request.draws, request.dim
-    block = _block_rows(dim)
-    maxima = np.empty(draws, dtype=float)
-    normals, image = np.empty(min(draws, block) * dim), np.empty(min(draws, block) * dim)
-    for chunk_index, pos in enumerate(range(0, draws, _CHUNK)):
-        rng = _substream(request.seed, chunk_index)
-        end = min(draws, pos + _CHUNK)
-        for start in range(pos, end, block):
-            rows = min(end, start + block) - start
-            z = rng.standard_normal(out=normals[: rows * dim].reshape(rows, dim))
-            sample = np.matmul(factor, z.T, out=image[: rows * dim].reshape(dim, rows))
-            np.abs(sample, out=sample).max(axis=0, out=maxima[start : start + rows])
+
+    def __init__(self, request: QuantileRequest, pooled: bool):
+        self.request = request
+        self.rows = _block_rows(request.dim, pooled)
+        self.chunks = _chunks(request.draws)
+        self.left = self.chunks
+        self.lock = threading.Lock()
+        self.factor = self.maxima = self.jitter = self.found = None
+
+    def start(self) -> None:
+        """Factor ``R`` and allocate the maxima, unless a chunk already did."""
+        with self.lock:  # a chunk that starts while another one factors R waits here
+            if self.maxima is None:
+                self.factor, self.jitter = _cholesky_with_jitter(self.request.corr)
+                self.maxima = np.empty(self.request.draws)
+
+    def draw(self, chunk: int) -> None:
+        """Draw chunk ``chunk`` into its slice of the maxima."""
+        request = self.request
+        self.start()
+        maxima, first = self.maxima, chunk * _CHUNK
+        try:
+            _draw_chunk(self.factor, request.seed, chunk, maxima[first : first + _CHUNK], self.rows)
+        finally:
+            with self.lock:
+                self.left -= 1
+                last = not self.left
+                if last:
+                    self.factor = self.maxima = None
+        if last:
+            self.found = (*_order_statistics(maxima, request.alpha), self.jitter)
+
+
+def _draw_chunk(factor: np.ndarray, seed: int, chunk: int, out: np.ndarray, rows: int) -> None:
+    """Write into ``out`` the maxima ``max_j |x_j|`` of ``len(out)`` draws
+    of ``x = factor @ z``, the normals ``z`` from substream ``chunk`` of
+    ``seed``.
+
+    The substream is read in consecutive blocks of ``rows`` rows
+    (:func:`_block_rows`), which give the draws of one read of the whole
+    chunk, so the block size moves no draw.  Each block is correlated in
+    ``(dim, rows)`` layout, so the max over coordinates is an elementwise
+    reduction.  The
+    normals and their image are written into two buffers allocated once
+    per chunk: a pool worker that allocated them per block kept more
+    memory in its thread's malloc arena.
+    """
+    dim, draws = factor.shape[0], len(out)
+    rng = _substream(seed, chunk)
+    block = min(draws, rows)
+    normals, image = np.empty(block * dim), np.empty(block * dim)
+    for start in range(0, draws, block):
+        n = min(draws, start + block) - start
+        z = rng.standard_normal(out=normals[: n * dim].reshape(n, dim))
+        sample = np.matmul(factor, z.T, out=image[: n * dim].reshape(dim, n))
+        np.abs(sample, out=sample).max(axis=0, out=out[start : start + n])
+
+
+def _order_statistics(maxima: np.ndarray, alpha: float) -> tuple[float, float]:
+    """``(q, mc_stderr)`` of the simulated maxima, which it sorts in place.
+
+    ``q`` is the empirical ``1 - alpha`` quantile, and ``mc_stderr`` the
+    usual order-statistic standard error: binomial noise of the empirical
+    CDF divided by a density estimated over a window of about 1% of the
+    draws around ``q``.
+    """
     # one sort serves q and the window below; np.partition at those three
     # order statistics measured slower (numpy 2.4: 2.4 ms against 1.3 ms at 200k)
     maxima.sort()
+    draws = len(maxima)
 
-    order = math.ceil((1.0 - request.alpha) * draws)
+    order = math.ceil((1.0 - alpha) * draws)
     order = min(draws, max(1, order))
     q = float(maxima[order - 1])
 
@@ -504,7 +632,7 @@ def _monte_carlo_quantile(request: QuantileRequest) -> tuple[float, float, float
     else:
         mc_stderr = 0.0
 
-    return q, mc_stderr, jitter
+    return q, mc_stderr
 
 
 # ---------------------------------------------------------------------------

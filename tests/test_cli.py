@@ -472,12 +472,16 @@ def test_csv_errors_end_in_an_error_line(tmp_path, capsys):
         (["quantile", "--corr", "1,x;x,1"], "error: correlation matrix row 1, column 2: cannot read 'x' as float"),
         (["quantile", "--corr", "1,;,1"], "error: correlation matrix row 1, column 2: cannot read '' as float"),
         (["quantile", "--dim", "-1"], "error: --dim must be at least 1, got -1"),
+        # a row is named by its line in the file, or its place in the ";" list, blank ones counted
+        (["quantile", "--corr", "{corr}"], "error: correlation matrix row 3, column 2: cannot read 'x' as float"),
+        (["quantile", "--corr", " ;1,0.5;;0.5"], "correlation matrix row 4 has length 1, row 2 has length 2"),
     ],
 )
 def test_input_refusals_exit_1_with_their_message(tmp_path, capsys, argv, message):
     table = write(tmp_path, "two.csv", TWO_RULES)
     cfg = write(tmp_path, "cov.cfg", "n = 50\nrules threshold(0.5)\n")
-    assert main([arg.format(table=table, cfg=cfg) for arg in argv]) == EXIT_HARD
+    corr = write(tmp_path, "corr.csv", "1,0.3\n\n0.3,x\n")
+    assert main([arg.format(table=table, cfg=cfg, corr=corr) for arg in argv]) == EXIT_HARD
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

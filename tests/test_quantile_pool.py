@@ -1,7 +1,7 @@
-"""The thread pool of ``max_abs_quantiles``: a batch's simulated requests of
-dimension below 16 share the cores, with every result the one its request
-gets alone on one thread, bit for bit, the pool's memory within its plan,
-and no thread left behind."""
+"""The thread pool of ``max_abs_quantile`` and ``max_abs_quantiles``: the
+chunks of simulated requests of dimension up to 90 share the cores, with
+every result the one its request gets drawn serially on one thread, bit
+for bit, the pool's memory within its plan, and no thread left behind."""
 
 import os
 import subprocess
@@ -34,7 +34,7 @@ def _corr(dim, seed):
 
 
 def _batch():
-    dims = (1, 2, 3, 6, 12, 15, 16, 20)
+    dims = (1, 2, 3, 6, 12, 15, 16, 20, 90, 91)
     requests = [QuantileRequest(0.05, _corr(dim, dim), draws=4_000, seed=dim) for dim in dims]
     requests.append(QuantileRequest(0.01, _corr(3, 30), draws=70_000, seed=3))  # two chunks
     # duplicates: the same object twice, and an equal request built again
@@ -43,52 +43,89 @@ def _batch():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """``(request, rows, on_calling_thread)`` of every simulated request drawn,
-    ``rows`` the most rows one of its blocks of normals held."""
-    calls, local = [], threading.local()
-    draw, substream = quantiles._monte_carlo_quantile, quantiles._substream
+    """Every chunk of a simulated request drawn, as the generator that drew it:
+    ``seed``, ``chunk``, the request's ``dim``, ``rows`` (the most rows one of
+    its blocks of normals held), ``total`` (rows drawn) and ``on_caller``."""
+    chunks = []
+    substream = quantiles._substream
 
     class Recorded:
-        """A chunk's generator that records the rows of each block it fills."""
+        """A chunk's generator that records the blocks it fills and its thread."""
 
-        def __init__(self, rng):
-            self.rng = rng
+        def __init__(self, seed, chunk):
+            self.rng = substream(seed, chunk)
+            self.seed, self.chunk, self.dim, self.rows, self.total = seed, chunk, None, 0, 0
+            self.on_caller = threading.current_thread() is threading.main_thread()
+            chunks.append(self)
 
         def standard_normal(self, out):
-            local.rows.append(out.shape[0])
+            self.dim, self.rows = out.shape[1], max(self.rows, out.shape[0])
+            self.total += out.shape[0]
             return self.rng.standard_normal(out=out)
 
-    def recorded(request):
-        local.rows = []
-        result = draw(request)
-        calls.append((request, max(local.rows), threading.current_thread() is threading.main_thread()))
-        return result
-
-    monkeypatch.setattr(quantiles, "_monte_carlo_quantile", recorded)
-    monkeypatch.setattr(quantiles, "_substream", lambda seed, *key: Recorded(substream(seed, *key)))
-    return calls
+    monkeypatch.setattr(quantiles, "_substream", Recorded)
+    return chunks
 
 
 def _in_their_blocks(drawn):
-    """Whether each recorded request was drawn in blocks of ``_block_rows(dim)``
-    rows, or in one block of all its draws when it has fewer."""
-    return all(rows == min(r.draws, quantiles._block_rows(r.dim)) for r, rows, _ in drawn)
+    """Whether each recorded chunk was drawn in the blocks of its dimension,
+    the pool's on a worker and the calling thread's on it, or in one block
+    of all its draws when it has fewer."""
+    return all(c.rows == min(c.total, quantiles._block_rows(c.dim, pooled=not c.on_caller)) for c in drawn)
+
+
+def _serial(monkeypatch, requests):
+    """``max_abs_quantile`` of each request, drawn on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quantiles, "_cores", lambda: 1)
+        return [max_abs_quantile(r) for r in requests]
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
 def test_a_batch_is_each_request_alone_bit_for_bit(monkeypatch, drawn, cores):
     requests = _batch()
-    alone = [max_abs_quantile(r) for r in requests]
+    alone = _serial(monkeypatch, requests)
     drawn.clear()
     monkeypatch.setattr(quantiles, "_cores", lambda: cores)
     got = max_abs_quantiles(requests)
     assert [r.q.hex() for r in got] == [r.q.hex() for r in alone]
     assert got == alone
     pooled = cores > 1
-    for r, _, on_caller in drawn:
-        assert on_caller == (not (pooled and r.dim < 16))
+    for c in drawn:
+        assert c.on_caller == (not (pooled and c.dim <= 90))
     assert _in_their_blocks(drawn)
-    assert sorted(r.dim for r, _, _ in drawn) == [3, 3, 6, 6, 12, 12, 15, 16, 20]
+    assert sorted(c.dim for c in drawn) == [3, 3, 3, 6, 6, 12, 12, 15, 16, 20, 90, 91]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+@pytest.mark.parametrize("dim", [3, 16, 30, 90, 91, 150])
+def test_a_lone_request_is_its_serial_draw_bit_for_bit(monkeypatch, drawn, dim, cores):
+    request = QuantileRequest(0.05, _corr(dim, dim), draws=70_000 if dim > 3 else 140_000, seed=dim)
+    serial, = _serial(monkeypatch, [request])
+    assert all(c.on_caller for c in drawn)
+    drawn.clear()
+    monkeypatch.setattr(quantiles, "_cores", lambda: cores)
+    got = max_abs_quantile(request)
+    assert (got.q.hex(), got.mc_stderr.hex(), got.jitter) == (serial.q.hex(), serial.mc_stderr.hex(), serial.jitter)
+    assert got == serial
+    assert sorted(c.chunk for c in drawn) == list(range(quantiles._chunks(request.draws)))
+    assert all(c.on_caller == (cores == 1 or dim > 90) for c in drawn)
+    assert _in_their_blocks(drawn)
+
+
+def test_workers_share_each_request_without_a_lost_update(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a lost update
+    # of a request's count of chunks left would leave it unsorted or sort it twice
+    requests = [QuantileRequest(0.05, _corr(3, k), draws=140_000, seed=k) for k in range(6)]
+    serial = _serial(monkeypatch, requests)
+    monkeypatch.setattr(quantiles, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = max_abs_quantiles(requests)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial
 
 
 def test_the_pooled_peak_is_within_the_workers_plans(monkeypatch, drawn):
@@ -102,44 +139,62 @@ def test_the_pooled_peak_is_within_the_workers_plans(monkeypatch, drawn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(not on_caller for _, _, on_caller in drawn) and len(drawn) == len(requests)
+    assert all(not c.on_caller for c in drawn) and len(drawn) == len(requests)
     assert peak <= 4 * max(planned_bytes(r.dim, r.draws) for r in requests)
     assert peak <= MAX_QUANTILE_BYTES
 
 
 def test_a_request_over_the_budget_with_its_workers_is_drawn_on_the_calling_thread(monkeypatch, drawn):
     monkeypatch.setattr(quantiles, "_cores", lambda: 2)
-    large = QuantileRequest(0.05, _corr(6, 1), draws=40_000, seed=1)
+    large = QuantileRequest(0.05, _corr(6, 1), draws=70_000, seed=1)  # two chunks
     small = [QuantileRequest(0.05, _corr(3, k), draws=2_000, seed=k) for k in (2, 3)]
-    alone = [max_abs_quantile(r) for r in [large, *small]]
+    alone = _serial(monkeypatch, [large, *small])
     drawn.clear()
     # one large plan fits the budget, two of them do not
-    monkeypatch.setattr(quantiles, "MAX_QUANTILE_BYTES", 2 * planned_bytes(6, 40_000) - 1)
+    monkeypatch.setattr(quantiles, "MAX_QUANTILE_BYTES", 2 * planned_bytes(6, 70_000) - 1)
     assert max_abs_quantiles([large, *small]) == alone
-    assert [(r.dim, on_caller) for r, _, on_caller in drawn] == [(3, False)] * 2 + [(6, True)]
+    assert [(c.dim, c.on_caller) for c in drawn] == [(3, False)] * 2 + [(6, True)] * 2
     assert _in_their_blocks(drawn)
     # with the large request out, one small request is left: nothing to share
     drawn.clear()
     assert max_abs_quantiles([large, small[0]]) == alone[:2]
-    assert sorted((r.dim, on_caller) for r, _, on_caller in drawn) == [(3, True), (6, True)]
+    assert sorted((c.dim, c.on_caller) for c in drawn) == [(3, True), (6, True), (6, True)]
     assert _in_their_blocks(drawn)
-
-
-@pytest.mark.parametrize("dim, rows", [(3, 10_922), (4, 8_192), (6, 5_461), (15, 2_184), (16, 8_192), (90, 1_456)])
-def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(drawn, dim, rows):
-    # 256 KiB blocks below dim 16, 1 MiB blocks from it, as in a pool
-    assert quantiles._block_rows(dim) == rows
-    request = QuantileRequest(0.05, _corr(dim, dim), draws=200_000, seed=dim)
-    max_abs_quantile(QuantileRequest(0.05, np.eye(3), draws=1_000))  # first-use imports
+    # alone, the large request's two chunks would need two plans too
     drawn.clear()
-    tracemalloc.start()
-    try:
-        max_abs_quantile(request)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert drawn == [(request, rows, True)]
-    assert peak <= planned_bytes(dim, request.draws)
+    assert max_abs_quantile(large) == alone[0]
+    assert [(c.chunk, c.on_caller) for c in drawn] == [(0, True), (1, True)]
+
+
+# rows of a block on the pool, up to dim 90: at most 256 KiB and under 2**19 multiply-adds
+POOLED_ROWS = {3: 10_922, 4: 8_192, 6: 5_461, 15: 2_184, 16: 2_047, 30: 582, 32: 511, 90: 64}
+
+
+@pytest.mark.parametrize("dim, rows", [(3, 10_922), (4, 8_192), (6, 5_461), (15, 2_184), (16, 8_192), (30, 4_369),
+                                       (32, 4_096), (90, 1_456), (91, 1_440)])
+def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(monkeypatch, drawn, dim, rows):
+    # on the calling thread, 256 KiB below dim 16 and 1 MiB from it
+    assert quantiles._block_rows(dim, pooled=False) == rows
+    assert rows * dim * 8 <= (1 << 18 if dim < 16 else 1 << 20)
+    if dim <= 90:
+        pooled = POOLED_ROWS[dim]
+        assert quantiles._block_rows(dim, pooled=True) == pooled
+        assert pooled * dim <= 1 << 15 and pooled * dim * dim < 1 << 19
+    request = QuantileRequest(0.05, _corr(dim, dim), draws=200_000, seed=dim)
+    max_abs_quantile(QuantileRequest(0.05, np.eye(3), draws=70_000))  # first-use imports
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(quantiles, "_cores", lambda: cores)
+        drawn.clear()
+        tracemalloc.start()
+        try:
+            max_abs_quantile(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        on_caller = cores == 1 or dim > 90
+        assert [(c.seed, c.on_caller) for c in drawn] == [(dim, on_caller)] * 4
+        assert max(c.rows for c in drawn) == (rows if on_caller else pooled) and _in_their_blocks(drawn)
+        assert peak <= planned_bytes(dim, request.draws)
 
 
 def test_no_thread_outlives_the_call(monkeypatch):
@@ -150,6 +205,14 @@ def test_no_thread_outlives_the_call(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_no_thread_outlives_a_pooled_lone_request(monkeypatch, drawn):
+    monkeypatch.setattr(quantiles, "_cores", lambda: 4)
+    before = threading.active_count()
+    max_abs_quantile(QuantileRequest(0.05, _corr(30, 1), draws=140_000, seed=1))
+    assert threading.active_count() == before
+    assert [c.on_caller for c in drawn] == [False] * 3
+
+
 def test_a_pooled_request_that_fails_raises_after_the_pool_is_done(monkeypatch):
     monkeypatch.setattr(quantiles, "_cores", lambda: 2)
     indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
@@ -158,6 +221,34 @@ def test_a_pooled_request_that_fails_raises_after_the_pool_is_done(monkeypatch):
     before = threading.active_count()
     with pytest.raises(NotPositiveSemidefiniteError):
         max_abs_quantiles(requests)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        max_abs_quantile(QuantileRequest(0.05, indefinite, draws=70_000))
+    assert threading.active_count() == before
+
+
+def test_a_failing_chunk_raises_after_the_pool_is_joined(monkeypatch):
+    monkeypatch.setattr(quantiles, "_cores", lambda: 4)
+    draw = quantiles._draw_chunk
+
+    def failing(factor, seed, chunk, out, rows):
+        if chunk == 1:
+            raise MemoryError(f"chunk 1 of seed {seed}")
+        draw(factor, seed, chunk, out, rows)
+
+    monkeypatch.setattr(quantiles, "_draw_chunk", failing)
+    lone = QuantileRequest(0.05, _corr(30, 1), draws=140_000, seed=5)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="seed 5"):
+        max_abs_quantile(lone)
+    assert threading.active_count() == before
+    # in a batch, the first failing request in request order raises
+    batch = [QuantileRequest(0.05, _corr(6, k), draws=70_000 if k in (2, 3) else 2_000, seed=k) for k in range(5)]
+    with pytest.raises(MemoryError, match="seed 2"):
+        max_abs_quantiles([*batch, lone])
+    # a request drawn on the calling thread raises first when it comes first
+    serial = QuantileRequest(0.05, _corr(91, 1), draws=70_000, seed=7)
+    with pytest.raises(MemoryError, match="seed 7"):
+        max_abs_quantiles([serial, lone])
     assert threading.active_count() == before
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perfci.cli
+from perfci import quantiles
 from perfci.cli import EXIT_HARD, EXIT_OK, main
 from perfci.dataset import BinaryDataset, make_targets
 from perfci.intervals import IntervalSpec, analyze
@@ -168,11 +169,18 @@ def test_monte_carlo_blocks_keep_the_chunk_streams():
     assert max_abs_quantile(request) == got
 
 
-def test_planned_bytes_counts_the_maxima_blocks_and_matrices():
-    # dim 90: blocks of 1,456 rows; dim 3: the 5,000 draws fit one block
-    assert planned_bytes(90, 200_000) == 8 * (200_000 + 3 * 1_456 * 90 + 4 * 90 * 90)
-    assert planned_bytes(90, 200_000) < 8 << 20
-    assert planned_bytes(3, 5_000) == 8 * (5_000 + 3 * 5_000 * 3 + 4 * 3 * 3)
+def test_planned_bytes_counts_the_maxima_blocks_and_matrices(monkeypatch):
+    # dim 90: three 1 MiB blocks of 1,456 rows on the calling thread outweigh
+    # two pooled blocks of 64 rows for each of up to four threads (one a chunk)
+    # and one; dim 3: 10,922-row blocks, the same on the pool; the 5,000 draws
+    # fit one block of one chunk
+    for cores, threads in [(1, 1), (2, 2), (8, 4)]:
+        monkeypatch.setattr(quantiles, "_cores", lambda: cores)
+        assert planned_bytes(90, 200_000) == 8 * (200_000 + 3 * 1_456 * 90 + 4 * 90 * 90)
+        assert planned_bytes(90, 200_000) < 8 << 20
+        assert planned_bytes(91, 200_000) == 8 * (200_000 + 3 * 1_440 * 91 + 4 * 91 * 91)
+        assert planned_bytes(3, 200_000) == 8 * (200_000 + (2 * threads + 1) * 10_922 * 3 + 4 * 3 * 3)
+        assert planned_bytes(3, 5_000) == 8 * (5_000 + 3 * 5_000 * 3 + 4 * 3 * 3)
     assert planned_bytes(2, 10**9) == 0
 
 
