@@ -11,7 +11,13 @@ holds target ``k``'s gradient in its rule's three columns.  Dividing by
 :func:`estimate_targets` reads only the counts of the ``m`` distinct
 ``(z, a_1..a_R)`` rows: integer sums ``s`` over them give each moment triple
 as ``s / n`` and, with the cross-products, ``S`` exact up to one division, in
-``O(m R + K R)`` memory for ``K`` targets.  :func:`influence` and
+``O(m R + K R)`` memory for ``K`` targets.  The fit behind it takes a
+stack of ``B`` tables at once: their cross-products as one ``(B, 2R + 1,
+2R + 1)`` array, and every estimate, gradient and ``V`` with the same
+leading table axis, each measure evaluated once over all its tables and
+targets.  ``estimate_targets`` is the stack of one table, and the
+coverage harness fits a block of replications as one stack; a table's
+fit does not depend on what else its stack holds.  :func:`influence` and
 :func:`covariance_from_influences` are a reference that reads only rows: row
 means for the moments, one influence value ``d_za * Z*A + d_a * A + d_z * Z``
 per target and row.
@@ -56,6 +62,7 @@ from .measures import (
     MeasureCatalog,
     MeasureSpec,
     MomentTriple,
+    _Moments,
     resolve_measure,
 )
 from .quantiles import CorrelationMatrix, two_sided_quantile
@@ -152,64 +159,154 @@ class TargetEstimates:
     cov: CovarianceEstimate
 
 
+@dataclass(frozen=True, eq=False)
+class _Fits:
+    """The fits of ``B`` tables of the same rules and ``n``, over the same ``K``
+    targets, stacked on a leading table axis.  ``measures[k]`` is ``None``
+    where target ``k``'s measure or rule is unknown.  Where ``failed[b, k]``,
+    ``errors[b][k]`` holds the exception, the estimate is NaN, and the
+    gradient and the row and column of the plug-in covariance ``v`` are 0."""
+
+    n: int
+    measures: tuple[MeasureSpec | None, ...]
+    estimates: np.ndarray  # (B, K)
+    gradients: np.ndarray  # (B, K, 3)
+    v: np.ndarray  # (B, K, K)
+    failed: np.ndarray  # (B, K)
+    errors: tuple[dict[int, PerfciError], ...]
+
+    @classmethod
+    def of(cls, fit: TargetEstimates, n_targets: int) -> "_Fits":
+        """``fit``, of ``n_targets`` targets, as a stack of one table."""
+        alive, n = np.array(fit.alive, dtype=np.intp), fit.cov.n
+        failed = np.ones((1, n_targets), bool)
+        failed[0, alive] = False
+        estimates = np.full((1, n_targets), np.nan)
+        estimates[0, alive] = fit.estimates
+        gradients = np.zeros((1, n_targets, 3))
+        gradients[0, alive] = np.reshape([g.as_tuple() for g in fit.gradients], (-1, 3))
+        v = np.zeros((1, n_targets, n_targets))
+        v[0][np.ix_(alive, alive)] = fit.cov.v
+        measures = dict(zip(fit.alive, fit.measures))
+        return cls(n, tuple(map(measures.get, range(n_targets))), estimates, gradients, v, failed, (fit.errors,))
+
+    def table(self, b: int) -> TargetEstimates:
+        """The fit of table ``b``."""
+        alive = np.flatnonzero(~self.failed[b])
+        return TargetEstimates(
+            alive=tuple(alive.tolist()),
+            measures=tuple(self.measures[k] for k in alive),
+            estimates=self.estimates[b, alive],
+            gradients=tuple(GradientTriple(*g) for g in self.gradients[b, alive].tolist()),
+            errors=self.errors[b],
+            cov=CovarianceEstimate(v=self.v[b][np.ix_(alive, alive)], n=self.n),
+        )
+
+
 def estimate_targets(
     data: BinaryDataset,
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
     """Estimates, gradients and plug-in covariance from one read of the row
-    counts: with ``C`` the cross-products of the indicator columns, summed
-    over chunks of the distinct rows, and ``s = diag(C)`` their sums, each
-    moment triple is ``s / n`` and ``n (n - 1) S = n C - s s^T`` is formed
-    in Python ints, exact at any ``n``.  ``UnknownMeasureError``,
-    ``UnknownRuleError`` and ``DomainError`` fail one target, not the others."""
+    counts: the table as a stack of one (:func:`_cross_products` and
+    :func:`_fit`).  ``UnknownMeasureError``, ``UnknownRuleError`` and
+    ``DomainError`` fail one target, not the others."""
     patterns, counts = data.row_counts()
-    n, n_rules = data.n, patterns.shape[1] - 1
-    c = np.zeros((2 * n_rules + 1,) * 2, np.int64)
-    step = max(1, _FIT_BYTES // (16 * len(c)))
-    for start in range(0, len(counts), step):
+    return _fit(_cross_products(patterns, counts[np.newaxis]), data.n, data.rule_ids, targets, catalog).table(0)
+
+
+def _cross_products(patterns: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ``(B, 2R + 1, 2R + 1)`` int64 cross-products ``C`` of the indicator
+    columns ``z*a_1..z*a_R, a_1..a_R, z`` of ``B`` tables, from the ``(m, 1 +
+    R)`` 0/1 ``patterns`` and their ``(B, m)`` counts, one row per table.
+    They are summed over chunks of the patterns, so the float matrices take
+    at most about ``_FIT_BYTES``."""
+    width = 2 * patterns.shape[1] - 1
+    c = np.zeros((len(counts), width, width), np.int64)
+    step = max(1, _FIT_BYTES // (8 * (len(counts) + 1) * width))
+    for start in range(0, len(patterns), step):
         z, a = patterns[start : start + step, :1], patterns[start : start + step, 1:]
         x = np.hstack([z & a, a, z]).astype(float)
         # 0/1 products weighted by counts: the float sums are exact below 2**53
-        c += ((x * counts[start : start + step, np.newaxis]).T @ x).astype(np.int64)
-    s = np.diagonal(c)
-    alive, measures, estimates, gradients, rules = [], [], [], [], []
-    errors: dict[int, PerfciError] = {}
+        c += ((x * counts[:, start : start + step, np.newaxis]).transpose(0, 2, 1) @ x).astype(np.int64)
+    return c
+
+
+def _fit(
+    c: np.ndarray,
+    n: int,
+    rule_ids: Sequence[str],
+    targets: Sequence[EvaluationTarget],
+    catalog: MeasureCatalog | None = None,
+) -> _Fits:
+    """The fits of the ``B`` tables of ``n`` rows whose cross-products are
+    ``c`` (:func:`_cross_products`).  With ``s`` the diagonal of a table's
+    ``C``, each moment triple is ``s / n``, and ``n (n - 1) S = n C - s s^T``
+    is exact: in int64 while ``n * n`` fits it, else in Python ints.  Each
+    measure is evaluated, with its gradient, once over the moments of all
+    its targets in all tables; an element it fails is asked of the scalar
+    :meth:`~perfci.measures.MeasureSpec.evaluate` and ``gradient``, so a
+    ``DomainError`` fails its (table, target) pair only.  Then ``V = G S G^T``
+    of each table, with ``G`` holding each target's gradient in its rule's
+    columns, is taken as a stack of products."""
+    n_tables, n_rules, n_targets = len(c), len(rule_ids), len(targets)
+    s = np.diagonal(c, axis1=1, axis2=2)
+    moments = s / n
+    measures: list[MeasureSpec | None] = [None] * n_targets
+    rules = np.zeros(n_targets, np.intp)
+    failed = np.zeros((n_tables, n_targets), bool)
+    errors: dict[tuple[int, int], PerfciError] = {}
+    by_measure: dict[int, tuple[MeasureSpec, list[int]]] = {}
     for pos, target in enumerate(targets):
         try:
             measure = resolve_measure(target.measure_id, catalog)
-            if target.rule_id not in data.rule_ids:
-                raise UnknownRuleError(target.rule_id, data.rule_ids)
-            r = data.rule_ids.index(target.rule_id)
-            m = MomentTriple(*(int(s[i]) / n for i in (r, n_rules + r, -1)))
-            estimate = measure.evaluate(m)
-            gradient = measure.gradient(m)
-        except (DomainError, UnknownRuleError, UnknownMeasureError) as exc:
-            errors[pos] = exc
+            if target.rule_id not in rule_ids:
+                raise UnknownRuleError(target.rule_id, tuple(rule_ids))
+        except (UnknownRuleError, UnknownMeasureError) as exc:
+            failed[:, pos] = True
+            errors.update(((b, pos), exc) for b in range(n_tables))
             continue
-        alive.append(pos)
-        measures.append(measure)
-        estimates.append(estimate)
-        gradients.append(gradient)
-        rules.append(r)
-    d = np.reshape([(grad.d_za, grad.d_a, grad.d_z) for grad in gradients], (len(rules), 3))
-    r, k = np.array(rules, dtype=np.intp), np.arange(len(rules))
-    g = np.zeros((len(rules), 2 * n_rules + 1))
-    g[k, r], g[k, n_rules + r], g[:, -1] = d.T
-    # n * C and s s^T pass int64 once n > 3.04e9; Python ints do not
-    s_int = s.astype(object)
-    v = g @ (n * c.astype(object) - np.outer(s_int, s_int)).astype(float) @ g.T / (n * (n - 1.0))
+        measures[pos], rules[pos] = measure, rule_ids.index(target.rule_id)
+        by_measure.setdefault(id(measure), (measure, []))[1].append(pos)
+
+    estimates = np.full((n_tables, n_targets), np.nan)
+    d = np.zeros((n_tables, n_targets, 3))
+    for measure, positions in by_measure.values():
+        r = rules[positions]
+        m = _Moments(moments[:, r], moments[:, n_rules + r], np.repeat(moments[:, -1:], len(r), axis=1))
+        value, grad = measure.evaluate(m), measure.gradient(m)
+        for b, k in np.argwhere(np.isnan(value) | np.isnan(grad).any(axis=-1)).tolist():
+            triple = MomentTriple(m.m_za[b, k], m.m_a[b, k], m.m_z[b, k])
+            try:
+                value[b, k], grad[b, k] = measure.evaluate(triple), measure.gradient(triple).as_tuple()
+            except DomainError as exc:
+                value[b, k], grad[b, k] = np.nan, 0.0
+                failed[b, positions[k]] = True
+                errors[b, positions[k]] = exc
+        estimates[:, positions], d[:, positions] = value, grad
+
+    k = np.arange(n_targets)
+    g = np.zeros((n_tables, n_targets, 2 * n_rules + 1))
+    g[:, k, rules], g[:, k, n_rules + rules], g[:, :, -1] = d[..., 0], d[..., 1], d[..., 2]
+    exact = c.astype(np.int64 if n * n < 1 << 63 else object)
+    s_exact = np.diagonal(exact, axis1=1, axis2=2)
+    scatter = (n * exact - s_exact[:, :, np.newaxis] * s_exact[:, np.newaxis, :]).astype(float)
+    v = g @ scatter @ g.transpose(0, 2, 1) / (n * (n - 1.0))
     # influence values on the (z, a) cells 00, 01, 10, 11, NaN where one does not occur
-    n_za, n_a, n_z = s[r], s[n_rules + r], s[-1]
-    occur = np.column_stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za]) > 0
-    cells = np.column_stack([np.zeros(len(rules)), d[:, 1], d[:, 2], d[:, 0] + d[:, 1] + d[:, 2]])
-    return TargetEstimates(
-        alive=tuple(alive),
+    n_za, n_a, n_z = s[:, rules], s[:, n_rules + rules], s[:, -1:]
+    occur = np.stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za], axis=-1) > 0
+    cells = np.stack([np.zeros_like(n_za, float), d[..., 1], d[..., 2], d[..., 0] + d[..., 1] + d[..., 2]], axis=-1)
+    return _Fits(
+        n=n,
         measures=tuple(measures),
-        estimates=np.array(estimates, dtype=float),
-        gradients=tuple(gradients),
-        errors=errors,
-        cov=CovarianceEstimate(v=_constant_rows_zeroed(v, np.where(occur, cells, np.nan)), n=n),
+        estimates=estimates,
+        gradients=d,
+        v=_constant_rows_zeroed(v, np.where(occur, cells, np.nan)),
+        failed=failed,
+        errors=tuple(
+            {pos: errors[b, pos] for pos in np.flatnonzero(failed[b]).tolist()} for b in range(n_tables)
+        ),
     )
 
 
@@ -256,30 +353,34 @@ def covariance_from_influences(
 def _constant_rows_zeroed(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``v`` made exactly symmetric, with an exact zero row and column for
     each target whose influence ``values`` (one row per target, NaN where
-    a cell does not occur) agree within ``_ZERO_SNAP`` of their scale."""
-    v = 0.5 * (v + v.T)  # exact symmetry regardless of BLAS kernel paths
-    hi, lo = np.nanmax(values, axis=1), np.nanmin(values, axis=1)
+    a cell does not occur) agree within ``_ZERO_SNAP`` of their scale.
+    Leading axes of both are a stack of tables."""
+    v = 0.5 * (v + np.swapaxes(v, -1, -2))  # exact symmetry regardless of BLAS kernel paths
+    hi, lo = np.nanmax(values, axis=-1), np.nanmin(values, axis=-1)
     constant = hi - lo <= _ZERO_SNAP * np.maximum(1.0, np.maximum(hi, -lo))
-    v[constant, :] = 0.0
-    v[:, constant] = 0.0
-    return v
+    return np.where(constant[..., :, np.newaxis] | constant[..., np.newaxis, :], 0.0, v)
 
 
 def blurring_matrix(
-    gradients: Sequence[GradientTriple], alpha: float, n: int
+    gradients: Sequence[GradientTriple] | np.ndarray, alpha: float, n: int
 ) -> np.ndarray:
     """Diagonal correction addends, one per target.
 
     ``D_k = ||gradient_k||^2 * z**2 / (2 n)`` with ``z = z_{1-alpha/2}``
     from :func:`~perfci.quantiles.two_sided_quantile`; scales as ``1/n``
-    and vanishes only for an all-zero gradient.
+    and vanishes only for an all-zero gradient.  ``gradients`` may also be
+    an array whose last axis holds ``(d_za, d_a, d_z)``; the addends then
+    have its other axes.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     z = two_sided_quantile(alpha)
-    return np.array(
-        [g.squared_norm() * z * z / (2.0 * n) for g in gradients], dtype=float
-    )
+    if not isinstance(gradients, np.ndarray):
+        gradients = np.reshape([g.as_tuple() for g in gradients], (-1, 3))
+    # squared as GradientTriple.squared_norm squares, by Python's float power,
+    # which rounds differently from x * x in about one square in a thousand
+    squared = (gradients.astype(object) ** 2).sum(axis=-1).astype(float)
+    return squared * z * z / (2.0 * n)
 
 
 def correct(

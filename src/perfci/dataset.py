@@ -332,6 +332,25 @@ def _count_rows(blocks, width: int, n: int | None, zero: int) -> tuple[np.ndarra
     return _key_rows(keys, width), counts
 
 
+def _table_counts(tables) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The row counts of ``B`` tables of ``n`` rows each, every table a
+    list of its ``1 + R`` 0/1 columns, ``z`` first, as ``(patterns,
+    counts)`` pairs: ``(m, 1 + R)`` rows and their counts in each of the
+    pair's tables, one row of ``counts`` per table, the tables in order.
+    While the ``B * 2**(1 + R)`` possible (table, row) pairs fit in
+    ``min(_MAX_BINS, 2 B n)`` bins, as in :func:`_count_rows`, one
+    ``np.bincount`` counts the whole stack into one pair of every possible
+    row; else each table's distinct rows are counted alone, a pair each."""
+    width, rows = len(tables[0]), len(tables[0][0])
+    bins = len(tables) << width
+    if bins > min(_MAX_BINS, 2 * len(tables) * rows):
+        return [(patterns, counts[np.newaxis]) for patterns, counts in map(_distinct_rows, tables)]
+    codes = _row_codes([np.concatenate(column) for column in zip(*tables)], np.intp, 0)
+    codes += np.repeat(np.arange(len(tables)) << width, rows)
+    every = np.arange(1 << width, dtype=np.uint64) << np.uint64(64 - width)
+    return [(_key_rows(every, width), np.bincount(codes, minlength=bins).reshape(len(tables), -1))]
+
+
 def _row_codes(columns, dtype, zero: int) -> np.ndarray:
     """Each row of ``columns`` (cells ``zero`` or ``zero + 1``) as the bits of
     one ``dtype`` code, the first column highest."""

@@ -21,16 +21,17 @@ mode the correlation matrix fed to the quantile comes from the same
 covariance estimate the widths use.  Every report says which quantile it
 used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
-:func:`set_reports` is the one body from fits to intervals.  Each ask
-``(fit, members, spec)`` pairs an :func:`~perfci.covariance.estimate_targets`
-fit of the whole target list with the member indices of one set and a
-spec.  Every ask is restricted and corrected, one
-:func:`~perfci.quantiles.max_abs_quantiles` call answers all their
-quantiles, and each ask gets the report it would get alone.  ``perfci
-analyze`` asks once per joint set of its one fit; :func:`analyze` and
-:func:`set_report` ask once; :func:`~perfci.simulation.run_coverage`
-asks for every set of a block of replications, so its memory is bounded
-by the block, and it scores exactly the intervals ``analyze`` reports.
+:func:`set_reports` answers asks ``(fit, members, spec)``: each pairs an
+:func:`~perfci.covariance.estimate_targets` fit of the whole target list
+with the member indices of one set and a spec.  Every ask is restricted
+and corrected, one :func:`~perfci.quantiles.max_abs_quantiles` call
+answers all their quantiles, and each ask gets the report it would get
+alone.  ``perfci analyze`` asks once per joint set of its one fit;
+:func:`analyze` and :func:`set_report` ask once.  The body behind it
+works on stacks of fits, as arrays with a leading table axis, and
+:func:`~perfci.simulation.run_coverage` asks it for every set of a block
+of replications at once, so its memory is bounded by the block, and it
+scores exactly the intervals ``analyze`` reports.
 
 Partial failure policy: a target whose measure is undefined at the
 sample moments, or whose variance degenerates, gets its error recorded
@@ -41,12 +42,13 @@ measure's natural range unless ``clamp`` is set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covariance import TargetEstimates, correct, correlation, estimate_targets
-from .covariance import influence  # noqa: F401  (bench/spans.py wraps it in this namespace)
+import numpy as np
+
+from .covariance import TargetEstimates, _Fits, blurring_matrix, estimate_targets
+from .covariance import correct, correlation, influence  # noqa: F401  (bench/spans.py wraps them in this namespace)
 from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
     DimensionMismatchError,
@@ -56,7 +58,10 @@ from .errors import (
 from .measures import MeasureCatalog
 from .quantiles import (
     DEFAULT_DRAWS,
+    CorrelationMatrix,
     QuantileRequest,
+    QuantileResult,
+    _normalised,
     check_alpha,
     max_abs_quantile,  # noqa: F401  (bench/spans.py wraps it in this namespace)
     max_abs_quantiles,
@@ -75,6 +80,7 @@ __all__ = [
 
 CHOICE_PLUGIN = 1
 CHOICE_CORRECTED = 2
+_UNIT = CorrelationMatrix([[1.0]])  # the correlation of one coordinate, shared by every request
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,10 @@ def set_reports(
     ``q``, ``mc_stderr``, ``jitter``, ``quantile_method`` and ``draws``
     are ``None`` when no member is usable.
 
-    Every ask is checked, restricted and corrected before one
+    This is the list view of :func:`_answers`, which
+    :func:`~perfci.simulation.run_coverage` asks for whole blocks of
+    tables: each ask is on its fit's stack of one table.  Every ask is
+    checked, restricted and corrected before one
     :func:`~perfci.quantiles.max_abs_quantiles` call answers all the
     quantiles, so many pairs' exact dim-2 quantiles are one vectorized
     solve.  A report does not depend on the other asks: it is the one
@@ -224,66 +233,112 @@ def set_reports(
     and report are held until the call returns, so the caller bounds the
     memory by how many asks it passes.
     """
-    parts = [_restricted(fit, targets, tuple(members), spec) for fit, members, spec in asks]
-    results = iter(max_abs_quantiles([request for _, request in parts if request is not None]))
+    stacks = {id(fit): _Fits.of(fit, len(targets)) for fit, _, _ in asks}
+    answers = _answers(targets, [(stacks[id(fit)], members, spec, (spec.seed,)) for fit, members, spec in asks])
+    return [_report(targets, answer) for answer in answers]
+
+
+@dataclass(frozen=True, eq=False)
+class _Answer:
+    """One ask ``(members, spec)`` of each of the ``B`` tables of a stacked
+    fit, answered.  ``usable[b, j]`` says whether member ``j`` has an
+    interval in table ``b``; ``variance`` and ``half`` hold its (corrected)
+    variance and half-width, NaN where it has none, and ``q`` and
+    ``mc_stderr`` the table's quantile, NaN where no member is usable."""
+
+    fits: _Fits
+    members: tuple[int, ...]
+    spec: IntervalSpec
+    usable: np.ndarray  # (B, k)
+    variance: np.ndarray  # (B, k)
+    half: np.ndarray  # (B, k)
+    results: tuple[QuantileResult | None, ...]  # (B,)
+    q: np.ndarray  # (B,)
+    mc_stderr: np.ndarray  # (B,)
+
+
+def _answers(targets, asks) -> list[_Answer]:
+    """Each ask ``(fits, members, spec, seeds)`` answered over the ``B`` tables
+    of the stacked fit ``fits`` (see :func:`~perfci.covariance._fit`), table
+    ``b`` drawing a simulated quantile with seed ``seeds[b]``: the one body
+    from fits to intervals.  Every ask is checked, restricted and corrected,
+    as stacked arrays, before one :func:`~perfci.quantiles.max_abs_quantiles`
+    call answers all their tables' quantiles; table ``b`` of an ask is
+    answered as its stack of one would be, bit for bit."""
+    parts = [_restricted(targets, fits, tuple(members), spec, seeds) for fits, members, spec, seeds in asks]
+    results = iter(max_abs_quantiles([r for *_, requests in parts for r in requests if r is not None]))
     return [
-        _set_report(targets, part, None if request is None else next(results))
-        for part, request in parts
+        _answered(*part, tuple(None if r is None else next(results) for r in requests))
+        for *part, requests in parts
     ]
 
 
-def _restricted(fit, targets, members, spec):
-    """``(fit, spec, members, row_of, cov, variance), request`` of one ask:
-    its checked members, the fit's row of each live one, their (corrected)
-    covariance and variances, and the request for its quantile (``None``
-    when no member is usable)."""
+def _restricted(targets, fits, members, spec, seeds):
+    """``fits, members, spec, usable, variance, requests`` of one ask over a
+    stack: its checked members, which are usable in each table, their
+    (corrected) variances, and each table's request for their quantile
+    (``None`` when no member is usable)."""
     if not members:
         raise DimensionMismatchError("a target set must not be empty")
     if not all(0 <= i < len(targets) for i in members):
         raise DimensionMismatchError(f"target set {members} out of range for {len(targets)} targets")
     if len(set(members)) < len(members):
         raise DimensionMismatchError(f"target set {members} repeats a target")
-    row_of = {pos: r for r, pos in enumerate(fit.alive)}
-    live = [i for i in members if i in row_of]
-    cov = fit.cov.restrict([row_of[i] for i in live])
+    idx = np.array(members, dtype=np.intp)
+    v = fits.v[:, idx[:, np.newaxis], idx]
+    diagonal = np.arange(len(idx))
     if spec.choice == CHOICE_CORRECTED:
-        cov = correct(cov, spec.alpha, [fit.gradients[row_of[i]] for i in live])
-    variance = dict(zip(live, cov.v.diagonal().tolist()))
-    usable = [k for k, i in enumerate(live) if variance[i] > 0.0]
-    request = None
-    if usable:
-        corr = correlation(cov.restrict(usable)) if spec.mode == "joint" else [[1.0]]
-        request = QuantileRequest(spec.alpha, corr, spec.draws, spec.seed)
-    return (fit, spec, members, row_of, cov, variance), request
+        v[:, diagonal, diagonal] += blurring_matrix(fits.gradients[:, idx], spec.alpha, fits.n)
+    variance = v[:, diagonal, diagonal]
+    usable = ~fits.failed[:, idx] & (variance > 0.0)
+    if spec.mode == "joint":
+        scale = np.sqrt(np.where(usable, variance, 1.0))
+        corr = _normalised(v / (scale[:, :, np.newaxis] * scale[:, np.newaxis, :]))
+    requests = [None] * len(usable)
+    for b in np.flatnonzero(usable.any(axis=1)).tolist():
+        if spec.mode == "individual":
+            matrix = _UNIT
+        elif usable[b].all():
+            matrix = CorrelationMatrix._trusted(corr[b])
+        else:
+            matrix = CorrelationMatrix._trusted(corr[b][np.ix_(usable[b], usable[b])])
+        requests[b] = QuantileRequest(spec.alpha, matrix, spec.draws, seeds[b])
+    return fits, members, spec, usable, np.where(usable, variance, np.nan), requests
 
 
-def _set_report(targets, part, result) -> IntervalReport:
-    """The report of one :func:`_restricted` ask, given its quantile ``result``."""
-    fit, spec, members, row_of, cov, variance = part
+def _answered(fits, members, spec, usable, variance, results) -> _Answer:
+    """The :class:`_Answer` of a :func:`_restricted` ask, given its tables' quantile ``results``."""
+    q = np.array([np.nan if r is None else r.q for r in results])
+    mc_stderr = np.array([np.nan if r is None else r.mc_stderr for r in results])
+    half = q[:, np.newaxis] * np.sqrt(variance / fits.n)  # NaN where not usable
+    return _Answer(fits, members, spec, usable, variance, half, results, q, mc_stderr)
+
+
+def _report(targets, answer: _Answer) -> IntervalReport:
+    """The report of table 0 of an answered ask."""
+    fits, spec, result = answer.fits, answer.spec, answer.results[0]
     q = mc_stderr = jitter = method = draws = None
     if result is not None:
         q, mc_stderr, jitter = result.q, result.mc_stderr, result.jitter
         method, draws = result.method, result.draws
     rows = []
-    for i in members:
+    for i, usable, variance, half in zip(
+        answer.members, answer.usable[0].tolist(), answer.variance[0].tolist(), answer.half[0].tolist()
+    ):
         rule_id, measure_id = targets[i].rule_id, targets[i].measure_id
-        if i in fit.errors:
-            rows.append(TargetInterval(rule_id, measure_id, error=_describe(fit.errors[i])))
-        elif variance[i] > 0.0:
-            r = row_of[i]
-            estimate = float(fit.estimates[r])
-            half = q * math.sqrt(variance[i] / cov.n)
+        if i in fits.errors[0]:
+            rows.append(TargetInterval(rule_id, measure_id, error=_describe(fits.errors[0][i])))
+        elif usable:
+            estimate = float(fits.estimates[0, i])
             lower, upper = estimate - half, estimate + half
-            if spec.clamp and fit.measures[r].unit_range:
+            if spec.clamp and fits.measures[i].unit_range:
                 lower, upper = max(0.0, lower), min(1.0, upper)
-            rows.append(
-                TargetInterval(rule_id, measure_id, estimate, lower, upper, half, variance[i])
-            )
+            rows.append(TargetInterval(rule_id, measure_id, estimate, lower, upper, half, variance))
         else:
             error = SingularVarianceError(i, f"choice {spec.choice}")
             rows.append(TargetInterval(rule_id, measure_id, error=_describe(error)))
     return IntervalReport(
-        n=cov.n,
+        n=fits.n,
         alpha=spec.alpha,
         mode=spec.mode,
         choice=spec.choice,

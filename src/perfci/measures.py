@@ -26,6 +26,13 @@ A custom :class:`MeasureSpec` supplies its own ``gradient_fn``.  Every
 measure is asked through its spec: ``resolve_measure(id, catalog)``
 finds it, and its ``evaluate(m)`` and ``gradient(m)`` give the value
 and the gradient at ``m``.
+
+The same two methods take a whole batch of moments: ``m`` may hold equal-
+shape float arrays in place of a :class:`MomentTriple` (see
+:meth:`MeasureSpec.evaluate`).  A built-in measure then runs its value
+expression, and its dual, once over the arrays, with ``np.sqrt`` and an
+elementwise ``min`` where a float runs ``math.sqrt`` and the builtin
+``min``; every element gets the bits the scalar call gives it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,10 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, DuplicateIdError, UnknownMeasureError
 
@@ -130,6 +140,14 @@ class MeasureSpec:
     ``gradient_domain_fn(m)`` is (only ``overlap`` sets one, for its min
     kink).  ``unit_range`` marks measures whose values always lie in
     ``[0, 1]``; interval clamping applies only to those.
+
+    Both methods also take ``m`` as any object whose ``m_za``, ``m_a`` and
+    ``m_z`` are equal-shape float arrays of valid moments.  Then
+    ``evaluate`` returns an array of that shape and ``gradient`` one with a
+    last axis of ``(d_za, d_a, d_z)``, NaN wherever the scalar call raises
+    :class:`~perfci.errors.DomainError`, and every other element holds the
+    bits the scalar call returns.  A built-in measure reads the arrays at
+    once; any other runs its scalar functions element by element.
     """
 
     id: str
@@ -139,22 +157,51 @@ class MeasureSpec:
     gradient_fn: Callable[[MomentTriple], GradientTriple] = field(repr=False)
     domain_fn: Callable[[MomentTriple], bool] = field(repr=False)
     gradient_domain_fn: Callable[[MomentTriple], bool] | None = field(default=None, repr=False)
+    # set by _measure: the functions also take arrays, and run once over them
+    _arrays: bool = field(default=False, init=False, repr=False, compare=False)
 
     def evaluate(self, m: MomentTriple) -> float:
+        if not isinstance(m, MomentTriple):
+            return self._over_arrays(m, gradient=False)
         if not self.domain_fn(m):
             raise DomainError(self.id, _domain_detail(m))
-        v = float(self.value_fn(m))
-        if self.unit_range:
-            # guard floating spill past the mathematical range
-            v = min(1.0, max(0.0, v))
-        return v
+        return self._guarded(float(self.value_fn(m)))
 
     def gradient(self, m: MomentTriple) -> GradientTriple:
+        if not isinstance(m, MomentTriple):
+            return self._over_arrays(m, gradient=True)
         if not self.domain_fn(m):
             raise DomainError(self.id, _domain_detail(m))
         if self.gradient_domain_fn is not None and not self.gradient_domain_fn(m):
             raise DomainError(self.id, f"gradient undefined at m_a = m_z = {m.m_a} (min kink)")
         return self.gradient_fn(m)
+
+    def _over_arrays(self, m, gradient: bool) -> np.ndarray:
+        """:meth:`evaluate`, or :meth:`gradient`, at every element of the
+        moment arrays ``m``, NaN where it raises ``DomainError``."""
+        shape = np.shape(m.m_za)
+        out = np.full(shape + ((3,) if gradient else ()), np.nan)
+        if not self._arrays:
+            for at in np.ndindex(shape):
+                triple = MomentTriple(m.m_za[at], m.m_a[at], m.m_z[at])
+                try:
+                    out[at] = self.gradient(triple).as_tuple() if gradient else self.evaluate(triple)
+                except DomainError:
+                    pass
+            return out
+        inside = np.asarray(self.domain_fn(m))
+        if gradient and self.gradient_domain_fn is not None:
+            inside = inside & self.gradient_domain_fn(m)
+        if inside.all():
+            return self.gradient_fn(m) if gradient else self._guarded(self.value_fn(m))
+        inside = np.broadcast_to(inside, shape)
+        m = _Moments(*(np.asarray(f)[inside] for f in m))
+        out[inside] = self.gradient_fn(m) if gradient else self._guarded(self.value_fn(m))
+        return out
+
+    def _guarded(self, value):
+        # guard floating spill past the mathematical range
+        return _clip(value, 0.0, 1.0) if self.unit_range else value
 
 
 def _domain_detail(m: MomentTriple) -> str:
@@ -167,7 +214,8 @@ def _domain_detail(m: MomentTriple) -> str:
 
 _ZERO = (0.0, 0.0, 0.0)
 _SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-_Moments = namedtuple("_Moments", "m_za m_a m_z")  # a MomentTriple whose fields are duals
+# an unchecked MomentTriple, whose fields may also be float arrays or duals of either
+_Moments = namedtuple("_Moments", "m_za m_a m_z")
 
 
 def _rule(f, partials):
@@ -187,7 +235,9 @@ def _rule(f, partials):
 class _Dual:
     """A value with its gradient in ``(m_za, m_a, m_z)``: forward-mode
     differentiation (Griewank & Walther, *Evaluating Derivatives*, 2008).  A
-    value expression run on duals yields its gradient; floats are constants."""
+    value expression run on duals yields its gradient; floats are constants.
+    The value and the partials may be float arrays: each operation is then
+    the scalar one, element by element."""
 
     __slots__ = ("value", "grad")
 
@@ -200,34 +250,57 @@ class _Dual:
     __rsub__ = _rule(lambda x, y: y - x, lambda x, y, v: (-1.0, 1.0))
     __mul__ = __rmul__ = _rule(lambda x, y: x * y, lambda x, y, v: (y, x))
     __truediv__ = _rule(lambda x, y: x / y, lambda x, y, v: (1.0 / y, -v / y))
-    sqrt = _rule(lambda x, _: math.sqrt(x), lambda x, _, v: (0.5 / v, 0.0))  # x.sqrt(0.0)
+    sqrt = _rule(lambda x, _: _sqrt(x), lambda x, _, v: (0.5 / v, 0.0))  # x.sqrt(0.0)
 
-    def __lt__(self, other):  # all that min() needs
+    def __lt__(self, other):  # all that _min needs
         return self.value < (other.value if isinstance(other, _Dual) else other)
 
 
 def _sqrt(x):
-    return x.sqrt(0.0) if isinstance(x, _Dual) else math.sqrt(x)
+    if isinstance(x, _Dual):
+        return x.sqrt(0.0)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: floats, arrays or duals."""
+    if isinstance(a, _Dual):
+        return _Dual(_where(cond, a.value, b.value), tuple(map(partial(_where, cond), a.grad, b.grad)))
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
+def _min(x, y):
+    """``min(x, y)``, which keeps ``x`` unless ``y < x``, element by element."""
+    return _where(y < x, y, x)
 
 
 def _clip(x, lo: float, hi: float):
-    """Clamp a float value to ``[lo, hi]`` against rounding spill.  A dual
-    passes through, so a perfect rule's correlation keeps its gradient."""
-    return x if isinstance(x, _Dual) else min(hi, max(lo, x))
+    """Clamp a value to ``[lo, hi]`` against rounding spill, as ``min(hi,
+    max(lo, x))`` does.  A dual passes through, so a perfect rule's
+    correlation keeps its gradient."""
+    return x if isinstance(x, _Dual) else _min(hi, _where(x > lo, x, lo))
 
 
 def _measure(measure_id, value, domain, unit_range=True, params=(), gradient_domain=None):
-    """A :class:`MeasureSpec` whose ``gradient_fn`` runs ``value`` on duals."""
+    """A :class:`MeasureSpec` whose ``gradient_fn`` runs ``value`` on duals.
+    ``value``, ``domain`` and ``gradient_domain`` must also take arrays."""
 
     def gradient_fn(m: MomentTriple) -> GradientTriple:
         seeded = _Moments(*map(_Dual, (m.m_za, m.m_a, m.m_z), _SEEDS))
-        return GradientTriple(*value(seeded).grad)
+        grad = value(seeded).grad
+        if isinstance(m, MomentTriple):
+            return GradientTriple(*grad)
+        out = np.empty(np.shape(m.m_za) + (3,))
+        out[..., 0], out[..., 1], out[..., 2] = grad  # a constant partial fills its column
+        return out
 
-    return MeasureSpec(measure_id, params, unit_range, value, gradient_fn, domain, gradient_domain)
+    spec = MeasureSpec(measure_id, params, unit_range, value, gradient_fn, domain, gradient_domain)
+    object.__setattr__(spec, "_arrays", True)
+    return spec
 
 
 def _positive_marginals(m: MomentTriple) -> bool:
-    return m.m_a > 0.0 and m.m_z > 0.0
+    return (m.m_a > 0.0) & (m.m_z > 0.0)
 
 
 def make_accuracy() -> MeasureSpec:
@@ -287,9 +360,10 @@ def make_correlation() -> MeasureSpec:
         sz = m.m_z * (1.0 - m.m_z)
         return _clip((m.m_za - m.m_a * m.m_z) / _sqrt(sa * sz), -1.0, 1.0)
 
-    return _measure(
-        "correlation", value, lambda m: 0.0 < m.m_a < 1.0 and 0.0 < m.m_z < 1.0, unit_range=False
-    )
+    def domain(m: MomentTriple) -> bool:
+        return (0.0 < m.m_a) & (m.m_a < 1.0) & (0.0 < m.m_z) & (m.m_z < 1.0)
+
+    return _measure("correlation", value, domain, unit_range=False)
 
 
 def make_cosine() -> MeasureSpec:
@@ -309,7 +383,7 @@ def make_overlap() -> MeasureSpec:
     gradient also needs ``m_a != m_z``, off the min kink."""
     return _measure(
         "overlap",
-        lambda m: m.m_za / min(m.m_a, m.m_z),
+        lambda m: m.m_za / _min(m.m_a, m.m_z),
         _positive_marginals,
         gradient_domain=lambda m: m.m_a != m.m_z,
     )

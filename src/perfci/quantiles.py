@@ -204,14 +204,29 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix diagonal must be all ones")
         if np.max(np.abs(r - r.T)) > _CORR_TOL:
             raise ValueError("correlation matrix must be symmetric")
-        r = 0.5 * (r + r.T)
-        np.clip(r, -1.0, 1.0, out=r)
-        np.fill_diagonal(r, 1.0)
-        object.__setattr__(self, "values", r)
+        object.__setattr__(self, "values", _normalised(r))
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "CorrelationMatrix":
+        """The matrix of ``values``, unchecked: a correlation the program
+        computed itself and passed through :func:`_normalised`."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        return matrix
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+
+def _normalised(r: np.ndarray) -> np.ndarray:
+    """The square matrices on the last two axes of ``r`` made exactly
+    symmetric, clipped into ``[-1, 1]`` and given a unit diagonal."""
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
+    np.clip(r, -1.0, 1.0, out=r)
+    diagonal = np.arange(r.shape[-1])
+    r[..., diagonal, diagonal] = 1.0
+    return r
 
 
 def _block_rows(dim: int, pooled: bool) -> int:

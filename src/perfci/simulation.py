@@ -10,10 +10,15 @@ Three coverage notions are reported:
   once (the naive reading of a table of marginal intervals);
 * joint: how often the simultaneous intervals cover all their targets.
 
-:func:`run_coverage` fits each replication once and asks
-:func:`perfci.intervals.set_reports`, the body of ``perfci analyze``, for
-a block of replications' intervals at a time: it scores the intervals
-``analyze`` reports and holds one block's fits at any study size.
+:func:`run_coverage` works in blocks of 64 replications.  A block's
+samples are counted together, with one ``np.bincount`` while the block's
+possible (replication, row) pairs are few (else each replication's
+distinct rows are counted alone), and fitted together, as stacked arrays
+(:func:`perfci.covariance._fit`).  Its asks then go to the body that
+:func:`perfci.intervals.set_reports` and ``perfci analyze`` use, one set
+at a time over the whole block, and come back as arrays.  So it scores
+the intervals ``analyze`` reports, bit for bit, and holds one block's
+fits at any study size.
 
 Data processes
 --------------
@@ -45,13 +50,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import estimate_targets
+from .covariance import _cross_products, _fit
 from .dataset import (
-    BinaryDataset, EvaluationTarget, check_rule_ids, compute_moments, make_joint_sets,
-    make_targets,
+    BinaryDataset, EvaluationTarget, _table_counts, check_rule_ids, compute_moments,
+    make_joint_sets, make_targets,
 )
 from .errors import PerfciError
-from .intervals import IntervalSpec, set_reports
+from .intervals import IntervalSpec, _answers
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
 from .quantiles import _substream, check_alpha, norm_cdf
@@ -75,12 +80,14 @@ __all__ = [
 ]
 
 DEFAULT_SIM_DRAWS = 20_000
-_BLOCK = 64  # replications whose fits are held for one set_reports call
+_BLOCK = 64  # replications counted, fitted and asked as one stack
 
 
 def _substream_seed(seed: int, *key: int) -> int:
-    """The first 64-bit word of the seed sequence of substream ``key``."""
-    return int(_substream(seed, *key).bit_generator.seed_seq.generate_state(1, np.uint64)[0])
+    """The first 64-bit word of the seed sequence of substream ``key``
+    (:func:`~perfci.quantiles._substream`), read without building its generator."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +455,11 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
 
     Replication ``rep`` samples from substream ``(seed, rep, 0)`` and
     joint set ``i`` draws its quantile with seed ``(seed, rep, 1 + i)``.
-    Each ``_BLOCK`` replications' asks go to one ``set_reports`` call; a
-    report is the one its ask gets alone, whatever the block holds.
+    Each ``_BLOCK`` replications are counted, fitted and asked for every
+    set as one stack (see the module notes), and one
+    :func:`~perfci.quantiles.max_abs_quantiles` call answers the block's
+    quantiles.  A replication's intervals are those ``set_report`` gives
+    its own fit, whatever the block holds.
     """
     rules = config.rules
     truth = true_params(config.process, rules, config.measure_ids)
@@ -469,29 +479,23 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
 
     for start in range(0, reps, _BLOCK):
         block = range(start, min(start + _BLOCK, reps))
-        asks = []
+        tables = []
         for rep in block:
             batch = config.process.sample(config.n, _substream(config.seed, rep, 0))
-            data = BinaryDataset(
-                np.ascontiguousarray(batch.z, dtype=np.uint8),
-                {rule.id: np.ascontiguousarray(rule.predict(batch), dtype=np.uint8) for rule in rules},
-            )
-            fit = estimate_targets(data, targets)
-            est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
-            asks.append((fit, range(n_targets), individual))
-            asks += [(fit, idx, replace(spec, seed=_substream_seed(config.seed, rep, 1 + i)))
-                     for i, (_, idx) in enumerate(sets)]
-        # failed rows, and sets without a quantile, carry None, which float arrays store as NaN
-        reports = iter(set_reports(targets, asks))
-        for rep in block:
-            report = next(reports)
-            variances[rep] = [row.variance for row in report.rows]
-            ind_half[rep] = [row.half_width for row in report.rows]
-            for label, _ in sets:
-                report = next(reports)
-                joint_q[label][rep] = report.q
-                joint_mc[label][rep] = report.mc_stderr
-                joint_half[label][rep] = [row.half_width for row in report.rows]
+            columns = (batch.z, *(rule.predict(batch) for rule in rules))
+            tables.append([np.asarray(column, dtype=np.uint8) for column in columns])
+        c = np.concatenate([_cross_products(*pair) for pair in _table_counts(tables)])
+        fits = _fit(c, config.n, tuple(rule.id for rule in rules), targets)
+        asks = [(fits, range(n_targets), individual, [individual.seed] * len(block))]
+        asks += [(fits, idx, spec, [_substream_seed(config.seed, rep, 1 + i) for rep in block])
+                 for i, (_, idx) in enumerate(sets)]
+        answer, *joint = _answers(targets, asks)
+        # failed rows, and sets without a quantile, hold NaN
+        rows = slice(start, block.stop)
+        est[rows], variances[rows], ind_half[rows] = fits.estimates, answer.variance, answer.half
+        for (label, _), answer in zip(sets, joint):
+            joint_q[label][rows], joint_mc[label][rows] = answer.q, answer.mc_stderr
+            joint_half[label][rows] = answer.half
 
     # ---- aggregate --------------------------------------------------------
     # NaN entries mean "no interval in that replication": comparisons give

@@ -21,6 +21,7 @@ from perfci.errors import (
     UnknownRuleError,
 )
 from perfci.measures import GradientTriple, resolve_measure
+from perfci.quantiles import two_sided_quantile
 
 Z_975_SQ = 1.95996398454005423552**2
 
@@ -171,6 +172,16 @@ def test_blurring_values_and_scaling():
     assert blurring_matrix([GradientTriple(0.0, 0.0, 0.0)], 0.05, 100)[0] == 0.0
     with pytest.raises(ValueError):
         blurring_matrix([g], alpha=0.05, n=0)
+
+
+def test_blurring_of_a_gradient_stack_squares_as_squared_norm_does():
+    # under glibc, 0.4846648782067015 ** 2 is one ulp above the product of the float with itself
+    grads = [GradientTriple(0.4846648782067015, 0.0, 0.0), GradientTriple(2.0, -1.0, -1.0)]
+    z = two_sided_quantile(0.05)
+    want = np.array([g.squared_norm() * z * z / (2.0 * 300) for g in grads])
+    assert blurring_matrix(grads, 0.05, 300).tobytes() == want.tobytes()
+    stack = np.array([[g.as_tuple() for g in grads]] * 3)
+    assert blurring_matrix(stack, 0.05, 300).tobytes() == np.array([want] * 3).tobytes()
 
 
 def test_correct_adds_diagonal_only():

@@ -14,6 +14,7 @@ from perfci.measures import (
     MeasureCatalog,
     MeasureSpec,
     MomentTriple,
+    _Moments,
     builtin_measures,
     make_f_beta,
     make_tversky,
@@ -227,6 +228,36 @@ def test_derived_gradients_match_a_50_digit_central_difference(m, beta, weights)
         want = _central_difference(_oracle(spec), m)
         scale = max(abs(w) for w in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale, (spec.id, got)
+
+
+@st.composite
+def counted_triples(draw):
+    """The moments of a table of at most 12 rows: ``m_a`` and ``m_z`` are
+    often 0 or 1, where correlation, cosine, lift and overlap leave their
+    domains, and ``m_a = m_z`` (overlap's kink) is drawn whenever it fits."""
+    n = draw(st.integers(1, 12))
+    n11 = draw(st.integers(0, n))
+    n10 = draw(st.integers(0, n - n11))
+    n01 = draw(st.one_of(st.just(min(n10, n - n11 - n10)), st.integers(0, n - n11 - n10)))
+    return MomentTriple(n11 / n, (n11 + n01) / n, (n11 + n10) / n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(feasible_triples(), counted_triples()), min_size=1, max_size=12))
+def test_moment_arrays_give_the_scalar_bits_and_domain_errors(triples):
+    arrays = _Moments(*(np.array(field) for field in zip(*((t.m_za, t.m_a, t.m_z) for t in triples))))
+    for spec in builtin_measures():
+        values, gradients = spec.evaluate(arrays), spec.gradient(arrays)
+        assert values.shape == (len(triples),) and gradients.shape == (len(triples), 3)
+        for m, value, gradient in zip(triples, values, gradients):
+            try:
+                assert value.tobytes() == np.float64(spec.evaluate(m)).tobytes(), spec.id
+            except DomainError:
+                assert np.isnan(value), spec.id
+            try:
+                assert gradient.tobytes() == np.array(spec.gradient(m).as_tuple()).tobytes(), spec.id
+            except DomainError:
+                assert np.isnan(gradient).all(), spec.id
 
 
 def test_f_beta_one_is_f1_exactly():

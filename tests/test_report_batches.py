@@ -3,6 +3,7 @@
 ``run_coverage``, which asks for a block of replications at once, gives what
 one ``set_report`` call per replication and set gave."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,10 @@ from perfci.simulation import (
     CoverageResult,
     EmpiricalBootstrapProcess,
     FixedPredictionRule,
+    GaussianMixtureProcess,
     JointSetCoverage,
+    OneNNRule,
+    ThresholdRule,
     run_coverage,
     stress_population,
     true_params,
@@ -117,9 +121,12 @@ def per_replication_coverage(config):
 
 
 def test_run_coverage_matches_one_set_report_per_replication_and_set():
-    # resamples of the stress population that miss all five overlap rows
-    # have singular plug-in rows under choice 1; two blocks and a part block
-    config = CoverageConfig(
+    # two blocks and a part block of each study.  Resamples of the stress
+    # population that miss all five overlap rows have singular plug-in rows
+    # under choice 1.  In mixture samples of six rows, threshold(inf) never
+    # fires: its f_beta(0.5) and jaccard leave their domain in a sample with
+    # no positive label, and many rows of every rule are singular
+    stress = CoverageConfig(
         process=EmpiricalBootstrapProcess(stress_population()),
         rules=(FixedPredictionRule("weak"),),
         measure_ids=("f_beta(0.5)", "accuracy", "f1"),
@@ -129,19 +136,32 @@ def test_run_coverage_matches_one_set_report_per_replication_and_set():
         draws=1_000,
         seed=4,
     )
-    for choice in (1, 2):
-        got = run_coverage(replace(config, choice=choice))
-        want = per_replication_coverage(replace(config, choice=choice))
-        assert got.as_dict() == want.as_dict()
-        g, w = got.diagnostics, want.diagnostics
-        for name in ("estimates", "variances", "individual_half"):
-            assert same_bits(getattr(g, name), getattr(w, name))
-        for name in ("joint_half", "joint_q", "joint_mc_stderr"):
-            assert getattr(g, name).keys() == getattr(w, name).keys() == {"set0", "all"}
-            for label, values in getattr(w, name).items():
-                assert same_bits(getattr(g, name)[label], values)
-        if choice == 1:
-            assert np.isnan(g.individual_half[:, 0]).any()
+    mixture = CoverageConfig(
+        process=GaussianMixtureProcess(),
+        rules=(ThresholdRule(0.3), OneNNRule.train(GaussianMixtureProcess(), 200, 5), ThresholdRule(math.inf)),
+        measure_ids=("f_beta(0.5)", "accuracy", "jaccard"),
+        n=6,
+        replications=2 * simulation._BLOCK + 3,
+        joint_sets="per-rule,all",  # three Monte Carlo triples and a set of nine
+        draws=1_000,
+        seed=5,
+    )
+    labels = {stress: {"set0", "all"}, mixture: {"threshold(0.3)", "one_nn", "threshold(inf)", "all"}}
+    for config in (stress, mixture):
+        for choice in (1, 2):
+            got = run_coverage(replace(config, choice=choice))
+            want = per_replication_coverage(replace(config, choice=choice))
+            assert got.as_dict() == want.as_dict()
+            g, w = got.diagnostics, want.diagnostics
+            for name in ("estimates", "variances", "individual_half"):
+                assert same_bits(getattr(g, name), getattr(w, name))
+            for name in ("joint_half", "joint_q", "joint_mc_stderr"):
+                assert getattr(g, name).keys() == getattr(w, name).keys() == labels[config]
+                for label, values in getattr(w, name).items():
+                    assert same_bits(getattr(g, name)[label], values)
+            if choice == 1:
+                assert np.isnan(g.individual_half[:, 0]).any()
+            assert np.isnan(g.estimates).any() == (config is mixture)  # the domain rows
 
 
 def same_bits(a, b):

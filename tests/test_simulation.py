@@ -20,6 +20,7 @@ from perfci.simulation import (
     SampleBatch,
     ThresholdRule,
     _substream,
+    _substream_seed,
     rare_positive_stress,
     run_coverage,
     stress_population,
@@ -108,6 +109,13 @@ def test_one_nn_trains_on_no_replication_sample():
     for rep in (0, 0xF17):
         sample = proc.sample(500, _substream(7, rep, 0))
         assert not np.array_equal(rule.cuts, OneNNRule(sample.x, sample.z).cuts)
+
+
+def test_substream_seed_is_the_first_word_of_its_philox_seed_sequence():
+    for seed in (0, 1, 4, 2**32 - 1, 2**32, 2**63 + 5):
+        for key in ((0, 1), (1, 1), (63, 2), (64, 1), (3863, 1), (0xF17, 0, 0), (2**32 + 1, 7)):
+            seq = _substream(seed, *key).bit_generator.seed_seq
+            assert _substream_seed(seed, *key) == int(seq.generate_state(1, np.uint64)[0])
 
 
 def test_bootstrap_process_modes():
