@@ -188,7 +188,7 @@ def _analyze_cmd(args) -> int:
         clamp=args.clamp,
     )
     fit = estimate_targets(data, targets)
-    reports = set_reports(targets, [(fit, members, spec) for _, members in sets])
+    reports = set_reports([(fit, members, spec) for _, members in sets])
 
     if args.fmt == "json":
         payload = [_report_dict(r) for r in reports]

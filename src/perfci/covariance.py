@@ -11,13 +11,14 @@ holds target ``k``'s gradient in its rule's three columns.  Dividing by
 :func:`estimate_targets` reads only the counts of the ``m`` distinct
 ``(z, a_1..a_R)`` rows: integer sums ``s`` over them give each moment triple
 as ``s / n`` and, with the cross-products, ``S`` exact up to one division, in
-``O(m R + K R)`` memory for ``K`` targets.  The fit behind it takes a
-stack of ``B`` tables at once: their cross-products as one ``(B, 2R + 1,
-2R + 1)`` array, and every estimate, gradient and ``V`` with the same
-leading table axis, each measure evaluated once over all its tables and
-targets.  ``estimate_targets`` is the stack of one table, and the
-coverage harness fits a block of replications as one stack; a table's
-fit does not depend on what else its stack holds.  :func:`influence` and
+``O(m R + K R)`` memory for ``K`` targets.  Every fit is a
+:class:`TargetEstimates`: a stack of ``B`` tables, fitted at once from
+their cross-products as one ``(B, 2R + 1, 2R + 1)`` array, with every
+estimate, gradient and ``V`` on the same leading table axis, each measure
+evaluated once over all its tables and targets, and the targets it
+fitted.  ``estimate_targets`` is the stack of one table, and the coverage
+harness fits a block of replications as one stack; a table's fit does not
+depend on what else its stack holds.  :func:`influence` and
 :func:`covariance_from_influences` are a reference that reads only rows: row
 means for the moments, one influence value ``d_za * Z*A + d_a * A + d_z * Z``
 per target and row.
@@ -146,61 +147,21 @@ class CovarianceEstimate:
 
 @dataclass(frozen=True, eq=False)
 class TargetEstimates:
-    """Results of :func:`estimate_targets`.  ``alive`` lists the positions of
-    the targets that produced an estimate; ``measures``, ``estimates``,
-    ``gradients`` and the rows of ``cov`` follow that order.  ``errors``
-    maps every other position to the exception that stopped it."""
+    """The fits of ``B`` tables of the same rules and ``n`` over the same ``K``
+    ``targets``, stacked on a leading table axis; :func:`estimate_targets`
+    gives ``B = 1``.  ``measures[k]`` is ``None`` where target ``k``'s
+    measure or rule is unknown.  Where ``failed[b, k]``, ``errors[b][k]``
+    holds the exception, the estimate is NaN, and the gradient and the row
+    and column of the plug-in covariance ``v`` are 0."""
 
-    alive: tuple[int, ...]
-    measures: tuple[MeasureSpec, ...]
-    estimates: np.ndarray
-    gradients: tuple[GradientTriple, ...]
-    errors: dict[int, PerfciError]
-    cov: CovarianceEstimate
-
-
-@dataclass(frozen=True, eq=False)
-class _Fits:
-    """The fits of ``B`` tables of the same rules and ``n``, over the same ``K``
-    targets, stacked on a leading table axis.  ``measures[k]`` is ``None``
-    where target ``k``'s measure or rule is unknown.  Where ``failed[b, k]``,
-    ``errors[b][k]`` holds the exception, the estimate is NaN, and the
-    gradient and the row and column of the plug-in covariance ``v`` are 0."""
-
+    targets: tuple[EvaluationTarget, ...]
     n: int
     measures: tuple[MeasureSpec | None, ...]
     estimates: np.ndarray  # (B, K)
-    gradients: np.ndarray  # (B, K, 3)
+    gradients: np.ndarray  # (B, K, 3), as (d_za, d_a, d_z)
     v: np.ndarray  # (B, K, K)
     failed: np.ndarray  # (B, K)
     errors: tuple[dict[int, PerfciError], ...]
-
-    @classmethod
-    def of(cls, fit: TargetEstimates, n_targets: int) -> "_Fits":
-        """``fit``, of ``n_targets`` targets, as a stack of one table."""
-        alive, n = np.array(fit.alive, dtype=np.intp), fit.cov.n
-        failed = np.ones((1, n_targets), bool)
-        failed[0, alive] = False
-        estimates = np.full((1, n_targets), np.nan)
-        estimates[0, alive] = fit.estimates
-        gradients = np.zeros((1, n_targets, 3))
-        gradients[0, alive] = np.reshape([g.as_tuple() for g in fit.gradients], (-1, 3))
-        v = np.zeros((1, n_targets, n_targets))
-        v[0][np.ix_(alive, alive)] = fit.cov.v
-        measures = dict(zip(fit.alive, fit.measures))
-        return cls(n, tuple(map(measures.get, range(n_targets))), estimates, gradients, v, failed, (fit.errors,))
-
-    def table(self, b: int) -> TargetEstimates:
-        """The fit of table ``b``."""
-        alive = np.flatnonzero(~self.failed[b])
-        return TargetEstimates(
-            alive=tuple(alive.tolist()),
-            measures=tuple(self.measures[k] for k in alive),
-            estimates=self.estimates[b, alive],
-            gradients=tuple(GradientTriple(*g) for g in self.gradients[b, alive].tolist()),
-            errors=self.errors[b],
-            cov=CovarianceEstimate(v=self.v[b][np.ix_(alive, alive)], n=self.n),
-        )
 
 
 def estimate_targets(
@@ -208,12 +169,12 @@ def estimate_targets(
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
-    """Estimates, gradients and plug-in covariance from one read of the row
-    counts: the table as a stack of one (:func:`_cross_products` and
-    :func:`_fit`).  ``UnknownMeasureError``, ``UnknownRuleError`` and
+    """Estimates, gradients and plug-in covariance of ``targets`` from one
+    read of the row counts: the table as a stack of one (:func:`_cross_products`
+    and :func:`_fit`).  ``UnknownMeasureError``, ``UnknownRuleError`` and
     ``DomainError`` fail one target, not the others."""
     patterns, counts = data.row_counts()
-    return _fit(_cross_products(patterns, counts[np.newaxis]), data.n, data.rule_ids, targets, catalog).table(0)
+    return _fit(_cross_products(patterns, counts[np.newaxis]), data.n, data.rule_ids, targets, catalog)
 
 
 def _cross_products(patterns: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -239,7 +200,7 @@ def _fit(
     rule_ids: Sequence[str],
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
-) -> _Fits:
+) -> TargetEstimates:
     """The fits of the ``B`` tables of ``n`` rows whose cross-products are
     ``c`` (:func:`_cross_products`).  With ``s`` the diagonal of a table's
     ``C``, each moment triple is ``s / n``, and ``n (n - 1) S = n C - s s^T``
@@ -297,7 +258,8 @@ def _fit(
     n_za, n_a, n_z = s[:, rules], s[:, n_rules + rules], s[:, -1:]
     occur = np.stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za], axis=-1) > 0
     cells = np.stack([np.zeros_like(n_za, float), d[..., 1], d[..., 2], d[..., 0] + d[..., 1] + d[..., 2]], axis=-1)
-    return _Fits(
+    return TargetEstimates(
+        targets=tuple(targets),
         n=n,
         measures=tuple(measures),
         estimates=estimates,

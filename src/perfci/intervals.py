@@ -22,13 +22,13 @@ covariance estimate the widths use.  Every report says which quantile it
 used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
 :func:`set_reports` answers asks ``(fit, members, spec)``: each pairs an
-:func:`~perfci.covariance.estimate_targets` fit of the whole target list
-with the member indices of one set and a spec.  Every ask is restricted
-and corrected, one :func:`~perfci.quantiles.max_abs_quantiles` call
-answers all their quantiles, and each ask gets the report it would get
-alone.  ``perfci analyze`` asks once per joint set of its one fit;
+:func:`~perfci.covariance.estimate_targets` fit, which names its targets,
+with the member indices of one set of them and a spec.  Every ask is
+restricted and corrected, one :func:`~perfci.quantiles.max_abs_quantiles`
+call answers all their quantiles, and each ask gets the report it would
+get alone.  ``perfci analyze`` asks once per joint set of its one fit;
 :func:`analyze` and :func:`set_report` ask once.  The body behind it
-works on stacks of fits, as arrays with a leading table axis, and
+works on the stacks of tables that every fit is, and
 :func:`~perfci.simulation.run_coverage` asks it for every set of a block
 of replications at once, so its memory is bounded by the block, and it
 scores exactly the intervals ``analyze`` reports.
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import TargetEstimates, _Fits, blurring_matrix, estimate_targets
+from .covariance import TargetEstimates, blurring_matrix, estimate_targets
 from .covariance import correct, correlation, influence  # noqa: F401  (bench/spans.py wraps them in this namespace)
 from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
@@ -63,6 +63,7 @@ from .quantiles import (
     QuantileResult,
     _normalised,
     check_alpha,
+    check_draws_and_seed,
     max_abs_quantile,  # noqa: F401  (bench/spans.py wraps it in this namespace)
     max_abs_quantiles,
 )
@@ -87,9 +88,9 @@ _UNIT = CorrelationMatrix([[1.0]])  # the correlation of one coordinate, shared 
 class IntervalSpec:
     """Knobs for one interval request.
 
-    ``draws`` and ``seed`` are checked in both modes but only matter for
-    joint sets of three or more usable targets, whose quantile is
-    simulated.
+    ``draws`` and ``seed`` are checked here, in both modes, but only
+    matter for joint sets of three or more usable targets, whose quantile
+    is simulated.
     """
 
     alpha: float = 0.05
@@ -105,6 +106,7 @@ class IntervalSpec:
             raise ValueError(f"mode must be 'individual' or 'joint', got {self.mode!r}")
         if self.choice not in (CHOICE_PLUGIN, CHOICE_CORRECTED):
             raise ValueError(f"choice must be 1 or 2, got {self.choice!r}")
+        check_draws_and_seed(self.draws, self.seed)
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def analyze(
     survives.  An empty target list raises :class:`DimensionMismatchError`.
     """
     fit = estimate_targets(data, targets, catalog)
-    report = set_report(fit, targets, range(len(targets)), spec)
+    report = set_report(fit, range(len(targets)), spec)
     if not report.ok_rows:
         raise NoUsableTargetsError(
             {f"{row.rule_id}:{row.measure_id}": row.error for row in report.rows}
@@ -190,28 +192,21 @@ def analyze(
     return report
 
 
-def set_report(
-    fit: TargetEstimates,
-    targets: Sequence[EvaluationTarget],
-    members: Sequence[int],
-    spec: IntervalSpec,
-) -> IntervalReport:
+def set_report(fit: TargetEstimates, members: Sequence[int], spec: IntervalSpec) -> IntervalReport:
     """The report of the one ask ``(fit, members, spec)``: the batch of one
     of :func:`set_reports`, whose report it is in any batch."""
-    return set_reports(targets, [(fit, members, spec)])[0]
+    return set_reports([(fit, members, spec)])[0]
 
 
-def set_reports(
-    targets: Sequence[EvaluationTarget],
-    asks: Sequence[tuple[TargetEstimates, Sequence[int], IntervalSpec]],
-) -> list[IntervalReport]:
+def set_reports(asks: Sequence[tuple[TargetEstimates, Sequence[int], IntervalSpec]]) -> list[IntervalReport]:
     """The report of each ask ``(fit, members, spec)``, in ask order.
 
-    The report holds the intervals of ``targets[i]`` for ``i`` in
-    ``members``, one row per member, in member order, from ``fit =
-    estimate_targets(data, targets)``.  Asks may hold fits of different
-    tables of these targets and different specs.  ``members`` must be
-    non-empty, distinct and in ``range(len(targets))``, else
+    The report holds the intervals of ``fit.targets[i]`` for ``i`` in
+    ``members``, one row per member, in member order, from a fit of one
+    table such as ``estimate_targets(data, targets)``; a fit of more tables
+    raises :class:`DimensionMismatchError`.  Asks may hold fits of
+    different tables and targets, and different specs.  ``members`` must
+    be non-empty, distinct and in ``range(len(fit.targets))``, else
     :class:`DimensionMismatchError`.  The fit's covariance is restricted
     to the members and, for choice 2, corrected.  Members the fit failed,
     or whose variance is not positive, get inline error rows; the others
@@ -224,8 +219,7 @@ def set_reports(
 
     This is the list view of :func:`_answers`, which
     :func:`~perfci.simulation.run_coverage` asks for whole blocks of
-    tables: each ask is on its fit's stack of one table.  Every ask is
-    checked, restricted and corrected before one
+    tables.  Every ask is checked, restricted and corrected before one
     :func:`~perfci.quantiles.max_abs_quantiles` call answers all the
     quantiles, so many pairs' exact dim-2 quantiles are one vectorized
     solve.  A report does not depend on the other asks: it is the one
@@ -233,9 +227,11 @@ def set_reports(
     and report are held until the call returns, so the caller bounds the
     memory by how many asks it passes.
     """
-    stacks = {id(fit): _Fits.of(fit, len(targets)) for fit, _, _ in asks}
-    answers = _answers(targets, [(stacks[id(fit)], members, spec, (spec.seed,)) for fit, members, spec in asks])
-    return [_report(targets, answer) for answer in answers]
+    for fit, _, _ in asks:
+        if len(fit.estimates) != 1:
+            raise DimensionMismatchError(f"a report needs a fit of one table, got {len(fit.estimates)} tables")
+    answers = _answers([(fit, members, spec, (spec.seed,)) for fit, members, spec in asks])
+    return [_report(answer) for answer in answers]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +242,7 @@ class _Answer:
     variance and half-width, NaN where it has none, and ``q`` and
     ``mc_stderr`` the table's quantile, NaN where no member is usable."""
 
-    fits: _Fits
+    fits: TargetEstimates
     members: tuple[int, ...]
     spec: IntervalSpec
     usable: np.ndarray  # (B, k)
@@ -257,15 +253,14 @@ class _Answer:
     mc_stderr: np.ndarray  # (B,)
 
 
-def _answers(targets, asks) -> list[_Answer]:
+def _answers(asks) -> list[_Answer]:
     """Each ask ``(fits, members, spec, seeds)`` answered over the ``B`` tables
-    of the stacked fit ``fits`` (see :func:`~perfci.covariance._fit`), table
-    ``b`` drawing a simulated quantile with seed ``seeds[b]``: the one body
-    from fits to intervals.  Every ask is checked, restricted and corrected,
+    of the fit ``fits``, table ``b`` drawing a simulated quantile with seed
+    ``seeds[b]``: the one body from fits to intervals.  Every ask is checked, restricted and corrected,
     as stacked arrays, before one :func:`~perfci.quantiles.max_abs_quantiles`
     call answers all their tables' quantiles; table ``b`` of an ask is
     answered as its stack of one would be, bit for bit."""
-    parts = [_restricted(targets, fits, tuple(members), spec, seeds) for fits, members, spec, seeds in asks]
+    parts = [_restricted(fits, tuple(members), spec, seeds) for fits, members, spec, seeds in asks]
     results = iter(max_abs_quantiles([r for *_, requests in parts for r in requests if r is not None]))
     return [
         _answered(*part, tuple(None if r is None else next(results) for r in requests))
@@ -273,15 +268,15 @@ def _answers(targets, asks) -> list[_Answer]:
     ]
 
 
-def _restricted(targets, fits, members, spec, seeds):
+def _restricted(fits, members, spec, seeds):
     """``fits, members, spec, usable, variance, requests`` of one ask over a
     stack: its checked members, which are usable in each table, their
     (corrected) variances, and each table's request for their quantile
     (``None`` when no member is usable)."""
     if not members:
         raise DimensionMismatchError("a target set must not be empty")
-    if not all(0 <= i < len(targets) for i in members):
-        raise DimensionMismatchError(f"target set {members} out of range for {len(targets)} targets")
+    if not all(0 <= i < len(fits.targets) for i in members):
+        raise DimensionMismatchError(f"target set {members} out of range for {len(fits.targets)} targets")
     if len(set(members)) < len(members):
         raise DimensionMismatchError(f"target set {members} repeats a target")
     idx = np.array(members, dtype=np.intp)
@@ -314,7 +309,7 @@ def _answered(fits, members, spec, usable, variance, results) -> _Answer:
     return _Answer(fits, members, spec, usable, variance, half, results, q, mc_stderr)
 
 
-def _report(targets, answer: _Answer) -> IntervalReport:
+def _report(answer: _Answer) -> IntervalReport:
     """The report of table 0 of an answered ask."""
     fits, spec, result = answer.fits, answer.spec, answer.results[0]
     q = mc_stderr = jitter = method = draws = None
@@ -325,7 +320,7 @@ def _report(targets, answer: _Answer) -> IntervalReport:
     for i, usable, variance, half in zip(
         answer.members, answer.usable[0].tolist(), answer.variance[0].tolist(), answer.half[0].tolist()
     ):
-        rule_id, measure_id = targets[i].rule_id, targets[i].measure_id
+        rule_id, measure_id = fits.targets[i].rule_id, fits.targets[i].measure_id
         if i in fits.errors[0]:
             rows.append(TargetInterval(rule_id, measure_id, error=_describe(fits.errors[0][i])))
         elif usable:

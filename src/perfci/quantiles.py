@@ -78,6 +78,7 @@ from .errors import (
 
 __all__ = [
     "check_alpha",
+    "check_draws_and_seed",
     "inv_norm_cdf",
     "two_sided_quantile",
     "norm_cdf",
@@ -141,6 +142,16 @@ def check_alpha(alpha: float) -> float:
     if alpha / 2.0 == 0.0:
         raise ValueError(f"alpha = {alpha!r} is too small: the smallest alpha accepted is 1e-323")
     return alpha
+
+
+def check_draws_and_seed(draws: int, seed: int) -> tuple[int, int]:
+    """``draws`` and ``seed`` as ints; ``ValueError`` unless ``draws >= MIN_DRAWS`` and ``seed >= 0``."""
+    draws, seed = int(draws), int(seed)
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return draws, seed
 
 
 def two_sided_quantile(alpha: float) -> float:
@@ -313,8 +324,7 @@ class QuantileRequest:
         valid = isinstance(self.corr, CorrelationMatrix)
         corr = self.corr if valid else CorrelationMatrix(self.corr)
         object.__setattr__(self, "corr", corr.values)
-        if draws < MIN_DRAWS:
-            raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
+        draws, seed = check_draws_and_seed(draws, self.seed)
         if self.tier == "monte_carlo" and alpha * draws < 1.0:
             needed = 1.0 / alpha  # inf for alpha below about 5.6e-309
             raise ValueError(
@@ -322,9 +332,6 @@ class QuantileRequest:
                 f" draws (alpha * draws >= 1) to simulate its quantile, got {draws:,}"
             )
         object.__setattr__(self, "draws", draws)
-        seed = int(self.seed)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "seed", seed)
 
     @property
@@ -455,8 +462,12 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     ``(0xF17, 0, 0)`` for the sample ``OneNNRule.train`` fits.  Each use
     has keys of its own length, so no two share a stream while every
     index is below ``2**32`` (numpy splits a larger one into words)."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
+
+
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The seed sequence of substream ``key`` of ``seed`` (:func:`_substream`)."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 
 def _cores() -> int:

@@ -59,7 +59,7 @@ from .errors import PerfciError
 from .intervals import IntervalSpec, _answers
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
-from .quantiles import _substream, check_alpha, norm_cdf
+from .quantiles import _seed_sequence, _substream, check_alpha, check_draws_and_seed, norm_cdf
 
 __all__ = [
     "SampleBatch",
@@ -86,8 +86,7 @@ _BLOCK = 64  # replications counted, fitted and asked as one stack
 def _substream_seed(seed: int, *key: int) -> int:
     """The first 64-bit word of the seed sequence of substream ``key``
     (:func:`~perfci.quantiles._substream`), read without building its generator."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(seq.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,7 @@ class CoverageConfig:
         if not self.rules or not self.measure_ids:
             raise ValueError("need at least one rule and one measure")
         check_rule_ids(rule.id for rule in self.rules)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_draws_and_seed(self.draws, self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,7 +487,7 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
         asks = [(fits, range(n_targets), individual, [individual.seed] * len(block))]
         asks += [(fits, idx, spec, [_substream_seed(config.seed, rep, 1 + i) for rep in block])
                  for i, (_, idx) in enumerate(sets)]
-        answer, *joint = _answers(targets, asks)
+        answer, *joint = _answers(asks)
         # failed rows, and sets without a quantile, hold NaN
         rows = slice(start, block.stop)
         est[rows], variances[rows], ind_half[rows] = fits.estimates, answer.variance, answer.half

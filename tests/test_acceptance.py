@@ -195,7 +195,7 @@ def test_criterion_04_delta_method_identity():
         data = BinaryDataset.from_arrays(z, rules)
         picked = list(rng.choice(measures, size=rng.integers(1, 3), replace=False))
         targets = make_targets(data.rule_ids, picked)
-        got = estimate_targets(data, targets).cov.v
+        got = estimate_targets(data, targets).v[0]
 
         # oracle: np.cov of the stacked raw moment rows, projected
         rows, index = [], {}

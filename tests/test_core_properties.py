@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from perfci.cli import main
 from perfci.covariance import (
+    CovarianceEstimate,
     correct,
     covariance_from_influences,
     estimate_targets,
@@ -81,17 +82,17 @@ def test_core_matches_per_row_reference(data):
     fit = estimate_targets(data, targets)
     ivs, errors, alive, ref = per_row_reference(data, targets)
 
-    assert list(fit.alive) == alive
-    assert {p: (type(e), str(e)) for p, e in fit.errors.items()} == {
+    assert np.flatnonzero(~fit.failed[0]).tolist() == alive
+    assert {p: (type(e), str(e)) for p, e in fit.errors[0].items()} == {
         p: (type(e), str(e)) for p, e in errors.items()
     }
-    for r, pos in enumerate(alive):
-        assert fit.estimates[r] == ivs[pos].estimate  # bit-identical
-        assert fit.gradients[r] == ivs[pos].gradient
+    for pos in alive:
+        assert fit.estimates[0, pos] == ivs[pos].estimate  # bit-identical
+        assert tuple(fit.gradients[0, pos]) == ivs[pos].gradient.as_tuple()
     if not alive:
-        assert fit.cov.dim == 0
+        assert not fit.v.any()
         return
-    v, want = fit.cov.v, ref.v
+    v, want = fit.v[0][np.ix_(alive, alive)], ref.v
     assert np.max(np.abs(v - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     np.testing.assert_array_equal(np.diagonal(v) == 0.0, np.diagonal(want) == 0.0)
 
@@ -107,15 +108,15 @@ def test_row_permutation_leaves_covariance_unchanged(data, random):
     targets = make_targets(data.rule_ids, MEASURES)
     a = estimate_targets(data, targets)
     b = estimate_targets(shuffled, targets)
-    assert a.alive == b.alive
+    np.testing.assert_array_equal(a.failed, b.failed)
     np.testing.assert_array_equal(a.estimates, b.estimates)
-    assert np.max(np.abs(a.cov.v - b.cov.v), initial=0.0) <= 1e-12
+    assert np.max(np.abs(a.v - b.v), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
 @given(tables())
 def test_plugin_covariance_is_positive_semidefinite(data):
-    v = estimate_targets(data, make_targets(data.rule_ids, MEASURES)).cov.v
+    v = estimate_targets(data, make_targets(data.rule_ids, MEASURES)).v[0]
     if v.size:
         assert np.linalg.eigvalsh(v).min() >= -1e-12 * np.trace(v)
 
@@ -125,10 +126,10 @@ def test_plugin_covariance_is_positive_semidefinite(data):
 def test_corrected_variances_are_at_least_the_plugin_ones(data, alpha):
     targets = make_targets(data.rule_ids, MEASURES)
     fit = estimate_targets(data, targets)
-    corrected = correct(fit.cov, alpha, fit.gradients)
-    assert np.all(np.diagonal(corrected.v) >= np.diagonal(fit.cov.v))
+    corrected = correct(CovarianceEstimate(v=fit.v[0], n=fit.n), alpha, fit.gradients[0])
+    assert np.all(np.diagonal(corrected.v) >= np.diagonal(fit.v[0]))
     reports = [
-        set_report(fit, targets, range(len(targets)), IntervalSpec(alpha, "individual", choice))
+        set_report(fit, range(len(targets)), IntervalSpec(alpha, "individual", choice))
         for choice in (CHOICE_PLUGIN, CHOICE_CORRECTED)
     ]
     for plugin, corrected_row in zip(*(report.rows for report in reports)):
@@ -179,8 +180,8 @@ def test_subset_fit_matches_the_full_fit(data, pick, mode, choice):
     )
     subset = [targets[i] for i in members]
     spec = IntervalSpec(mode=mode, choice=choice, draws=1000, seed=5)
-    full = set_report(estimate_targets(data, targets), targets, members, spec)
-    own = set_report(estimate_targets(data, subset), subset, range(len(subset)), spec)
+    full = set_report(estimate_targets(data, targets), members, spec)
+    own = set_report(estimate_targets(data, subset), range(len(subset)), spec)
     if full.ok_rows:
         assert (own.q, own.quantile_method, own.draws) == (full.q, full.quantile_method, full.draws)
     else:
@@ -202,7 +203,7 @@ def test_all_positive_labels_give_exact_zero_lift_and_overlap_variance():
     data = BinaryDataset.from_arrays([1] * 6, {"a": [1, 0, 1, 1, 0, 0]})
     targets = make_targets(["a"], ["accuracy", "lift", "overlap"])
     for cov in (
-        estimate_targets(data, targets).cov,
+        CovarianceEstimate(v=estimate_targets(data, targets).v[0], n=data.n),
         covariance_from_influences([influence(data, t) for t in targets], data.n),
     ):
         assert cov.v[1, 1] == 0.0 and cov.v[2, 2] == 0.0
@@ -255,9 +256,9 @@ def test_distinct_rows_counted_as_sorted(n, width, distinct, seed):
 def test_estimate_targets_records_each_target_failure():
     data = BinaryDataset.from_arrays([1, 1, 0, 0], {"tie": [0, 0, 1, 1]})
     fit = estimate_targets(data, make_targets(["tie"], ["accuracy", "overlap"]))
-    assert fit.alive == (0,) and isinstance(fit.errors[1], DomainError)
+    assert fit.failed.tolist() == [[False, True]] and isinstance(fit.errors[0][1], DomainError)
     fit = estimate_targets(data, make_targets(["nope"], ["accuracy"]))
-    assert fit.alive == () and isinstance(fit.errors[0], UnknownRuleError)
+    assert fit.failed.tolist() == [[True]] and isinstance(fit.errors[0][0], UnknownRuleError)
 
 
 @settings(max_examples=80, deadline=None)

@@ -82,11 +82,10 @@ def test_influence_values_for_accuracy_toy():
 
 
 def test_plugin_variance_for_accuracy_toy():
-    est = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")]).cov
-    assert est.v.shape == (1, 1)
-    assert est.v[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert est.n == 4 and not est.corrected
-    assert est.d_diag[0] == 0.0 and est.alpha is None
+    fit = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")])
+    assert fit.v[0].shape == (1, 1)
+    assert fit.v[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert fit.n == 4
 
 
 def test_influence_propagates_specific_errors():
@@ -106,9 +105,9 @@ def test_accuracy_variance_matches_binomial_formula():
     for _ in range(50):
         n = int(rng.integers(5, 80))
         data = sample_dataset(rng, 1, n)
-        est = estimate_targets(data, [EvaluationTarget("r0", "accuracy")]).cov
+        v = estimate_targets(data, [EvaluationTarget("r0", "accuracy")]).v[0]
         p = float(np.mean(data.z == data.rule("r0")))
-        assert est.v[0, 0] == pytest.approx(n * p * (1 - p) / (n - 1), abs=1e-13)
+        assert v[0, 0] == pytest.approx(n * p * (1 - p) / (n - 1), abs=1e-13)
 
 
 def test_covariance_matches_stacked_moment_oracle():
@@ -120,7 +119,7 @@ def test_covariance_matches_stacked_moment_oracle():
         data = sample_dataset(rng, rule_count, n)
         picked = list(rng.choice(measures, size=rng.integers(1, 3), replace=False))
         targets = make_targets(data.rule_ids, picked)
-        got = estimate_targets(data, targets).cov.v
+        got = estimate_targets(data, targets).v[0]
         want = stacked_moment_oracle(data, targets)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -130,7 +129,7 @@ def test_covariance_is_symmetric_and_near_psd():
     for _ in range(25):
         data = sample_dataset(rng, 2, int(rng.integers(12, 40)))
         targets = make_targets(data.rule_ids, ["accuracy", "f1"])
-        v = estimate_targets(data, targets).cov.v
+        v = estimate_targets(data, targets).v[0]
         np.testing.assert_array_equal(v, v.T)
         assert np.linalg.eigvalsh(v).min() > -1e-10 * max(1.0, np.max(np.abs(v)))
 
@@ -139,7 +138,7 @@ def test_degenerate_rows_snap_to_exact_zero():
     z = np.array([1, 0, 1, 0, 1])
     data = BinaryDataset.from_arrays(z, {"perfect": z.copy(), "noisy": [1, 1, 0, 0, 1]})
     targets = make_targets(["perfect", "noisy"], ["accuracy"])
-    est = estimate_targets(data, targets).cov
+    est = CovarianceEstimate(v=estimate_targets(data, targets).v[0], n=data.n)
     assert est.v[0, 0] == 0.0
     assert est.v[0, 1] == 0.0 and est.v[1, 0] == 0.0
     assert est.v[1, 1] > 0.0
@@ -185,7 +184,8 @@ def test_blurring_of_a_gradient_stack_squares_as_squared_norm_does():
 
 
 def test_correct_adds_diagonal_only():
-    est = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")]).cov
+    fit = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")])
+    est = CovarianceEstimate(v=fit.v[0], n=fit.n)
     g = influence(toy_dataset(), EvaluationTarget("a", "accuracy")).gradient
     fixed = correct(est, alpha=0.05, gradients=[g])
     assert fixed.corrected and fixed.alpha == 0.05

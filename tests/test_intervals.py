@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from perfci.covariance import (
-    CovarianceEstimate,
     TargetEstimates,
     correct,
     correlation,
@@ -27,7 +26,7 @@ from perfci.intervals import (
     analyze,
     set_report,
 )
-from perfci.measures import GradientTriple, resolve_measure
+from perfci.measures import resolve_measure
 from perfci.quantiles import QuantileRequest, inv_norm_cdf, max_abs_quantile, sidak_quantile
 
 Z = inv_norm_cdf(0.975)
@@ -54,6 +53,11 @@ def test_interval_spec_validation():
         IntervalSpec(choice=3)
     with pytest.raises(OutOfRangeError):
         IntervalSpec(alpha=1.0)
+    # draws and seed are checked with the spec, not only when a quantile is asked
+    with pytest.raises(ValueError, match="draws must be >= 1000, got 10"):
+        IntervalSpec(draws=10, seed=-5)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        IntervalSpec(seed=-5)
 
 
 def test_accuracy_individual_reduces_to_binomial_interval():
@@ -84,15 +88,17 @@ def test_singleton_joint_matches_individual_to_mc_accuracy():
 def test_joint_cis_on_synthetic_independent_pair():
     targets = [EvaluationTarget("a", "accuracy"), EvaluationTarget("b", "accuracy")]
     fit = TargetEstimates(
-        alive=(0, 1),
+        targets=tuple(targets),
+        n=100,
         measures=(resolve_measure("accuracy"),) * 2,
-        estimates=np.array([0.5, 0.6]),
-        gradients=(GradientTriple(2.0, -1.0, -1.0),) * 2,
-        errors={},
-        cov=CovarianceEstimate(v=np.eye(2), n=100),
+        estimates=np.array([[0.5, 0.6]]),
+        gradients=np.array([[[2.0, -1.0, -1.0]] * 2]),
+        v=np.eye(2)[np.newaxis],
+        failed=np.zeros((1, 2), bool),
+        errors=({},),
     )
     spec = IntervalSpec(choice=CHOICE_PLUGIN, draws=50_000, seed=2)
-    report = set_report(fit, targets, (0, 1), spec)
+    report = set_report(fit, (0, 1), spec)
     assert report.q == pytest.approx(sidak_quantile(0.05, 2), abs=0.03)
     for row, est in zip(report.rows, (0.5, 0.6)):
         assert row.estimate == est
@@ -115,9 +121,9 @@ def test_joint_cis_shape_and_subset_checks():
     targets = make_targets(["a"], ["accuracy", "f1"])
     fit = estimate_targets(data, targets)
     with pytest.raises(DimensionMismatchError, match="out of range"):
-        set_report(fit, targets, (0, 5), spec)
+        set_report(fit, (0, 5), spec)
     with pytest.raises(DimensionMismatchError, match="empty"):
-        set_report(fit, targets, (), spec)
+        set_report(fit, (), spec)
 
 
 def test_analyze_matches_manual_pipeline_exactly():

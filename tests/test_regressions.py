@@ -175,7 +175,7 @@ def test_target_set_rejects_a_repeated_index():
     spec = IntervalSpec(seed=1)
     for members in ((0, 0), (1, 0, 1)):
         with pytest.raises(DimensionMismatchError, match="repeat"):
-            set_report(fit, targets, members, spec)
+            set_report(fit, members, spec)
     report = analyze(data, targets[:1], spec)
     assert report.q == two_sided_quantile(0.05)
 
@@ -186,7 +186,7 @@ def test_set_report_refuses_members_out_of_range():
     fit = estimate_targets(data, targets)
     for members in ((0, 2), (2,), (-1,)):
         with pytest.raises(DimensionMismatchError, match="out of range for 2 targets"):
-            set_report(fit, targets, members, IntervalSpec(seed=1))
+            set_report(fit, members, IntervalSpec(seed=1))
 
 
 def test_clamp_cuts_unit_range_rows():
@@ -366,7 +366,7 @@ def test_covariance_memory_stays_below_one_target_by_row_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fit.alive) == len(targets) == 270
+    assert np.count_nonzero(~fit.failed) == len(targets) == 270
     assert data.row_counts()[1].size > 49_000
     assert peak < 270 * 50_000 * 8
 
@@ -387,7 +387,7 @@ def test_fit_memory_does_not_grow_with_the_distinct_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fit.alive) == len(targets)
+    assert np.count_nonzero(~fit.failed) == len(targets)
     assert peak < 2**width * (2 * width - 1) * 8 / 2  # half of one such matrix
 
 
@@ -401,8 +401,8 @@ def test_fit_sums_chunks_of_distinct_rows_exactly(chunk_bytes):
     with mock.patch("perfci.covariance._FIT_BYTES", chunk_bytes):
         got = estimate_targets(data, targets)
     assert data.row_counts()[1].size == 32
-    assert np.array_equal(got.estimates, want.estimates)
-    assert np.array_equal(got.cov.v, want.cov.v)
+    assert np.array_equal(got.estimates, want.estimates, equal_nan=True)
+    assert np.array_equal(got.v, want.v)
 
 
 def test_stress_study_finishes_when_a_set_loses_a_member():
@@ -449,6 +449,23 @@ def test_coverage_refuses_a_negative_seed_by_name(capsys):
         assert captured.err == f"error: seed must be non-negative, got {seed}\n"
 
 
+def test_analyze_checks_draws_and_seed_when_no_target_is_usable(tmp_path, capsys):
+    # no quantile is asked for a set without a usable row, and the report
+    # printed "seed": -3
+    table = tmp_path / "zeros.csv"
+    table.write_text("z,a\n1,0\n0,0\n1,0\n0,0\n")
+    for joint in ("0", "none"):
+        for flags, message in (
+            (["--draws", "10", "--seed", "-3"], "draws must be >= 1000, got 10"),
+            (["--seed", "-3"], "seed must be non-negative, got -3"),
+        ):
+            argv = ["analyze", str(table), "--choice", "1", "--measures", "f1", "--joint", joint, *flags,
+                    "--format", "json"]
+            assert main(argv) == EXIT_HARD
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_a_fit_reads_the_row_counts_once():
     rng = np.random.default_rng(3)
     z = rng.integers(0, 2, 200)
@@ -458,7 +475,7 @@ def test_a_fit_reads_the_row_counts_once():
         BinaryDataset, "row_counts", autospec=True, side_effect=BinaryDataset.row_counts
     ) as row_counts:
         fit = estimate_targets(data, targets)
-        assert len(fit.alive) == len(targets)
+        assert np.count_nonzero(~fit.failed) == len(targets)
         assert row_counts.call_count == 1
         # the per-row reference reads rows only
         influence(data, targets[0])
@@ -478,9 +495,9 @@ def test_covariance_is_exact_past_the_int64_range_of_n_times_c():
     c = [[sum(k * row[i] * row[j] for k, row in zip(counts, x)) for j in range(3)] for i in range(3)]
     s = [c[i][i] for i in range(3)]
     cov = [[Fraction(n * c[i][j] - s[i] * s[j], n * (n - 1)) for j in range(3)] for i in range(3)]
-    g = [[Fraction(v) for v in (grad.d_za, grad.d_a, grad.d_z)] for grad in fit.gradients]
+    g = [[Fraction(v) for v in grad] for grad in fit.gradients[0].tolist()]
     want = [[float(sum(gk[i] * cov[i][j] * gl[j] for i in range(3) for j in range(3))) for gl in g] for gk in g]
-    np.testing.assert_allclose(fit.cov.v, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fit.v[0], want, rtol=1e-12, atol=0)
 
 
 
@@ -508,7 +525,7 @@ def test_reports_of_the_same_failed_set_compare_equal():
     data = BinaryDataset.from_arrays([1, 0, 1, 1, 0, 0], {"a": [1, 0, 0, 1, 1, 0]})
     targets = [EvaluationTarget("a", "no_such_measure")]
     fit = estimate_targets(data, targets)
-    first, second = (set_report(fit, targets, [0], IntervalSpec()) for _ in range(2))
+    first, second = (set_report(fit, [0], IntervalSpec()) for _ in range(2))
     assert first.quantile_method is None and first.q is None
     assert (first.q, first.mc_stderr, first.quantile_method, first.jitter, first.draws) == (None,) * 5
     assert first == second and hash(first) == hash(second)

@@ -7,12 +7,14 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfci import simulation
-from perfci.covariance import estimate_targets
+from perfci.covariance import _cross_products, _fit, estimate_targets
 from perfci.dataset import BinaryDataset, make_joint_sets, make_targets
+from perfci.errors import DimensionMismatchError
 from perfci.intervals import IntervalSpec, set_report, set_reports
 from perfci.measures import builtin_measures
 from perfci.simulation import (
@@ -59,16 +61,56 @@ def test_a_batch_answers_each_ask_as_set_report_answers_it_alone(datasets, data)
     gone = [i for i, t in enumerate(targets) if t.rule_id == "gone"][:3]
     batch.insert(data.draw(st.integers(0, len(batch))), (fits[0], gone, IntervalSpec()))
 
-    reports = set_reports(targets, batch)
+    reports = set_reports(batch)
     assert len(reports) == len(batch)
     for (fit, members, spec), report in zip(batch, reports):
         # repr names every field, floats to the last bit and NaN as nan
-        assert repr(report) == repr(set_report(fit, targets, members, spec))
+        assert repr(report) == repr(set_report(fit, members, spec))
         assert [(r.rule_id, r.measure_id) for r in report.rows] == [
             (targets[i].rule_id, targets[i].measure_id) for i in members
         ]
     unusable = reports[[members for _, members, _ in batch].index(gone)]
     assert unusable.q is None and unusable.quantile_method is None
+
+
+def _two_rules():
+    rng = np.random.default_rng(9)
+    return BinaryDataset.from_arrays(rng.integers(0, 2, 60), {r: rng.integers(0, 2, 60) for r in ("r0", "r1")})
+
+
+def test_a_batch_mixes_fits_of_different_targets():
+    # each fit names its own targets: member i of the fit of targets[2:] is targets[2 + i]
+    data = _two_rules()
+    targets = make_targets(data.rule_ids, ("accuracy", "f1", "jaccard"))
+    full, tail = estimate_targets(data, targets), estimate_targets(data, targets[2:])
+    assert full.targets == tuple(targets) and tail.targets == tuple(targets[2:])
+    batch = [
+        (full, [0, 2, 4], IntervalSpec(draws=1_000, seed=1)),
+        (tail, [0, 1], IntervalSpec()),
+        (tail, [3, 2, 1], IntervalSpec(draws=1_000, seed=2)),
+        (full, [5, 1], IntervalSpec(mode="individual", choice=1)),
+    ]
+    reports = set_reports(batch)
+    for (fit, members, spec), report in zip(batch, reports, strict=True):
+        assert repr(report) == repr(set_report(fit, members, spec))
+        assert [(r.rule_id, r.measure_id) for r in report.rows] == [
+            (fit.targets[i].rule_id, fit.targets[i].measure_id) for i in members
+        ]
+    assert [(r.rule_id, r.measure_id) for r in reports[2].rows] == [
+        (targets[i].rule_id, targets[i].measure_id) for i in (5, 4, 3)
+    ]
+
+
+def test_a_report_refuses_a_fit_of_two_tables():
+    # this raised a bare IndexError on the seed of the second table
+    data = _two_rules()
+    targets = make_targets(data.rule_ids, ("accuracy", "f1"))
+    patterns, counts = data.row_counts()
+    stack = _fit(_cross_products(patterns, np.stack([counts, counts])), data.n, data.rule_ids, targets)
+    with pytest.raises(DimensionMismatchError, match="a fit of one table, got 2 tables"):
+        set_report(stack, [0, 1], IntervalSpec())
+    with pytest.raises(DimensionMismatchError, match="one table"):
+        set_reports([(estimate_targets(data, targets), [0], IntervalSpec()), (stack, [0], IntervalSpec())])
 
 
 def per_replication_coverage(config):
@@ -92,13 +134,13 @@ def per_replication_coverage(config):
             {r.id: np.ascontiguousarray(r.predict(batch), dtype=np.uint8) for r in config.rules},
         )
         fit = estimate_targets(data, targets)
-        est[rep, np.asarray(fit.alive, dtype=int)] = fit.estimates
-        report = set_report(fit, targets, range(n_targets), replace(spec, mode="individual"))
+        est[rep] = fit.estimates[0]
+        report = set_report(fit, range(n_targets), replace(spec, mode="individual"))
         variances[rep] = [row.variance for row in report.rows]
         ind_half[rep] = [row.half_width for row in report.rows]
         for k, (label, idx) in enumerate(sets):
             seed = simulation._substream_seed(config.seed, rep, 1 + k)
-            report = set_report(fit, targets, idx, replace(spec, seed=seed))
+            report = set_report(fit, idx, replace(spec, seed=seed))
             joint_q[label][rep] = report.q
             joint_mc[label][rep] = report.mc_stderr
             joint_half[label][rep] = [row.half_width for row in report.rows]

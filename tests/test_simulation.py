@@ -239,6 +239,9 @@ def test_coverage_config_validation():
         CoverageConfig(
             process=proc, rules=rules, measure_ids=("accuracy",), n=50, alpha=0.0
         )
+    # 10 draws were accepted here and refused only inside run_coverage
+    with pytest.raises(ValueError, match="draws must be >= 1000, got 10"):
+        CoverageConfig(process=proc, rules=rules, measure_ids=("accuracy",), n=50, draws=10)
 
 
 def test_exhaustive_permutation_covers_exactly():
