@@ -26,10 +26,10 @@ Two quantile notions drive every interval in this package:
     list at once; a result does not depend on its batch.
   - ``"monte_carlo"`` (dim 3 and above): Cholesky-factor ``R``
     (with a small jitter ladder for rank-deficient matrices), draw
-    correlated Gaussian vectors in fixed-size chunks with counter-based
-    substreams so results are reproducible for a given seed, and read
-    the empirical quantile off the sorted maxima.  Each chunk's
-    substream is drawn in blocks whose size follows from the dimension
+    correlated Gaussian vectors in fixed-size chunks, each from its own
+    seeded SFC64 stream, so results are reproducible for a given seed, and
+    read the empirical quantile off the sorted maxima.  Each chunk's
+    stream is drawn in blocks whose size follows from the dimension
     and from whether a thread pool draws the request (:func:`_block_rows`),
     so a request holds its ``draws`` maxima, a few blocks and its
     ``dim x dim`` matrices, and its time grows as ``dim**2 * draws``.
@@ -179,8 +179,9 @@ def sidak_quantile(alpha: float, dim: int) -> float:
 # Equicoordinate quantile: request, tiers, result
 # ---------------------------------------------------------------------------
 
-# rows per Monte Carlo chunk; each chunk is one substream, so this fixes the streams
-_CHUNK = 1 << 16
+# rows per Monte Carlo chunk; each chunk is one stream, so this fixes the streams.
+# The default 200,000 draws are 8 equal chunks, which 2 or 4 workers share evenly.
+_CHUNK = 25_000
 # the chunks of Monte Carlo requests up to this dimension share the cores, in
 # blocks whose product stays under the 2**19 multiply-adds at which OpenBLAS
 # threads one
@@ -375,7 +376,7 @@ def max_abs_quantile(request: QuantileRequest) -> QuantileResult:
 
     A dim-2 request is the batch of one of :func:`max_abs_quantiles`: the
     same solve, so the same ``q`` and ``mc_stderr`` bit for bit.  A
-    simulated request of dimension up to 90 and more than 65,536 draws
+    simulated request of dimension up to 90 and more than 25,000 draws
     has its chunks drawn on a thread pool made for this call, as a
     batch's are (see :func:`max_abs_quantiles`): ``min(cores, chunks)``
     workers, if that is two or more and that many of its
@@ -401,8 +402,8 @@ def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResul
 
     The dim-2 requests are answered together, by one vectorized root-find
     over all their ``(alpha, rho)``.  When the list holds two or more
-    simulated requests, the chunks of those of dimension up to 90 (65,536
-    draws each, one substream) are the units of work of a thread pool
+    simulated requests, the chunks of those of dimension up to 90 (25,000
+    draws each, one stream) are the units of work of a thread pool
     made for this call, if the process may run on two or more cores and
     there are two or more chunks; it has ``min(cores, chunks)`` workers.
     The pool draws in blocks of at most 256 KiB and fewer than ``2**19``
@@ -419,7 +420,7 @@ def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResul
 
     A result is the one its request gets alone, bit for bit, whatever
     shares its batch: each element of the solve follows its own steps,
-    and each simulated request reads its own substreams whatever thread
+    and each simulated request reads its own chunk streams whatever thread
     draws them.  Raises what :func:`max_abs_quantile` raises: a dim-2
     request's error before any other request is answered, then the
     first failing request's, in request order.
@@ -456,17 +457,26 @@ def _result(request: QuantileRequest, found: tuple[float, float, float] | None) 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     """The Philox generator of substream ``key`` of ``seed``.  Keys in use:
-    ``(chunk,)`` for a chunk of a simulated quantile of seed ``seed``;
     ``(rep, 0)`` for the sample of coverage replication ``rep``;
     ``(rep, 1 + i)`` for the quantile seed of its joint set ``i``; and
-    ``(0xF17, 0, 0)`` for the sample ``OneNNRule.train`` fits.  Each use
-    has keys of its own length, so no two share a stream while every
-    index is below ``2**32`` (numpy splits a larger one into words)."""
+    ``(0xF17, 0, 0)`` for the sample ``OneNNRule.train`` fits.  Key
+    ``(chunk,)`` seeds chunk ``chunk`` of a simulated quantile of seed
+    ``seed``, which draws from SFC64 instead (:func:`_chunk_stream`).  Each
+    use has keys of its own length, so no two share a seed sequence while
+    every index is below ``2**32`` (numpy splits a larger one into words)."""
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
 
 
+def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+    """The SFC64 generator of chunk ``chunk`` of a simulated quantile of
+    seed ``seed``, from the seed sequence of key ``(chunk,)``.  Normals are
+    most of a draw's time, and SFC64's cost about 63% of Philox's (numpy
+    2.4 on a 2-core Xeon VM)."""
+    return np.random.Generator(np.random.SFC64(_seed_sequence(seed, chunk)))
+
+
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """The seed sequence of substream ``key`` of ``seed`` (:func:`_substream`)."""
+    """The seed sequence of key ``key`` of ``seed`` (:func:`_substream`)."""
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 
@@ -561,9 +571,9 @@ class _ChunkedDraw:
     """A simulated request, drawn one chunk at a time on any thread.
 
     Draws are generated in chunks of ``_CHUNK`` rows, each from its own
-    counter-based substream of ``request.seed`` (:func:`_draw_chunk`), so
-    the result is reproducible as long as ``_CHUNK`` stays fixed, and is
-    the same whichever thread draws each chunk, in whatever order.  The
+    stream of ``request.seed`` (:func:`_draw_chunk`), so the result is
+    reproducible as long as ``_CHUNK`` stays fixed, and is the same
+    whichever thread draws each chunk, in whatever order.  The
     first chunk to start factors ``R`` and allocates the maxima, unless
     :meth:`start` did, and the last to finish sorts them into ``found``,
     ``(q, mc_stderr, jitter)``, and lets them go.  So a request holds its
@@ -607,10 +617,10 @@ class _ChunkedDraw:
 
 def _draw_chunk(factor: np.ndarray, seed: int, chunk: int, out: np.ndarray, rows: int) -> None:
     """Write into ``out`` the maxima ``max_j |x_j|`` of ``len(out)`` draws
-    of ``x = factor @ z``, the normals ``z`` from substream ``chunk`` of
-    ``seed``.
+    of ``x = factor @ z``, the normals ``z`` from the SFC64 stream of chunk
+    ``chunk`` of ``seed`` (:func:`_chunk_stream`).
 
-    The substream is read in consecutive blocks of ``rows`` rows
+    The stream is read in consecutive blocks of ``rows`` rows
     (:func:`_block_rows`), which give the draws of one read of the whole
     chunk, so the block size moves no draw.  Each block is correlated in
     ``(dim, rows)`` layout, so the max over coordinates is an elementwise
@@ -620,7 +630,7 @@ def _draw_chunk(factor: np.ndarray, seed: int, chunk: int, out: np.ndarray, rows
     memory in its thread's malloc arena.
     """
     dim, draws = factor.shape[0], len(out)
-    rng = _substream(seed, chunk)
+    rng = _chunk_stream(seed, chunk)
     block = min(draws, rows)
     normals, image = np.empty(block * dim), np.empty(block * dim)
     for start in range(0, draws, block):

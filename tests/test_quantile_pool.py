@@ -36,24 +36,25 @@ def _corr(dim, seed):
 def _batch():
     dims = (1, 2, 3, 6, 12, 15, 16, 20, 90, 91)
     requests = [QuantileRequest(0.05, _corr(dim, dim), draws=4_000, seed=dim) for dim in dims]
-    requests.append(QuantileRequest(0.01, _corr(3, 30), draws=70_000, seed=3))  # two chunks
+    requests.append(QuantileRequest(0.01, _corr(3, 30), draws=70_000, seed=3))  # several chunks, the last one partial
     # duplicates: the same object twice, and an equal request built again
     return requests + [requests[3], QuantileRequest(0.05, _corr(12, 12), draws=4_000, seed=12)]
 
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Every chunk of a simulated request drawn, as the generator that drew it:
-    ``seed``, ``chunk``, the request's ``dim``, ``rows`` (the most rows one of
-    its blocks of normals held), ``total`` (rows drawn) and ``on_caller``."""
+    """Every chunk of a simulated request drawn, as the generator that drew it
+    (in place of :func:`quantiles._chunk_stream`): ``seed``, ``chunk``, the
+    request's ``dim``, ``rows`` (the most rows one of its blocks of normals
+    held), ``total`` (rows drawn) and ``on_caller``."""
     chunks = []
-    substream = quantiles._substream
+    stream = quantiles._chunk_stream
 
     class Recorded:
         """A chunk's generator that records the blocks it fills and its thread."""
 
         def __init__(self, seed, chunk):
-            self.rng = substream(seed, chunk)
+            self.rng = stream(seed, chunk)
             self.seed, self.chunk, self.dim, self.rows, self.total = seed, chunk, None, 0, 0
             self.on_caller = threading.current_thread() is threading.main_thread()
             chunks.append(self)
@@ -63,7 +64,7 @@ def drawn(monkeypatch):
             self.total += out.shape[0]
             return self.rng.standard_normal(out=out)
 
-    monkeypatch.setattr(quantiles, "_substream", Recorded)
+    monkeypatch.setattr(quantiles, "_chunk_stream", Recorded)
     return chunks
 
 
@@ -94,7 +95,7 @@ def test_a_batch_is_each_request_alone_bit_for_bit(monkeypatch, drawn, cores):
     for c in drawn:
         assert c.on_caller == (not (pooled and c.dim <= 90))
     assert _in_their_blocks(drawn)
-    assert sorted(c.dim for c in drawn) == [3, 3, 3, 6, 6, 12, 12, 15, 16, 20, 90, 91]
+    assert sorted(c.dim for c in drawn) == [3] * (1 + quantiles._chunks(70_000)) + [6, 6, 12, 12, 15, 16, 20, 90, 91]
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -139,31 +140,31 @@ def test_the_pooled_peak_is_within_the_workers_plans(monkeypatch, drawn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(not c.on_caller for c in drawn) and len(drawn) == len(requests)
+    assert all(not c.on_caller for c in drawn) and len(drawn) == len(requests) * quantiles._chunks(60_000)
     assert peak <= 4 * max(planned_bytes(r.dim, r.draws) for r in requests)
     assert peak <= MAX_QUANTILE_BYTES
 
 
 def test_a_request_over_the_budget_with_its_workers_is_drawn_on_the_calling_thread(monkeypatch, drawn):
     monkeypatch.setattr(quantiles, "_cores", lambda: 2)
-    large = QuantileRequest(0.05, _corr(6, 1), draws=70_000, seed=1)  # two chunks
+    large = QuantileRequest(0.05, _corr(6, 1), draws=70_000, seed=1)  # several chunks
     small = [QuantileRequest(0.05, _corr(3, k), draws=2_000, seed=k) for k in (2, 3)]
     alone = _serial(monkeypatch, [large, *small])
     drawn.clear()
     # one large plan fits the budget, two of them do not
     monkeypatch.setattr(quantiles, "MAX_QUANTILE_BYTES", 2 * planned_bytes(6, 70_000) - 1)
     assert max_abs_quantiles([large, *small]) == alone
-    assert [(c.dim, c.on_caller) for c in drawn] == [(3, False)] * 2 + [(6, True)] * 2
+    assert [(c.dim, c.on_caller) for c in drawn] == [(3, False)] * 2 + [(6, True)] * quantiles._chunks(70_000)
     assert _in_their_blocks(drawn)
     # with the large request out, one small request is left: nothing to share
     drawn.clear()
     assert max_abs_quantiles([large, small[0]]) == alone[:2]
-    assert sorted((c.dim, c.on_caller) for c in drawn) == [(3, True), (6, True), (6, True)]
+    assert sorted((c.dim, c.on_caller) for c in drawn) == [(3, True)] + [(6, True)] * quantiles._chunks(70_000)
     assert _in_their_blocks(drawn)
-    # alone, the large request's two chunks would need two plans too
+    # alone, the large request's chunks would need two plans too
     drawn.clear()
     assert max_abs_quantile(large) == alone[0]
-    assert [(c.chunk, c.on_caller) for c in drawn] == [(0, True), (1, True)]
+    assert [(c.chunk, c.on_caller) for c in drawn] == [(chunk, True) for chunk in range(quantiles._chunks(70_000))]
 
 
 # rows of a block on the pool, up to dim 90: at most 256 KiB and under 2**19 multiply-adds
@@ -192,7 +193,7 @@ def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(monkeypatch, dra
         finally:
             tracemalloc.stop()
         on_caller = cores == 1 or dim > 90
-        assert [(c.seed, c.on_caller) for c in drawn] == [(dim, on_caller)] * 4
+        assert [(c.seed, c.on_caller) for c in drawn] == [(dim, on_caller)] * quantiles._chunks(200_000)
         assert max(c.rows for c in drawn) == (rows if on_caller else pooled) and _in_their_blocks(drawn)
         assert peak <= planned_bytes(dim, request.draws)
 
@@ -210,7 +211,7 @@ def test_no_thread_outlives_a_pooled_lone_request(monkeypatch, drawn):
     before = threading.active_count()
     max_abs_quantile(QuantileRequest(0.05, _corr(30, 1), draws=140_000, seed=1))
     assert threading.active_count() == before
-    assert [c.on_caller for c in drawn] == [False] * 3
+    assert [c.on_caller for c in drawn] == [False] * quantiles._chunks(140_000)
 
 
 def test_a_pooled_request_that_fails_raises_after_the_pool_is_done(monkeypatch):

@@ -136,30 +136,33 @@ def test_monte_carlo_tier_keeps_its_random_streams():
     draws, seed = 150_000, 9
     factor = np.linalg.cholesky(corr)
     maxima = []
-    for index, pos in enumerate(range(0, draws, 1 << 16)):
+    for index, pos in enumerate(range(0, draws, quantiles._CHUNK)):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        sample = np.random.Generator(np.random.Philox(seq)).standard_normal(
-            (min(1 << 16, draws - pos), 3)
+        sample = np.random.Generator(np.random.SFC64(seq)).standard_normal(
+            (min(quantiles._CHUNK, draws - pos), 3)
         )
         maxima.append(np.max(np.abs(sample @ factor.T), axis=1))
     want = np.sort(np.concatenate(maxima))[math.ceil(0.95 * draws) - 1]
     got = max_abs_quantile(QuantileRequest(0.05, corr, draws=draws, seed=seed))
     assert got.q == pytest.approx(want, abs=1e-12)
+    # the default draws are eight equal chunks, which two or four workers share evenly
+    assert quantiles.DEFAULT_DRAWS == 8 * quantiles._CHUNK
 
 
 def test_monte_carlo_blocks_keep_the_chunk_streams():
-    """Chunks read in blocks of 4,369 rows (15 full blocks and one of a
-    single row per chunk, then a partial chunk) give the ``q`` of whole
-    chunks drawn at once, and repeat bit for bit."""
+    """Chunks read in blocks of 4,369 rows on the calling thread (five
+    full blocks and one of 3,155 rows per chunk, then a partial chunk),
+    or of 582 rows on a thread pool, give the ``q`` of whole chunks drawn
+    at once, and repeat bit for bit."""
     dim, draws, seed = 30, 140_000, 4
     corr = np.full((dim, dim), 0.4)
     np.fill_diagonal(corr, 1.0)
     factor = np.linalg.cholesky(corr)
     maxima = []
-    for index, pos in enumerate(range(0, draws, 1 << 16)):
+    for index, pos in enumerate(range(0, draws, quantiles._CHUNK)):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        sample = np.random.Generator(np.random.Philox(seq)).standard_normal(
-            (min(1 << 16, draws - pos), dim)
+        sample = np.random.Generator(np.random.SFC64(seq)).standard_normal(
+            (min(quantiles._CHUNK, draws - pos), dim)
         )
         maxima.append(np.max(np.abs(sample @ factor.T), axis=1))
     want = np.sort(np.concatenate(maxima))[math.ceil(0.95 * draws) - 1]
@@ -169,12 +172,39 @@ def test_monte_carlo_blocks_keep_the_chunk_streams():
     assert max_abs_quantile(request) == got
 
 
+def equicorrelated_quantile(alpha, rho, dim):
+    """The exact ``q`` of ``dim`` coordinates of correlation ``rho >= 0``:
+    given a shared standard normal ``t``, each is ``sqrt(rho) t`` plus its
+    own normal of variance ``1 - rho``, so ``P[max_j |z_j| < q]`` is one
+    integral over ``t``, solved for ``q`` by Brent's method (scipy)."""
+    integrate, optimize, special = (pytest.importorskip(f"scipy.{m}") for m in ("integrate", "optimize", "special"))
+    shift, scale = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def box(q):
+        inside = lambda t: (special.ndtr((q - shift * t) / scale) - special.ndtr((-q - shift * t) / scale)) ** dim
+        return integrate.quad(lambda t: math.exp(-0.5 * t * t) * inside(t), -12.0, 12.0,
+                              points=(0.0,), epsabs=1e-13, epsrel=1e-12, limit=200)[0] / math.sqrt(2.0 * math.pi)
+
+    return optimize.brentq(lambda q: box(q) - (1.0 - alpha), 1.0, 10.0, xtol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.8])
+@pytest.mark.parametrize("dim", [3, 6, 30, 90])
+def test_monte_carlo_tier_against_the_exact_equicorrelated_quantile(dim, rho):
+    corr = np.full((dim, dim), rho)
+    np.fill_diagonal(corr, 1.0)
+    result = max_abs_quantile(QuantileRequest(0.05, corr))
+    assert result.method == "monte_carlo" and result.draws == quantiles.DEFAULT_DRAWS
+    assert abs(result.q - equicorrelated_quantile(0.05, rho, dim)) <= 4.0 * result.mc_stderr
+
+
 def test_planned_bytes_counts_the_maxima_blocks_and_matrices(monkeypatch):
     # dim 90: three 1 MiB blocks of 1,456 rows on the calling thread outweigh
-    # two pooled blocks of 64 rows for each of up to four threads (one a chunk)
+    # two pooled blocks of 64 rows for each of up to min(cores, chunks) threads
     # and one; dim 3: 10,922-row blocks, the same on the pool; the 5,000 draws
     # fit one block of one chunk
-    for cores, threads in [(1, 1), (2, 2), (8, 4)]:
+    for cores in (1, 2, 16):
+        threads = min(cores, quantiles._chunks(200_000))
         monkeypatch.setattr(quantiles, "_cores", lambda: cores)
         assert planned_bytes(90, 200_000) == 8 * (200_000 + 3 * 1_456 * 90 + 4 * 90 * 90)
         assert planned_bytes(90, 200_000) < 8 << 20
@@ -193,7 +223,7 @@ def _low_rank_corr(dim, rank):
 @pytest.mark.parametrize(
     "corr, draws",
     [
-        (np.eye(3), 140_000),  # three chunks
+        (np.eye(3), 140_000),  # six chunks, the last one partial
         (np.eye(90), 200_000),  # the dim-90 set of a 10-rule table
         (np.full((400, 400), 0.5) + 0.5 * np.eye(400), 2_000),  # 327-row blocks
         (_low_rank_corr(60, 5), 3_000),  # takes the jitter ladder
