@@ -10,7 +10,6 @@ for checking coverage.
 
 from .covariance import (
     CorrelationMatrix,
-    CovarianceEstimate,
     blurring_matrix,
     correct,
     correlation,
@@ -103,7 +102,6 @@ __all__ = [
     "validate_table",
     "compute_moments",
     # covariance
-    "CovarianceEstimate",
     "CorrelationMatrix",
     "blurring_matrix",
     "correct",

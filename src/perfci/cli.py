@@ -295,6 +295,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             if key not in _COVERAGE_KEYS:
                 known = ", ".join(_COVERAGE_KEYS)
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             out[key] = value
     return out
 

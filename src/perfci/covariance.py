@@ -29,10 +29,10 @@ Two variance choices are offered:
   zero on degenerate samples (a rule perfect on the data, or a rare
   event never observed), which both kills the interval and, near the
   boundary, undercovers.
-* corrected: add ``||gradient||^2 * z_{1-alpha/2}^2 / (2 n)`` to each
-  diagonal entry.  The addend shrinks at the same ``1/n`` rate as the
-  variance itself, so nothing changes asymptotically, but the diagonal
-  stays strictly positive whenever the gradient is nonzero.  For the
+* corrected (:func:`correct`): add ``||gradient||^2 * z_{1-alpha/2}^2 /
+  (2 n)`` to each diagonal entry.  The addend shrinks at the same ``1/n``
+  rate as the variance itself, so nothing changes asymptotically, but the
+  diagonal stays strictly positive whenever the gradient is nonzero.  For the
   accuracy measure this reproduces the familiar add-a-few-successes
   interval adjustment.
 
@@ -44,7 +44,7 @@ downstream code tests degeneracy with a plain comparison and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +70,6 @@ from .quantiles import CorrelationMatrix, two_sided_quantile
 
 __all__ = [
     "InfluenceVector",
-    "CovarianceEstimate",
     "CorrelationMatrix",
     "TargetEstimates",
     "estimate_targets",
@@ -97,52 +96,6 @@ class InfluenceVector:
     moments: MomentTriple
     gradient: GradientTriple
     estimate: float
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceEstimate:
-    """A ``K x K`` covariance matrix of scaled estimation errors.
-
-    ``d_diag`` holds the per-target correction addends (all zero when
-    ``corrected`` is False); ``alpha`` records the level the correction
-    was built for, ``None`` when uncorrected.
-    """
-
-    v: np.ndarray
-    n: int
-    corrected: bool = False
-    d_diag: np.ndarray = field(default=None)  # type: ignore[assignment]
-    alpha: float | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionMismatchError(f"covariance must be square, got {v.shape}")
-        object.__setattr__(self, "v", v)
-        if self.d_diag is None:
-            object.__setattr__(self, "d_diag", np.zeros(v.shape[0]))
-        else:
-            d = np.asarray(self.d_diag, dtype=float)
-            if d.shape != (v.shape[0],):
-                raise DimensionMismatchError(
-                    f"d_diag shape {d.shape} does not match covariance {v.shape}"
-                )
-            object.__setattr__(self, "d_diag", d)
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
-
-    def restrict(self, indices: Sequence[int]) -> "CovarianceEstimate":
-        """Sub-matrix for an ordered subset of targets."""
-        idx = np.asarray(list(indices), dtype=int)
-        return CovarianceEstimate(
-            v=self.v[np.ix_(idx, idx)],
-            n=self.n,
-            corrected=self.corrected,
-            d_diag=self.d_diag[idx],
-            alpha=self.alpha,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,10 +250,8 @@ def influence(
     )
 
 
-def covariance_from_influences(
-    influences: Sequence[InfluenceVector], n: int
-) -> CovarianceEstimate:
-    """Sample covariance (denominator ``n - 1``) of stacked influence rows."""
+def covariance_from_influences(influences: Sequence[InfluenceVector], n: int) -> np.ndarray:
+    """The ``(K, K)`` sample covariance (denominator ``n - 1``) of stacked influence rows."""
     if not influences:
         raise DimensionMismatchError("need at least one influence vector")
     rows = np.vstack([iv.values for iv in influences])
@@ -309,7 +260,7 @@ def covariance_from_influences(
             f"influence length {rows.shape[1]} does not match n = {n}"
         )
     centred = rows - rows.mean(axis=1, keepdims=True)
-    return CovarianceEstimate(v=_constant_rows_zeroed(centred @ centred.T / (n - 1), rows), n=n)
+    return _constant_rows_zeroed(centred @ centred.T / (n - 1), rows)
 
 
 def _constant_rows_zeroed(v: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -346,27 +297,26 @@ def blurring_matrix(
 
 
 def correct(
-    estimate: CovarianceEstimate,
+    v: np.ndarray,
     alpha: float,
-    gradients: Sequence[GradientTriple],
-) -> CovarianceEstimate:
-    """Corrected covariance: plug-in plus the diagonal blurring addends."""
-    if estimate.corrected:
-        raise ValueError("covariance estimate is already corrected")
-    d = blurring_matrix(gradients, alpha, estimate.n)
-    if d.shape[0] != estimate.dim:
-        raise DimensionMismatchError(
-            f"{d.shape[0]} gradients for a {estimate.dim}-target covariance"
-        )
-    v = estimate.v.copy()
-    v[np.diag_indices_from(v)] += d
-    return CovarianceEstimate(
-        v=v, n=estimate.n, corrected=True, d_diag=d, alpha=float(alpha)
-    )
+    gradients: Sequence[GradientTriple] | np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Corrected covariance: a copy of the plug-in ``v``, a ``(K, K)`` matrix
+    or a ``(..., K, K)`` stack, with the :func:`blurring_matrix` addends of
+    ``gradients`` (one per target, or an array of shape ``(..., K, 3)``) on
+    its diagonal."""
+    v = _square(v, stacked=True).copy()
+    d = blurring_matrix(gradients, alpha, n)
+    if d.shape != v.shape[:-1]:
+        raise DimensionMismatchError(f"gradients of {d.shape} targets for a covariance of shape {v.shape}")
+    diagonal = np.arange(v.shape[-1])
+    v[..., diagonal, diagonal] += d
+    return v
 
 
-def correlation(estimate: CovarianceEstimate) -> CorrelationMatrix:
-    """Correlation matrix of a covariance estimate.
+def correlation(v: np.ndarray) -> CorrelationMatrix:
+    """Correlation matrix of a ``(K, K)`` covariance ``v``.
 
     Raises
     ------
@@ -374,11 +324,21 @@ def correlation(estimate: CovarianceEstimate) -> CorrelationMatrix:
         If any diagonal entry is not strictly positive; the message
         names the first offending target index.
     """
-    diag = np.diagonal(estimate.v)
+    v = _square(v, stacked=False)
+    diag = np.diagonal(v)
     bad = np.nonzero(diag <= 0.0)[0]
     if bad.size:
         k = int(bad[0])
-        raise SingularVarianceError(k, f"diagonal entry {diag[k]!r}")
+        raise SingularVarianceError(k, f"diagonal entry {float(diag[k])!r}")
     scale = np.sqrt(diag)
-    r = estimate.v / np.outer(scale, scale)
-    return CorrelationMatrix(values=r)
+    return CorrelationMatrix(values=v / np.outer(scale, scale))
+
+
+def _square(v: np.ndarray, stacked: bool) -> np.ndarray:
+    """``v`` as a float array, refused unless it is a square matrix or, when
+    ``stacked``, a stack of them."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 2 or (v.ndim > 2 and not stacked) or v.shape[-1] != v.shape[-2]:
+        shape = "square" if stacked else "square and 2-d"
+        raise DimensionMismatchError(f"covariance must be {shape}, got shape {v.shape}")
+    return v

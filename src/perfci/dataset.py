@@ -113,8 +113,8 @@ def make_joint_sets(
         if names and set(names) <= named.keys():
             sets.extend(labelled for name in names for labelled in named[name])
             continue
-        try:
-            idx = tuple(int(tok) for tok in group)
+        try:  # an index is an integer, never a float that int() would truncate
+            idx = tuple(int(tok) if isinstance(tok, str) else operator.index(tok) for tok in group)
         except (TypeError, ValueError):
             raise ValueError(
                 f"joint set {','.join(names)!r} is neither 'all'/'per-rule' nor target indices"

@@ -47,8 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import TargetEstimates, blurring_matrix, estimate_targets
-from .covariance import correct, correlation, influence  # noqa: F401  (bench/spans.py wraps them in this namespace)
+from .covariance import TargetEstimates, correct, estimate_targets
+from .covariance import correlation, influence  # noqa: F401  (bench/spans.py wraps them in this namespace)
 from .dataset import BinaryDataset, EvaluationTarget
 from .errors import (
     DimensionMismatchError,
@@ -281,10 +281,9 @@ def _restricted(fits, members, spec, seeds):
         raise DimensionMismatchError(f"target set {members} repeats a target")
     idx = np.array(members, dtype=np.intp)
     v = fits.v[:, idx[:, np.newaxis], idx]
-    diagonal = np.arange(len(idx))
     if spec.choice == CHOICE_CORRECTED:
-        v[:, diagonal, diagonal] += blurring_matrix(fits.gradients[:, idx], spec.alpha, fits.n)
-    variance = v[:, diagonal, diagonal]
+        v = correct(v, spec.alpha, fits.gradients[:, idx], fits.n)
+    variance = np.diagonal(v, axis1=1, axis2=2)
     usable = ~fits.failed[:, idx] & (variance > 0.0)
     if spec.mode == "joint":
         scale = np.sqrt(np.where(usable, variance, 1.0))

@@ -298,6 +298,15 @@ def test_coverage_flag_overrides_config(tmp_path, capsys):
     assert payload["meta"]["replications"] == 10
 
 
+def test_coverage_config_refuses_a_repeated_key(tmp_path, capsys):
+    # the second n silently won: this file ran with n = 20
+    cfg = write(tmp_path, "cov.cfg", "rules = threshold(0.5)\nn = 10\nmeasures = accuracy\nn = 20\n")
+    assert main(["coverage", "--config", cfg, "--replications", "2", "--format", "json"]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:4: key 'n' given twice" in captured.err
+
+
 def test_coverage_output_is_byte_deterministic(tmp_path):
     cfg = write(tmp_path, "cov.cfg", COVERAGE_CFG)
     first = tmp_path / "one.json"

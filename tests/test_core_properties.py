@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from perfci.cli import main
 from perfci.covariance import (
-    CovarianceEstimate,
     correct,
     covariance_from_influences,
     estimate_targets,
@@ -92,7 +91,7 @@ def test_core_matches_per_row_reference(data):
     if not alive:
         assert not fit.v.any()
         return
-    v, want = fit.v[0][np.ix_(alive, alive)], ref.v
+    v, want = fit.v[0][np.ix_(alive, alive)], ref
     assert np.max(np.abs(v - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     np.testing.assert_array_equal(np.diagonal(v) == 0.0, np.diagonal(want) == 0.0)
 
@@ -126,8 +125,8 @@ def test_plugin_covariance_is_positive_semidefinite(data):
 def test_corrected_variances_are_at_least_the_plugin_ones(data, alpha):
     targets = make_targets(data.rule_ids, MEASURES)
     fit = estimate_targets(data, targets)
-    corrected = correct(CovarianceEstimate(v=fit.v[0], n=fit.n), alpha, fit.gradients[0])
-    assert np.all(np.diagonal(corrected.v) >= np.diagonal(fit.v[0]))
+    corrected = correct(fit.v[0], alpha, fit.gradients[0], fit.n)
+    assert np.all(np.diagonal(corrected) >= np.diagonal(fit.v[0]))
     reports = [
         set_report(fit, range(len(targets)), IntervalSpec(alpha, "individual", choice))
         for choice in (CHOICE_PLUGIN, CHOICE_CORRECTED)
@@ -203,12 +202,12 @@ def test_all_positive_labels_give_exact_zero_lift_and_overlap_variance():
     data = BinaryDataset.from_arrays([1] * 6, {"a": [1, 0, 1, 1, 0, 0]})
     targets = make_targets(["a"], ["accuracy", "lift", "overlap"])
     for cov in (
-        CovarianceEstimate(v=estimate_targets(data, targets).v[0], n=data.n),
+        estimate_targets(data, targets).v[0],
         covariance_from_influences([influence(data, t) for t in targets], data.n),
     ):
-        assert cov.v[1, 1] == 0.0 and cov.v[2, 2] == 0.0
-        assert np.all(cov.v[1:, :] == 0.0) and np.all(cov.v[:, 1:] == 0.0)
-        assert cov.v[0, 0] > 0.0
+        assert cov[1, 1] == 0.0 and cov[2, 2] == 0.0
+        assert np.all(cov[1:, :] == 0.0) and np.all(cov[:, 1:] == 0.0)
+        assert cov[0, 0] > 0.0
 
     report = analyze(data, targets, IntervalSpec(mode="individual", choice=CHOICE_PLUGIN))
     assert report.rows[0].ok

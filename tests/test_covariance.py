@@ -5,7 +5,6 @@ import pytest
 
 from perfci.covariance import (
     CorrelationMatrix,
-    CovarianceEstimate,
     blurring_matrix,
     correct,
     correlation,
@@ -138,14 +137,15 @@ def test_degenerate_rows_snap_to_exact_zero():
     z = np.array([1, 0, 1, 0, 1])
     data = BinaryDataset.from_arrays(z, {"perfect": z.copy(), "noisy": [1, 1, 0, 0, 1]})
     targets = make_targets(["perfect", "noisy"], ["accuracy"])
-    est = CovarianceEstimate(v=estimate_targets(data, targets).v[0], n=data.n)
-    assert est.v[0, 0] == 0.0
-    assert est.v[0, 1] == 0.0 and est.v[1, 0] == 0.0
-    assert est.v[1, 1] > 0.0
+    v = estimate_targets(data, targets).v[0]
+    assert v[0, 0] == 0.0
+    assert v[0, 1] == 0.0 and v[1, 0] == 0.0
+    assert v[1, 1] > 0.0
     with pytest.raises(SingularVarianceError) as err:
-        correlation(est)
+        correlation(v)
     msg = str(err.value)
     assert "corrected" in msg  # points at the Choice II remedy
+    assert "(diagonal entry 0.0)" in msg  # it printed the numpy scalar, np.float64(0.0)
 
 
 def test_covariance_from_influences_length_check():
@@ -185,16 +185,15 @@ def test_blurring_of_a_gradient_stack_squares_as_squared_norm_does():
 
 def test_correct_adds_diagonal_only():
     fit = estimate_targets(toy_dataset(), [EvaluationTarget("a", "accuracy")])
-    est = CovarianceEstimate(v=fit.v[0], n=fit.n)
+    v = fit.v[0]
     g = influence(toy_dataset(), EvaluationTarget("a", "accuracy")).gradient
-    fixed = correct(est, alpha=0.05, gradients=[g])
-    assert fixed.corrected and fixed.alpha == 0.05
-    assert fixed.v[0, 0] == pytest.approx(CORRECTED_THIRD_N4, abs=1e-10)
-    assert fixed.d_diag[0] == pytest.approx(fixed.v[0, 0] - est.v[0, 0], rel=1e-12)
-    with pytest.raises(ValueError):
-        correct(fixed, alpha=0.05, gradients=[g])
+    fixed = correct(v, alpha=0.05, gradients=[g], n=fit.n)
+    assert fixed[0, 0] == pytest.approx(CORRECTED_THIRD_N4, abs=1e-10)
+    d = blurring_matrix([g], alpha=0.05, n=fit.n)
+    assert d[0] == pytest.approx(fixed[0, 0] - v[0, 0], rel=1e-12)
+    assert v[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)  # a copy: the fit keeps its plug-in v
     with pytest.raises(DimensionMismatchError):
-        correct(est, alpha=0.05, gradients=[g, g])
+        correct(v, alpha=0.05, gradients=[g, g], n=fit.n)
 
 
 def test_correct_leaves_off_diagonals_unchanged():
@@ -202,16 +201,43 @@ def test_correct_leaves_off_diagonals_unchanged():
     data = sample_dataset(rng, 2, 30)
     targets = make_targets(data.rule_ids, ["accuracy", "f1"])
     ivs = [influence(data, t) for t in targets]
-    est = covariance_from_influences(ivs, data.n)
-    fixed = correct(est, alpha=0.05, gradients=[iv.gradient for iv in ivs])
-    off = ~np.eye(est.dim, dtype=bool)
-    np.testing.assert_array_equal(fixed.v[off], est.v[off])
-    assert np.all(np.diagonal(fixed.v) > np.diagonal(est.v))
+    v = covariance_from_influences(ivs, data.n)
+    fixed = correct(v, alpha=0.05, gradients=[iv.gradient for iv in ivs], n=data.n)
+    off = ~np.eye(len(v), dtype=bool)
+    np.testing.assert_array_equal(fixed[off], v[off])
+    assert np.all(np.diagonal(fixed) > np.diagonal(v))
+
+
+def test_correct_of_a_stack_is_correct_of_each_table():
+    rng = np.random.default_rng(45)
+    a = rng.normal(size=(4, 3, 3))
+    v, gradients = a @ a.transpose(0, 2, 1), rng.normal(size=(4, 3, 3))
+    stacked = correct(v, 0.05, gradients, 50)
+    for b in range(4):
+        assert stacked[b].tobytes() == correct(v[b], 0.05, gradients[b], 50).tobytes()
+    off = ~np.eye(3, dtype=bool)
+    np.testing.assert_array_equal(stacked[:, off], v[:, off])
+    np.testing.assert_array_equal(
+        np.diagonal(stacked, axis1=1, axis2=2), np.diagonal(v, axis1=1, axis2=2) + blurring_matrix(gradients, 0.05, 50)
+    )
+    for wrong in (gradients[:3], gradients[:, :2]):
+        with pytest.raises(DimensionMismatchError):
+            correct(v, 0.05, wrong, 50)
+
+
+def test_correct_and_correlation_refuse_a_non_square_covariance():
+    g = GradientTriple(1.0, 0.0, 0.0)
+    for v in (np.ones((2, 3)), np.ones(2), np.ones((2, 2, 3))):
+        with pytest.raises(DimensionMismatchError, match="covariance must be square"):
+            correct(v, 0.05, [g, g], 10)
+        with pytest.raises(DimensionMismatchError, match="covariance must be square"):
+            correlation(v)
+    with pytest.raises(DimensionMismatchError, match="covariance must be square and 2-d"):
+        correlation(np.ones((2, 2, 2)))
 
 
 def test_correlation_values():
-    est = CovarianceEstimate(v=np.array([[4.0, 1.0], [1.0, 1.0]]), n=10)
-    r = correlation(est)
+    r = correlation(np.array([[4.0, 1.0], [1.0, 1.0]]))
     assert r.values[0, 1] == pytest.approx(0.5)
     np.testing.assert_array_equal(np.diagonal(r.values), [1.0, 1.0])
 
@@ -234,20 +260,3 @@ def test_correlation_matrix_validation_and_clamp():
         CorrelationMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatchError):
         CorrelationMatrix(np.ones((2, 3)))
-
-
-def test_restrict_selects_ordered_submatrix():
-    v = np.arange(9, dtype=float).reshape(3, 3)
-    v = 0.5 * (v + v.T)
-    est = CovarianceEstimate(v=v, n=20, corrected=True, d_diag=np.array([1.0, 2.0, 3.0]), alpha=0.1)
-    sub = est.restrict([2, 0])
-    np.testing.assert_array_equal(sub.v, v[np.ix_([2, 0], [2, 0])])
-    np.testing.assert_array_equal(sub.d_diag, [3.0, 1.0])
-    assert sub.n == 20 and sub.corrected and sub.alpha == 0.1
-
-
-def test_covariance_estimate_checks_its_shapes():
-    with pytest.raises(DimensionMismatchError, match="covariance must be square"):
-        CovarianceEstimate(v=np.ones((2, 3)), n=10)
-    with pytest.raises(DimensionMismatchError, match="d_diag shape"):
-        CovarianceEstimate(v=np.eye(2), n=10, d_diag=np.ones(3))

@@ -138,6 +138,7 @@ def test_analyze_matches_manual_pipeline_exactly():
         covariance_from_influences(ivs, data.n),
         spec.alpha,
         [iv.gradient for iv in ivs],
+        data.n,
     )
     res = max_abs_quantile(
         QuantileRequest(
@@ -148,10 +149,22 @@ def test_analyze_matches_manual_pipeline_exactly():
     # move a simulated q in its last digit
     assert report.q == pytest.approx(res.q, rel=1e-12, abs=0.0)
     for k, row in enumerate(report.rows):
-        assert row.variance == pytest.approx(cov.v[k, k], abs=1e-15)
+        assert row.variance == pytest.approx(cov[k, k], abs=1e-15)
         assert row.half_width == pytest.approx(
-            res.q * math.sqrt(cov.v[k, k] / data.n), abs=1e-15
+            res.q * math.sqrt(cov[k, k] / data.n), abs=1e-15
         )
+
+
+def test_corrected_variances_are_the_diagonal_of_correct_bit_for_bit():
+    data = random_dataset(np.random.default_rng(54), 60, rules=3)
+    targets = make_targets(data.rule_ids, ["accuracy", "f1", "jaccard"])
+    fit = estimate_targets(data, targets)
+    for members in ([4, 0, 7], [8], [1, 2], list(range(len(targets)))):
+        want = np.diagonal(correct(fit.v[0][np.ix_(members, members)], 0.1, fit.gradients[0][members], fit.n))
+        for mode in ("individual", "joint"):
+            report = set_report(fit, members, IntervalSpec(alpha=0.1, mode=mode, draws=1000))
+            assert all(row.ok for row in report.rows)
+            assert [row.variance for row in report.rows] == want.tolist()
 
 
 def test_analyze_target_order_and_subset():

@@ -19,7 +19,7 @@ import pytest
 import perfci
 from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
 from perfci.covariance import estimate_targets, influence
-from perfci.dataset import BinaryDataset, EvaluationTarget, make_targets, read_csv
+from perfci.dataset import BinaryDataset, EvaluationTarget, make_joint_sets, make_targets, read_csv
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, set_report
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures
@@ -29,6 +29,7 @@ from perfci.simulation import (
     GaussianMixtureProcess,
     ThresholdRule,
     rare_positive_stress,
+    run_coverage,
 )
 
 TOY = "z,r\n1,1\n1,0\n0,1\n0,0\n1,1\n0,0\n"
@@ -163,6 +164,28 @@ def test_coverage_rejects_duplicate_rule_ids(capsys):
             measure_ids=("accuracy",),
             n=50,
         )
+
+
+@pytest.mark.parametrize(
+    "sets", [((0.9, 1),), [np.array([0.0, 1.7])], [np.array([0.0, 1.0])], "0,1.0"], ids=repr
+)
+def test_joint_sets_refuse_indices_that_are_not_integers(sets):
+    # the sequence form truncated them: ((0.9, 1),) and [array([0.0, 1.7])] ran as set (0, 1)
+    targets = make_targets(["threshold(0.5)"], ["accuracy", "f1"])
+    with pytest.raises(ValueError, match="is neither 'all'/'per-rule' nor target indices"):
+        make_joint_sets(sets, targets)
+    config = CoverageConfig(
+        process=GaussianMixtureProcess(),
+        rules=(ThresholdRule(0.5),),
+        measure_ids=("accuracy", "f1"),
+        n=20,
+        replications=1,
+        joint_sets=sets,
+        draws=1000,
+    )
+    with pytest.raises(ValueError, match="is neither 'all'/'per-rule' nor target indices"):
+        run_coverage(config)
+    assert make_joint_sets([(0, np.int64(1))], targets) == [("set0", (0, 1))]
 
 
 def _eight_rows():
