@@ -29,10 +29,12 @@ Two quantile notions drive every interval in this package:
     correlated Gaussian vectors in fixed-size chunks, each from its own
     seeded SFC64 stream, so results are reproducible for a given seed, and
     read the empirical quantile off the sorted maxima.  Each chunk's
-    stream is drawn in blocks whose size follows from the dimension
-    and from whether a thread pool draws the request (:func:`_block_rows`),
-    so a request holds its ``draws`` maxima, a few blocks and its
-    ``dim x dim`` matrices, and its time grows as ``dim**2 * draws``.
+    stream is read in blocks of at most 256 KiB or one product, and each
+    block multiplied in products whose size follows from the dimension
+    and from whether a thread pool draws the request (:func:`_block_rows`,
+    :func:`_read_rows`), so a request holds its ``draws`` maxima, a few
+    blocks and its ``dim x dim`` matrices, and its time grows as
+    ``dim**2 * draws``.
     ``mc_stderr`` is the usual order-statistic standard error: binomial
     noise of the empirical CDF divided by a local density estimate.
 
@@ -44,13 +46,14 @@ Two quantile notions drive every interval in this package:
   the call: :func:`max_abs_quantile` draws a lone request's chunks on one,
   and :func:`max_abs_quantiles` the chunks of all such requests of a
   list, when the process may run on two or more cores and there are two
-  or more chunks to share.  The pool draws in blocks whose product
-  OpenBLAS runs on the drawing thread.  Above dim 90 the chunks are drawn
-  on the calling thread, in blocks of 1 MiB whose product OpenBLAS
-  threads itself.  Every result is the one its request gets drawn
-  serially on one thread, bit for bit, and a pool of ``workers`` threads
-  holds at most ``workers`` plans, which must fit ``MAX_QUANTILE_BYTES``
-  together.
+  or more chunks to share.  The pool reads each stream in blocks of up
+  to 256 KiB and multiplies them in products that OpenBLAS runs on the
+  drawing thread (320-row reads of five 64-row products at dim 90).
+  Above dim 90 the chunks are drawn on the calling thread, in blocks of
+  1 MiB whose product OpenBLAS threads itself.  Every result is the one
+  its request gets drawn serially on one thread, bit for bit, and a pool
+  of ``workers`` threads holds at most ``workers`` plans, which must fit
+  ``MAX_QUANTILE_BYTES`` together.
 
 ``sidak_quantile``, the closed form for independent coordinates, bounds
 ``q(alpha, R)`` from above for every ``R`` (Sidak 1967) and equals it at
@@ -242,18 +245,29 @@ def _normalised(r: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(dim: int, pooled: bool) -> int:
-    """Rows of one block of normals.  On a thread pool (up to ``_POOL_DIM``),
-    at most 256 KiB of float64 and a product of fewer than ``2**19``
-    multiply-adds, ``min(2**15 // dim, (2**19 - 1) // dim**2)`` rows (64 at
-    dim 90), so OpenBLAS runs each block's product on the drawing thread
-    and the pool's threads keep the cores; it threads a product of exactly
-    ``2**19``, as ``2**19 // dim**2`` rows give at dims 16, 32 and 64.  On
-    the calling thread, 256 KiB below dim 16 (the same blocks) and 1 MiB
-    from it, where larger blocks gain: on one core of a 2-core VM, 64-row
-    blocks drew a dim-90 request 8% slower."""
+    """Rows of one product of normals by the Cholesky factor.  On a thread
+    pool (up to ``_POOL_DIM``), at most 256 KiB of float64 and fewer than
+    ``2**19`` multiply-adds, ``min(2**15 // dim, (2**19 - 1) // dim**2)``
+    rows (64 at dim 90), so OpenBLAS runs each product on the drawing
+    thread and the pool's threads keep the cores; it threads a product of
+    exactly ``2**19``, as ``2**19 // dim**2`` rows give at dims 16, 32 and
+    64.  On the calling thread, 256 KiB below dim 16 (the same blocks) and
+    1 MiB from it, where larger blocks gain: on one core of a 2-core VM,
+    64-row blocks drew a dim-90 request 8% slower.  The stream is read in
+    blocks of :func:`_read_rows`."""
     if pooled:
         return min((1 << 15) // dim, ((1 << 19) - 1) // (dim * dim))
     return max(1, (1 << 15 if dim < 16 else 1 << 17) // dim)
+
+
+def _read_rows(dim: int, rows: int) -> int:
+    """Rows of one read of a chunk's stream whose products hold ``rows``
+    rows: the most whole products within 256 KiB of float64, and at least
+    one.  A read holds more than one product only on the pool from dim 32
+    (five products of 64 rows at dim 90): normals read in large blocks
+    cost about 10 ns each, against about 14 ns when each 64-row product
+    reads its own (numpy 2.4 on a 2-core Xeon VM)."""
+    return rows * max(1, (1 << 15) // dim // rows)
 
 
 def planned_bytes(dim: int, draws: int) -> int:
@@ -282,7 +296,8 @@ def planned_bytes(dim: int, draws: int) -> int:
     blocks = 3 * min(draws, _block_rows(dim, pooled=False))
     threads = min(_cores(), _chunks(draws)) if dim <= _POOL_DIM else 1
     if threads > 1:
-        blocks = max(blocks, (2 * threads + 1) * min(draws, _block_rows(dim, pooled=True)))
+        read = _read_rows(dim, _block_rows(dim, pooled=True))
+        blocks = max(blocks, (2 * threads + 1) * min(draws, read))
     return 8 * (draws + blocks * dim + 4 * dim * dim)
 
 
@@ -406,15 +421,16 @@ def max_abs_quantiles(requests: Sequence[QuantileRequest]) -> list[QuantileResul
     draws each, one stream) are the units of work of a thread pool
     made for this call, if the process may run on two or more cores and
     there are two or more chunks; it has ``min(cores, chunks)`` workers.
-    The pool draws in blocks of at most 256 KiB and fewer than ``2**19``
-    multiply-adds (:func:`_block_rows`), whose product OpenBLAS runs on
-    the drawing thread; it threads larger products itself, and its
-    threads would take the cores the pool needs.  The workers take the
-    chunks in request order; the first of a request's chunks to start
-    factors ``R`` and the last to finish sorts its maxima, so the pool
-    holds the maxima of at most ``workers`` requests.  A request joins
-    the pool only while ``workers`` times its :func:`planned_bytes` is
-    within ``MAX_QUANTILE_BYTES``, which bounds the pool's peak.  Every other request is answered by
+    The pool multiplies the normals in products of at most 256 KiB and
+    fewer than ``2**19`` multiply-adds (:func:`_block_rows`), which
+    OpenBLAS runs on the drawing thread; it threads larger products
+    itself, and its threads would take the cores the pool needs.  The
+    workers take the chunks in request order; the first of a request's
+    chunks to start factors ``R`` and the last to finish sorts its maxima,
+    so the pool holds the maxima of at most ``workers`` requests.  A
+    request joins the pool only while ``workers`` times its
+    :func:`planned_bytes` is within ``MAX_QUANTILE_BYTES``, which bounds
+    the pool's peak.  Every other request is answered by
     :func:`max_abs_quantile`, once the pool is done; so is a lone
     simulated request, whose chunks it pools itself.
 
@@ -620,23 +636,26 @@ def _draw_chunk(factor: np.ndarray, seed: int, chunk: int, out: np.ndarray, rows
     of ``x = factor @ z``, the normals ``z`` from the SFC64 stream of chunk
     ``chunk`` of ``seed`` (:func:`_chunk_stream`).
 
-    The stream is read in consecutive blocks of ``rows`` rows
-    (:func:`_block_rows`), which give the draws of one read of the whole
-    chunk, so the block size moves no draw.  Each block is correlated in
-    ``(dim, rows)`` layout, so the max over coordinates is an elementwise
-    reduction.  The
-    normals and their image are written into two buffers allocated once
-    per chunk: a pool worker that allocated them per block kept more
-    memory in its thread's malloc arena.
+    The stream is read in consecutive blocks of :func:`_read_rows` rows,
+    which give the draws of one read of the whole chunk, so the block size
+    moves no draw.  Each read is correlated in products of ``rows`` rows
+    (:func:`_block_rows`), each writing its columns of one ``(dim, read)``
+    image, so the max over coordinates is one elementwise reduction per
+    read; every product holds the columns it would in blocks of ``rows``
+    alone, so no maximum moves either.  The normals and their image are
+    written into two buffers allocated once per chunk: a pool worker that
+    allocated them per block kept more memory in its thread's malloc arena.
     """
     dim, draws = factor.shape[0], len(out)
     rng = _chunk_stream(seed, chunk)
-    block = min(draws, rows)
-    normals, image = np.empty(block * dim), np.empty(block * dim)
-    for start in range(0, draws, block):
-        n = min(draws, start + block) - start
+    read = min(draws, _read_rows(dim, rows))
+    normals, image = np.empty(read * dim), np.empty(read * dim)
+    for start in range(0, draws, read):
+        n = min(draws, start + read) - start
         z = rng.standard_normal(out=normals[: n * dim].reshape(n, dim))
-        sample = np.matmul(factor, z.T, out=image[: n * dim].reshape(dim, n))
+        sample = image[: n * dim].reshape(dim, n)
+        for first in range(0, n, rows):
+            np.matmul(factor, z[first : first + rows].T, out=sample[:, first : first + rows])
         np.abs(sample, out=sample).max(axis=0, out=out[start : start + n])
 
 

@@ -45,8 +45,8 @@ def _batch():
 def drawn(monkeypatch):
     """Every chunk of a simulated request drawn, as the generator that drew it
     (in place of :func:`quantiles._chunk_stream`): ``seed``, ``chunk``, the
-    request's ``dim``, ``rows`` (the most rows one of its blocks of normals
-    held), ``total`` (rows drawn) and ``on_caller``."""
+    request's ``dim``, ``reads`` (the rows of each block of normals read, in
+    order) and ``on_caller``."""
     chunks = []
     stream = quantiles._chunk_stream
 
@@ -55,24 +55,57 @@ def drawn(monkeypatch):
 
         def __init__(self, seed, chunk):
             self.rng = stream(seed, chunk)
-            self.seed, self.chunk, self.dim, self.rows, self.total = seed, chunk, None, 0, 0
+            self.seed, self.chunk, self.dim, self.reads = seed, chunk, None, []
             self.on_caller = threading.current_thread() is threading.main_thread()
             chunks.append(self)
 
         def standard_normal(self, out):
-            self.dim, self.rows = out.shape[1], max(self.rows, out.shape[0])
-            self.total += out.shape[0]
+            self.dim = out.shape[1]
+            self.reads.append(out.shape[0])
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(quantiles, "_chunk_stream", Recorded)
     return chunks
 
 
+@pytest.fixture
+def multiplied(monkeypatch):
+    """The rows of every product of normals by a Cholesky factor, as the
+    ``np.matmul`` calls of :mod:`quantiles` ran them."""
+    products = []
+
+    class Numpy:
+        """numpy, with the rows of each product recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(factor, z, out):
+            products.append(z.shape[1])
+            return np.matmul(factor, z, out=out)
+
+    monkeypatch.setattr(quantiles, "np", Numpy())
+    return products
+
+
+def _read_rows(dim, on_caller):
+    """Rows of one read of a chunk's stream: one product of the calling
+    thread's on it; on a worker, the most whole products of the pool's
+    within ``2**15`` floats, and at least one."""
+    product = quantiles._block_rows(dim, pooled=not on_caller)
+    return product if on_caller else product * max(1, (1 << 15) // (dim * product))
+
+
 def _in_their_blocks(drawn):
-    """Whether each recorded chunk was drawn in the blocks of its dimension,
-    the pool's on a worker and the calling thread's on it, or in one block
-    of all its draws when it has fewer."""
-    return all(c.rows == min(c.total, quantiles._block_rows(c.dim, pooled=not c.on_caller)) for c in drawn)
+    """Whether each recorded chunk read its stream in consecutive blocks of
+    :func:`_read_rows`, the last one partial, or in one block of all its
+    draws when it has fewer."""
+    for c in drawn:
+        read, total = _read_rows(c.dim, c.on_caller), sum(c.reads)
+        if c.reads != [min(read, total - start) for start in range(0, total, read)]:
+            return False
+    return True
 
 
 def _serial(monkeypatch, requests):
@@ -167,35 +200,48 @@ def test_a_request_over_the_budget_with_its_workers_is_drawn_on_the_calling_thre
     assert [(c.chunk, c.on_caller) for c in drawn] == [(chunk, True) for chunk in range(quantiles._chunks(70_000))]
 
 
-# rows of a block on the pool, up to dim 90: at most 256 KiB and under 2**19 multiply-adds
-POOLED_ROWS = {3: 10_922, 4: 8_192, 6: 5_461, 15: 2_184, 16: 2_047, 30: 582, 32: 511, 90: 64}
+# rows of a product on the pool, up to dim 90: at most 256 KiB and under 2**19 multiply-adds
+POOLED_ROWS = {3: 10_922, 4: 8_192, 6: 5_461, 15: 2_184, 16: 2_047, 30: 582, 32: 511, 45: 258, 60: 145, 90: 64}
+# rows of a read on the pool: the most whole products within 256 KiB
+POOLED_READS = {3: 10_922, 4: 8_192, 6: 5_461, 15: 2_184, 16: 2_047, 30: 582, 32: 1_022, 45: 516, 60: 435, 90: 320}
 
 
 @pytest.mark.parametrize("dim, rows", [(3, 10_922), (4, 8_192), (6, 5_461), (15, 2_184), (16, 8_192), (30, 4_369),
-                                       (32, 4_096), (90, 1_456), (91, 1_440)])
-def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(monkeypatch, drawn, dim, rows):
+                                       (32, 4_096), (45, 2_912), (60, 2_184), (90, 1_456), (91, 1_440)])
+def test_a_lone_request_is_drawn_in_the_blocks_of_its_dimension(monkeypatch, drawn, multiplied, dim, rows):
     # on the calling thread, 256 KiB below dim 16 and 1 MiB from it
     assert quantiles._block_rows(dim, pooled=False) == rows
     assert rows * dim * 8 <= (1 << 18 if dim < 16 else 1 << 20)
     if dim <= 90:
-        pooled = POOLED_ROWS[dim]
+        pooled, read = POOLED_ROWS[dim], POOLED_READS[dim]
         assert quantiles._block_rows(dim, pooled=True) == pooled
         assert pooled * dim <= 1 << 15 and pooled * dim * dim < 1 << 19
+        assert _read_rows(dim, on_caller=False) == read
+        assert read % pooled == 0 and read * dim <= 1 << 15 < (read + pooled) * dim
+    assert _read_rows(dim, on_caller=True) == rows
     request = QuantileRequest(0.05, _corr(dim, dim), draws=200_000, seed=dim)
     max_abs_quantile(QuantileRequest(0.05, np.eye(3), draws=70_000))  # first-use imports
-    for cores in (1, 2, 4):
+    results = set()
+    # at 16 cores, eight workers' reads outweigh the calling thread's blocks in the plan from dim 32
+    for cores in (1, 2, 4, 16):
         monkeypatch.setattr(quantiles, "_cores", lambda: cores)
         drawn.clear()
+        multiplied.clear()
         tracemalloc.start()
         try:
-            max_abs_quantile(request)
+            results.add(max_abs_quantile(request))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         on_caller = cores == 1 or dim > 90
         assert [(c.seed, c.on_caller) for c in drawn] == [(dim, on_caller)] * quantiles._chunks(200_000)
-        assert max(c.rows for c in drawn) == (rows if on_caller else pooled) and _in_their_blocks(drawn)
+        assert max(max(c.reads) for c in drawn) == (rows if on_caller else read) and _in_their_blocks(drawn)
+        # each read is multiplied in products of the block's rows, the last one partial
+        product = rows if on_caller else pooled
+        products = [min(product, n - first) for c in drawn for n in c.reads for first in range(0, n, product)]
+        assert sorted(multiplied) == sorted(products)
         assert peak <= planned_bytes(dim, request.draws)
+    assert len(results) == 1  # the serial draw's, bit for bit
 
 
 def test_no_thread_outlives_the_call(monkeypatch):

@@ -199,14 +199,14 @@ def test_monte_carlo_tier_against_the_exact_equicorrelated_quantile(dim, rho):
 
 
 def test_planned_bytes_counts_the_maxima_blocks_and_matrices(monkeypatch):
-    # dim 90: three 1 MiB blocks of 1,456 rows on the calling thread outweigh
-    # two pooled blocks of 64 rows for each of up to min(cores, chunks) threads
-    # and one; dim 3: 10,922-row blocks, the same on the pool; the 5,000 draws
-    # fit one block of one chunk
-    for cores in (1, 2, 16):
+    # dim 90: three 1 MiB blocks of 1,456 rows on the calling thread, or, if
+    # more, two pooled reads of 320 rows for each of up to min(cores, chunks)
+    # threads and one: 2 * 8 + 1 of them at 16 cores; dim 3: 10,922-row blocks,
+    # the same on the pool; the 5,000 draws fit one block of one chunk
+    for cores, blocks in ((1, 3 * 1_456), (2, 3 * 1_456), (16, 17 * 320)):
         threads = min(cores, quantiles._chunks(200_000))
         monkeypatch.setattr(quantiles, "_cores", lambda: cores)
-        assert planned_bytes(90, 200_000) == 8 * (200_000 + 3 * 1_456 * 90 + 4 * 90 * 90)
+        assert planned_bytes(90, 200_000) == 8 * (200_000 + blocks * 90 + 4 * 90 * 90)
         assert planned_bytes(90, 200_000) < 8 << 20
         assert planned_bytes(91, 200_000) == 8 * (200_000 + 3 * 1_440 * 91 + 4 * 91 * 91)
         assert planned_bytes(3, 200_000) == 8 * (200_000 + (2 * threads + 1) * 10_922 * 3 + 4 * 3 * 3)
