@@ -23,10 +23,11 @@ used (``quantile_method``: ``normal``, ``bivariate`` or ``monte_carlo``).
 
 :func:`set_reports` answers asks ``(fit, members, spec)``: each pairs an
 :func:`~perfci.covariance.estimate_targets` fit, which names its targets,
-with the member indices of one set of them and a spec.  Every ask is
-restricted and corrected, one :func:`~perfci.quantiles.max_abs_quantiles`
-call answers all their quantiles, and each ask gets the report it would
-get alone.  ``perfci analyze`` asks once per joint set of its one fit;
+with the member indices of one set of them and a spec.  The asks of one
+fit, one spec and one member count are restricted and corrected as one
+stack, one :func:`~perfci.quantiles.max_abs_quantiles` call answers all
+their quantiles, and each ask gets the report it would get alone.
+``perfci analyze`` asks once per joint set of its one fit;
 :func:`analyze` and :func:`set_report` ask once.  The body behind it
 works on the stacks of tables that every fit is, and
 :func:`~perfci.simulation.run_coverage` asks it for every set of a block
@@ -219,7 +220,8 @@ def set_reports(asks: Sequence[tuple[TargetEstimates, Sequence[int], IntervalSpe
 
     This is the list view of :func:`_answers`, which
     :func:`~perfci.simulation.run_coverage` asks for whole blocks of
-    tables.  Every ask is checked, restricted and corrected before one
+    tables.  Every ask is checked, then the asks of one fit, one spec and
+    one member count are restricted and corrected as one stack, before one
     :func:`~perfci.quantiles.max_abs_quantiles` call answers all the
     quantiles, so many pairs' exact dim-2 quantiles are one vectorized
     solve.  A report does not depend on the other asks: it is the one
@@ -256,11 +258,27 @@ class _Answer:
 def _answers(asks) -> list[_Answer]:
     """Each ask ``(fits, members, spec, seeds)`` answered over the ``B`` tables
     of the fit ``fits``, table ``b`` drawing a simulated quantile with seed
-    ``seeds[b]``: the one body from fits to intervals.  Every ask is checked, restricted and corrected,
-    as stacked arrays, before one :func:`~perfci.quantiles.max_abs_quantiles`
-    call answers all their tables' quantiles; table ``b`` of an ask is
-    answered as its stack of one would be, bit for bit."""
-    parts = [_restricted(fits, tuple(members), spec, seeds) for fits, members, spec, seeds in asks]
+    ``seeds[b]``: the one body from fits to intervals.
+
+    Every ask's members are checked first, in ask order.  The asks that
+    share a fit object, an equal spec and a member count are then one
+    group, restricted and corrected as one ``(B, A, k, k)`` stack of their
+    ``A`` asks (:func:`_restricted`); a lone ask is a group of one.  One
+    :func:`~perfci.quantiles.max_abs_quantiles` call answers every table's
+    quantile, requested in ask order and, within an ask, in table order.
+    Each step is elementwise over the (table, ask) rows of a stack, so
+    table ``b`` of an ask is answered as its stack of one would be, bit
+    for bit."""
+    asks = [(fits, tuple(members), spec, seeds) for fits, members, spec, seeds in asks]
+    for fits, members, _, _ in asks:
+        _check(members, len(fits.targets))
+    groups: dict[tuple, list[int]] = {}
+    for a, (fits, members, spec, _) in enumerate(asks):
+        groups.setdefault((id(fits), spec, len(members)), []).append(a)
+    parts = [None] * len(asks)
+    for group in groups.values():
+        for a, part in zip(group, _restricted([asks[a] for a in group])):
+            parts[a] = part
     results = iter(max_abs_quantiles([r for *_, requests in parts for r in requests if r is not None]))
     return [
         _answered(*part, tuple(None if r is None else next(results) for r in requests))
@@ -268,36 +286,50 @@ def _answers(asks) -> list[_Answer]:
     ]
 
 
-def _restricted(fits, members, spec, seeds):
-    """``fits, members, spec, usable, variance, requests`` of one ask over a
-    stack: its checked members, which are usable in each table, their
-    (corrected) variances, and each table's request for their quantile
-    (``None`` when no member is usable)."""
+def _check(members: tuple[int, ...], n_targets: int) -> None:
+    """Raise :class:`DimensionMismatchError` unless ``members`` is a non-empty
+    set of distinct indices into ``n_targets`` targets."""
     if not members:
         raise DimensionMismatchError("a target set must not be empty")
-    if not all(0 <= i < len(fits.targets) for i in members):
-        raise DimensionMismatchError(f"target set {members} out of range for {len(fits.targets)} targets")
+    if not all(0 <= i < n_targets for i in members):
+        raise DimensionMismatchError(f"target set {members} out of range for {n_targets} targets")
     if len(set(members)) < len(members):
         raise DimensionMismatchError(f"target set {members} repeats a target")
-    idx = np.array(members, dtype=np.intp)
-    v = fits.v[:, idx[:, np.newaxis], idx]
+
+
+def _restricted(group):
+    """``fits, members, spec, usable, variance, requests`` of each checked
+    ask of ``group``, ``A`` asks of one fit, one spec and ``k`` members each:
+    which members are usable in each table, their (corrected) variances,
+    and each table's request for their quantile (``None`` when no member
+    is usable).  The fit's ``(B, K, K)`` covariance is gathered into one
+    ``(B, A, k, k)`` stack, which is corrected, masked, scaled and
+    normalised at once."""
+    fits, _, spec, _ = group[0]
+    idx = np.array([members for _, members, _, _ in group], dtype=np.intp)  # (A, k)
+    v = fits.v[:, idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     if spec.choice == CHOICE_CORRECTED:
         v = correct(v, spec.alpha, fits.gradients[:, idx], fits.n)
-    variance = np.diagonal(v, axis1=1, axis2=2)
+    variance = np.diagonal(v, axis1=2, axis2=3)  # (B, A, k)
     usable = ~fits.failed[:, idx] & (variance > 0.0)
     if spec.mode == "joint":
         scale = np.sqrt(np.where(usable, variance, 1.0))
-        corr = _normalised(v / (scale[:, :, np.newaxis] * scale[:, np.newaxis, :]))
-    requests = [None] * len(usable)
-    for b in np.flatnonzero(usable.any(axis=1)).tolist():
-        if spec.mode == "individual":
-            matrix = _UNIT
-        elif usable[b].all():
-            matrix = CorrelationMatrix._trusted(corr[b])
-        else:
-            matrix = CorrelationMatrix._trusted(corr[b][np.ix_(usable[b], usable[b])])
-        requests[b] = QuantileRequest(spec.alpha, matrix, spec.draws, seeds[b])
-    return fits, members, spec, usable, np.where(usable, variance, np.nan), requests
+        corr = _normalised(v / (scale[..., :, np.newaxis] * scale[..., np.newaxis, :]))
+    masked = np.where(usable, variance, np.nan)
+    parts = []
+    for a, (_, members, _, seeds) in enumerate(group):
+        ask = usable[:, a]
+        requests = [None] * len(ask)
+        for b in np.flatnonzero(ask.any(axis=1)).tolist():
+            if spec.mode == "individual":
+                matrix = _UNIT
+            elif ask[b].all():
+                matrix = CorrelationMatrix._trusted(corr[b, a])
+            else:
+                matrix = CorrelationMatrix._trusted(corr[b, a][np.ix_(ask[b], ask[b])])
+            requests[b] = QuantileRequest(spec.alpha, matrix, spec.draws, seeds[b])
+        parts.append((fits, members, spec, ask, masked[:, a], requests))
+    return parts
 
 
 def _answered(fits, members, spec, usable, variance, results) -> _Answer:

@@ -12,8 +12,8 @@ Regenerate every file from the root of a checkout with::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-A change that moves a stream or the estimator reruns it and says which
-values moved, and by how much.
+A change that moves a stream or the estimator reruns it; ``git diff
+tests/golden`` then shows which values moved, and by how much.
 """
 
 from __future__ import annotations

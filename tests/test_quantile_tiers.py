@@ -129,6 +129,91 @@ def test_a_subnormal_alpha_bounds_q_by_its_rounding():
         assert exact(1.5e-323, rho).mc_stderr > 0.1
 
 
+@pytest.mark.parametrize("nodes", [24, 48])
+def test_the_panel_nodes_are_exact_negated_mirrors(nodes):
+    x_q, x_edge, w_q, w_edge = quantiles._panels(nodes)
+    m = 3 * nodes  # the panel nodes; node m is the slope node at x = q
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    assert np.array_equal(x_q[nodes : 2 * nodes], t)  # symmetrising moved no Legendre point
+    assert np.array_equal(w_q[nodes : 2 * nodes], w / (2.0 * math.sqrt(2.0 * math.pi)))
+    assert (x_q[m], x_edge[m], w_q[m], w_edge[m]) == (1.0, 0.0, 0.0, 0.0)
+    for x in (x_q, x_edge):
+        assert same_bits(x[m - 1 :: -1], -x[:m])
+    q = np.array([1.5, 2.0, 2.2414, 3.7, 10.0, 30.0])[:, np.newaxis]
+    for edge in (q, 0.37 * q, np.full_like(q, 1e-4)):
+        x = q * x_q + edge * x_edge
+        # equal as numbers: where edge = q the middle panel is all zeros, +0 on
+        # both sides, and q - r * 0 is q whatever the zero's sign
+        assert np.array_equal(x[:, m - 1 :: -1], -x[:, :m])
+        assert same_bits(np.abs(x[:, m - 1 :: -1]), np.abs(x[:, :m]))
+
+
+def two_sided_box_miss(q, r, s, nodes):
+    """``quantiles._box_miss`` as it was before it took each tail once: both
+    erfc terms at every node, and ``erfc(q / sqrt 2)`` on its own."""
+    x_q, x_edge, w_q, w_edge = quantiles._panels(nodes)
+    q_, edge = q[:, np.newaxis], np.minimum(q, quantiles._END_PANEL * s)[:, np.newaxis]
+    x = q_ * x_q + edge * x_edge
+    rx = r[:, np.newaxis] * x
+    tails = quantiles._erfc(np.concatenate([q_ - rx, q_ + rx], axis=1) / (s * quantiles._SQRT2)[:, np.newaxis])
+    twice = tails[:, : x.shape[1]] + tails[:, x.shape[1] :]
+    density = np.exp(-0.5 * x * x)
+    inside = ((q_ * w_q + edge * w_edge) * density * twice).sum(axis=1)
+    slope = density[:, -1] * (2.0 - twice[:, -1]) * (2.0 / quantiles._SQRT_2PI)
+    return quantiles._erfc(q / quantiles._SQRT2) + inside, slope
+
+
+@pytest.mark.parametrize("nodes", [24, 48])
+def test_box_miss_is_the_two_sided_formula_bit_for_bit(nodes):
+    # r = 0 and s = 1 give edge = q up to q = 10; r near 1 gives a thin edge panel
+    rs = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999999, 1.0 - 1e-9, 1.0 - 2.0**-52])
+    qs = np.array([1.5, 1.96, 2.2414, 2.8, 4.0, 7.5, 10.0, 12.0, 20.0, 30.0])
+    r, q = (grid.ravel() for grid in np.meshgrid(rs, qs))
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    s_edge = math.sqrt((1.0 - 0.995) * (1.0 + 0.995))  # and one element at q = _END_PANEL * s
+    r, q, s = np.append(r, 0.995), np.append(q, quantiles._END_PANEL * s_edge), np.append(s, s_edge)
+    assert (np.minimum(q, quantiles._END_PANEL * s) == q).sum() > len(rs)
+    miss, slope = quantiles._box_miss(q, r, s, nodes)
+    want_miss, want_slope = two_sided_box_miss(q, r, s, nodes)
+    assert same_bits(miss, want_miss) and same_bits(slope, want_slope)
+
+
+def full_sort_order_statistics(maxima, alpha):
+    """``quantiles._order_statistics`` as it was, off fully sorted maxima."""
+    maxima = np.sort(maxima)
+    draws = len(maxima)
+    order = min(draws, max(1, math.ceil((1.0 - alpha) * draws)))
+    level = order / draws
+    window = max(1, round(0.005 * draws))
+    lo, hi = max(0, order - 1 - window), min(draws - 1, order - 1 + window)
+    spread = float(maxima[hi] - maxima[lo])
+    if spread <= 0.0:
+        return float(maxima[order - 1]), 0.0
+    return float(maxima[order - 1]), math.sqrt(level * (1.0 - level) / draws) / (((hi - lo) / draws) / spread)
+
+
+@pytest.mark.parametrize("draws", [quantiles.MIN_DRAWS, 1_001, 20_000])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.995, 0.9999999, 1e-9, 0.004])
+@pytest.mark.parametrize("ties", [False, True])
+def test_order_statistics_by_selection_are_those_of_a_full_sort(draws, alpha, ties):
+    # alpha 0.9999999 gives order = 1, 1e-9 order = draws (so hi is clipped),
+    # and 0.995 lo = 0; tied maxima have a zero spread in places
+    maxima = np.abs(np.random.default_rng(draws).standard_normal(draws)) + 1.0
+    if ties:
+        maxima = np.round(maxima, 1)
+    want = full_sort_order_statistics(maxima, alpha)
+    got = maxima.copy()
+    assert quantiles._order_statistics(got, alpha) == want
+    assert same_bits(np.sort(got), np.sort(maxima))  # reordered in place, no value lost
+    if ties and alpha == 0.9999999:
+        assert want[1] == 0.0
+
+
+def same_bits(a, b):
+    """Equal shapes and dtypes, and the same bits in every entry."""
+    return (a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes()
+
+
 def test_monte_carlo_tier_keeps_its_random_streams():
     """The ``(dim, draws)`` layout draws the same normals from the same
     substreams as the ``(draws, dim)`` reference below."""

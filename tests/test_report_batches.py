@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfci import simulation
-from perfci.covariance import _cross_products, _fit, estimate_targets
+from perfci import intervals, simulation
+from perfci.covariance import _cross_products, _fit, correct, estimate_targets
 from perfci.dataset import BinaryDataset, make_joint_sets, make_targets
 from perfci.errors import DimensionMismatchError
 from perfci.intervals import IntervalSpec, set_report, set_reports
 from perfci.measures import builtin_measures
+from perfci.quantiles import two_sided_quantile
 from perfci.simulation import (
     CoverageConfig,
     CoverageDiagnostics,
@@ -99,6 +100,57 @@ def test_a_batch_mixes_fits_of_different_targets():
     assert [(r.rule_id, r.measure_id) for r in reports[2].rows] == [
         (targets[i].rule_id, targets[i].measure_id) for i in (5, 4, 3)
     ]
+
+
+def test_asks_of_one_shape_are_corrected_as_one_stack_and_answered_as_alone(monkeypatch):
+    rng = np.random.default_rng(3)
+    tables = [
+        BinaryDataset.from_arrays(rng.integers(0, 2, 80), {r: rng.integers(0, 2, 80) for r in ("r0", "r1", "r2")})
+        for _ in range(2)
+    ]
+    targets = make_targets(("r0", "r1", "r2", "gone"), ("accuracy", "f1", "jaccard"))
+    gone = [t.rule_id for t in targets].index("gone")
+    one, two = (estimate_targets(table, targets) for table in tables)
+    joint, triple = IntervalSpec(), IntervalSpec(draws=1_000, seed=7)
+    batch = [
+        (one, [0, 1], joint),
+        (two, [0, 1], IntervalSpec()),  # an equal spec of another fit: its own stack
+        (one, [4, 3], IntervalSpec()),
+        (one, [0, 1], joint),  # a repeated member list
+        (one, [gone, 2], joint),  # a failed member: the pair has one usable member
+        (one, [0, 1, 2], triple),
+        (one, [5, 7, 6], triple),
+        (one, [3], joint),
+        (one, [0, 1], IntervalSpec(choice=1)),
+        (one, [2, 5], IntervalSpec(mode="individual")),
+        (two, [2, 6, 8], triple),
+        (one, [8], IntervalSpec(mode="individual", choice=1)),
+        (one, [gone, gone + 1], joint),  # no usable member
+        (two, [7, 2], IntervalSpec()),
+    ]
+    alone = [set_report(fit, members, spec) for fit, members, spec in batch]
+    stacks = []
+    monkeypatch.setattr(intervals, "correct", lambda v, *rest: stacks.append(v.shape) or correct(v, *rest))
+    reports = set_reports(batch)
+    assert reports == alone
+    assert [r.quantile_method for r in reports] == [
+        "bivariate", "bivariate", "bivariate", "bivariate", "normal", "monte_carlo", "monte_carlo",
+        "normal", "bivariate", "normal", "monte_carlo", "normal", None, "bivariate",
+    ]
+    # one correction per (fit, spec, member count) group, in the order groups first appear
+    assert stacks == [(1, 5, 2, 2), (1, 2, 2, 2), (1, 2, 3, 3), (1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 3, 3)]
+
+
+def test_a_batch_raises_for_its_first_bad_ask():
+    fit = estimate_targets(_two_rules(), make_targets(("r0", "r1"), ("accuracy", "f1")))
+    spec = IntervalSpec()
+    for batch, message in [
+        ([(fit, [0, 1], spec), (fit, [1, 1], spec), (fit, [9], spec)], "repeats a target"),
+        ([(fit, [0, 1], spec), (fit, [0, 9], spec), (fit, [], spec)], "out of range"),
+        ([(fit, [2], spec), (fit, [], spec), (fit, [3, 3], spec)], "must not be empty"),
+    ]:
+        with pytest.raises(DimensionMismatchError, match=message):
+            set_reports(batch)
 
 
 def test_a_report_refuses_a_fit_of_two_tables():
@@ -188,8 +240,11 @@ def test_run_coverage_matches_one_set_report_per_replication_and_set():
         draws=1_000,
         seed=5,
     )
+    # per-rule pairs: each block's three pair sets are one stack, answered by one solve
+    pairs = replace(mixture, measure_ids=("f_beta(0.5)", "accuracy"), seed=6)
     labels = {stress: {"set0", "all"}, mixture: {"threshold(0.3)", "one_nn", "threshold(inf)", "all"}}
-    for config in (stress, mixture):
+    labels[pairs] = labels[mixture]
+    for config in (stress, mixture, pairs):
         for choice in (1, 2):
             got = run_coverage(replace(config, choice=choice))
             want = per_replication_coverage(replace(config, choice=choice))
@@ -204,6 +259,12 @@ def test_run_coverage_matches_one_set_report_per_replication_and_set():
             if choice == 1:
                 assert np.isnan(g.individual_half[:, 0]).any()
             assert np.isnan(g.estimates).any() == (config is mixture)  # the domain rows
+            if config is pairs:
+                # under choice 1 a pair has two, one or no usable members in some
+                # replications: an exact pair, the normal quantile, no quantile
+                q, z = g.joint_q["threshold(0.3)"], two_sided_quantile(config.alpha)
+                seen = [bool((q > z).any()), bool((q == z).any()), bool(np.isnan(q).any())]
+                assert seen == ([True, True, True] if choice == 1 else [True, False, False])
 
 
 def same_bits(a, b):
