@@ -57,6 +57,12 @@ def write_inputs(folder: Path) -> None:
     (folder / "tiny.csv").write_text(TINY)
     _save(folder / "wide.csv", _ruled(2000, 40, seed=1), "%d")
     _save(folder / "float.csv", _ruled(500, 4, seed=2), "%.1f")  # "0.0"/"1.0" cells, read by csv.reader
+    # 25 columns, past the one-bin-per-row cap, in chunks of 2,621 csv.reader rows
+    _save(folder / "float24.csv", _ruled(6000, 24, seed=3), "%.1f")
+    (folder / "zeros.csv").write_text("z,a\n1,0\n0,0\n1,0\n0,0\n")
+    # a rare-positive population: its zero-overlap samples have singular rows
+    rows = ["1,1"] + ["1,0"] * 39 + ["0,1"] * 4 + ["0,0"] * 356
+    (folder / "population.csv").write_text("z,weak\n" + "\n".join(rows) + "\n")
 
 
 # name -> arguments after ``perfci``; "{dir}" is the input directory
@@ -66,6 +72,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "analyze_wide_per_rule": ("analyze", "{dir}/wide.csv", "--format", "json", "--joint", "per-rule"),
     "analyze_wide_none": ("analyze", "{dir}/wide.csv", "--format", "json", "--joint", "none", "--measures", NINE),
     "analyze_wide_per_rule_all": ("analyze", "{dir}/wide.csv", "--format", "json", "--joint", "per-rule,all"),
+    "analyze_float24": ("analyze", "{dir}/float24.csv", "--format", "json", "--joint", "per-rule;0,10,20,30"),
+    # a rule of all zeros: the f1 variance is singular under choice 1, so the set has
+    # no quantile and the run exits 1 with a null q
+    "analyze_zeros": ("analyze", "{dir}/zeros.csv", "--format", "json", "--choice", "1", "--measures", "f1", "--joint", "0"),
     "quantile_dim2": ("quantile", "--dim", "2", "--format", "json"),
     "quantile_pair": ("quantile", "--corr", "1,0.6;0.6,1", "--format", "json"),
     "quantile_dim3": ("quantile", "--dim", "3", "--format", "json"),
@@ -73,6 +83,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "quantile_dim30": ("quantile", "--dim", "30", "--format", "json"),
     "coverage_mixture_choice1": MIXTURE + ("--format", "json", "--choice", "1"),
     "coverage_mixture_choice2": MIXTURE + ("--format", "json", "--choice", "2"),
+    "coverage_bootstrap": (
+        "coverage", "--process", "bootstrap", "--population", "{dir}/population.csv", "--rules", "weak",
+        "--measures", "f_beta(0.5),accuracy", "--n", "300", "--replications", "150", "--draws", "1000",
+        "--joint", "0,1", "--format", "json",
+    ),
 }
 
 
