@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -124,9 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parse leaves the parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return _analyze_cmd(args)

@@ -8,10 +8,11 @@ indicator columns ``Z*A_r``, ``A_r`` and ``Z``, and row ``k`` of ``G``
 holds target ``k``'s gradient in its rule's three columns.  Dividing by
 ``n`` gives standard errors.
 
-:func:`estimate_targets` reads only the counts of the ``m`` distinct
-``(z, a_1..a_R)`` rows: integer sums ``s`` over them give each moment triple
-as ``s / n`` and, with the cross-products, ``S`` exact up to one division, in
-``O(m R + K R)`` memory for ``K`` targets.  Every fit is a
+:func:`estimate_targets` reads only the table's ``C``, the integer
+cross-products of the indicator columns that :mod:`perfci.dataset` folds
+every table into: its diagonal ``s`` gives each moment triple as ``s / n``
+and, with the rest of ``C``, ``S`` exact up to one division, in ``O(R^2 +
+K R)`` memory for ``K`` targets.  Every fit is a
 :class:`TargetEstimates`: a stack of ``B`` tables, fitted at once from
 their cross-products as one ``(B, 2R + 1, 2R + 1)`` array, with every
 estimate, gradient and ``V`` on the same leading table axis, each measure
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset, EvaluationTarget
+from .dataset import BinaryDataset, EvaluationTarget, _moment_columns
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -82,8 +83,6 @@ __all__ = [
 
 # relative spread below which a target's influence values count as constant
 _ZERO_SNAP = 1e-12
-# bytes a fit's two float matrices of indicator rows take, summed a chunk at a time
-_FIT_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,29 +121,11 @@ def estimate_targets(
     targets: Sequence[EvaluationTarget],
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
-    """Estimates, gradients and plug-in covariance of ``targets`` from one
-    read of the row counts: the table as a stack of one (:func:`_cross_products`
-    and :func:`_fit`).  ``UnknownMeasureError``, ``UnknownRuleError`` and
-    ``DomainError`` fail one target, not the others."""
-    patterns, counts = data.row_counts()
-    return _fit(_cross_products(patterns, counts[np.newaxis]), data.n, data.rule_ids, targets, catalog)
-
-
-def _cross_products(patterns: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ``(B, 2R + 1, 2R + 1)`` int64 cross-products ``C`` of the indicator
-    columns ``z*a_1..z*a_R, a_1..a_R, z`` of ``B`` tables, from the ``(m, 1 +
-    R)`` 0/1 ``patterns`` and their ``(B, m)`` counts, one row per table.
-    They are summed over chunks of the patterns, so the float matrices take
-    at most about ``_FIT_BYTES``."""
-    width = 2 * patterns.shape[1] - 1
-    c = np.zeros((len(counts), width, width), np.int64)
-    step = max(1, _FIT_BYTES // (8 * (len(counts) + 1) * width))
-    for start in range(0, len(patterns), step):
-        z, a = patterns[start : start + step, :1], patterns[start : start + step, 1:]
-        x = np.hstack([z & a, a, z]).astype(float)
-        # 0/1 products weighted by counts: the float sums are exact below 2**53
-        c += ((x * counts[:, start : start + step, np.newaxis]).transpose(0, 2, 1) @ x).astype(np.int64)
-    return c
+    """Estimates, gradients and plug-in covariance of ``targets`` from the
+    table's cross-products ``C``: the table as a stack of one (:func:`_fit`).
+    ``UnknownMeasureError``, ``UnknownRuleError`` and ``DomainError`` fail
+    one target, not the others."""
+    return _fit(data._cross_products()[np.newaxis], data.n, data.rule_ids, targets, catalog)
 
 
 def _fit(
@@ -155,7 +136,7 @@ def _fit(
     catalog: MeasureCatalog | None = None,
 ) -> TargetEstimates:
     """The fits of the ``B`` tables of ``n`` rows whose cross-products are
-    ``c`` (:func:`_cross_products`).  With ``s`` the diagonal of a table's
+    ``c`` (:func:`~perfci.dataset._fold`).  With ``s`` the diagonal of a table's
     ``C``, each moment triple is ``s / n``, and ``n (n - 1) S = n C - s s^T``
     is exact: in int64 while ``n * n`` fits it, else in Python ints.  Each
     measure is evaluated, with its gradient, once over the moments of all
@@ -187,8 +168,8 @@ def _fit(
     estimates = np.full((n_tables, n_targets), np.nan)
     d = np.zeros((n_tables, n_targets, 3))
     for measure, positions in by_measure.values():
-        r = rules[positions]
-        m = _Moments(moments[:, r], moments[:, n_rules + r], np.repeat(moments[:, -1:], len(r), axis=1))
+        za, a, z = _moment_columns(rules[positions], n_rules)
+        m = _Moments(moments[:, za], moments[:, a], np.repeat(moments[:, z, np.newaxis], len(za), axis=1))
         value, grad = measure.evaluate(m), measure.gradient(m)
         for b, k in np.argwhere(np.isnan(value) | np.isnan(grad).any(axis=-1)).tolist():
             triple = MomentTriple(m.m_za[b, k], m.m_a[b, k], m.m_z[b, k])
@@ -201,14 +182,15 @@ def _fit(
         estimates[:, positions], d[:, positions] = value, grad
 
     k = np.arange(n_targets)
-    g = np.zeros((n_tables, n_targets, 2 * n_rules + 1))
-    g[:, k, rules], g[:, k, n_rules + rules], g[:, :, -1] = d[..., 0], d[..., 1], d[..., 2]
+    za, a, z = _moment_columns(rules, n_rules)
+    g = np.zeros((n_tables, n_targets, c.shape[-1]))
+    g[:, k, za], g[:, k, a], g[:, :, z] = d[..., 0], d[..., 1], d[..., 2]
     exact = c.astype(np.int64 if n * n < 1 << 63 else object)
     s_exact = np.diagonal(exact, axis1=1, axis2=2)
     scatter = (n * exact - s_exact[:, :, np.newaxis] * s_exact[:, np.newaxis, :]).astype(float)
     v = g @ scatter @ g.transpose(0, 2, 1) / (n * (n - 1.0))
     # influence values on the (z, a) cells 00, 01, 10, 11, NaN where one does not occur
-    n_za, n_a, n_z = s[:, rules], s[:, n_rules + rules], s[:, -1:]
+    n_za, n_a, n_z = s[:, za], s[:, a], s[:, z, np.newaxis]
     occur = np.stack([n - n_a - n_z + n_za, n_a - n_za, n_z - n_za, n_za], axis=-1) > 0
     cells = np.stack([np.zeros_like(n_za, float), d[..., 1], d[..., 2], d[..., 0] + d[..., 1] + d[..., 2]], axis=-1)
     return TargetEstimates(

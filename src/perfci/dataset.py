@@ -3,8 +3,7 @@
 The estimator consumes one table per evaluation: a ground-truth column
 ``z`` plus one 0/1 column per classification rule, all of common length
 ``n``.  Point estimates of the moment triple are the column means, so
-everything downstream is a smooth function of a few sample averages, and
-the counts of the distinct ``(z, a_1..a_R)`` rows hold all of it.
+everything downstream is a smooth function of a few sample averages.
 
 The CSV layout (shared with the command line) is a header row naming
 ``z`` and the rules, then one 0/1 row per observation.  A cell of a CSV
@@ -17,9 +16,15 @@ layout (see :func:`_canonical_blocks`) as a byte matrix and from any other
 input as chunks of ``csv.reader`` rows, with the result and every error of
 ``validate_table(header, csv.reader(stream))``.  Each block is folded in
 at once: :func:`read_csv` stacks the rows, and :func:`read_counts` adds
-them into the counts-only form of :class:`BinaryDataset` (see
-:meth:`BinaryDataset.from_counts`), which ``perfci analyze`` fits, so its
-memory is one block plus the counts on any input.
+them into the counts-only form of :class:`BinaryDataset`, which
+``perfci analyze`` fits, so its memory is one block plus ``C`` on any input.
+
+Every moment triple and the covariance of the fit are functions of ``C``,
+the ``(2R + 1, 2R + 1)`` integer cross-products of the indicator columns
+``z*a_1..z*a_R, a_1..a_R, z`` (:func:`_indicators`), so ``C`` with ``n``
+and the rule ids is the whole state of a dataset the fit reads.  Every
+table reaches it through one fold (:func:`_fold`): rows in one bin per
+possible row while those bins are few, else straight into ``C``.
 """
 
 from __future__ import annotations
@@ -139,20 +144,21 @@ class BinaryDataset:
     Use :meth:`from_arrays`, :func:`validate_table` or :func:`read_csv`
     to construct; the raw constructor trusts its inputs.
     :meth:`from_counts` and :func:`read_counts` build the counts-only
-    form, which holds the counts of the distinct rows and not the rows:
-    it has ``n``, ``rule_ids`` and :meth:`row_counts`, which is all
-    :func:`~perfci.covariance.estimate_targets` reads, but ``z`` and
-    :meth:`rule` raise :class:`~perfci.errors.DatasetError`.
+    form, which holds ``n``, ``rule_ids`` and the cross-products ``C`` of
+    the table's indicator columns (see :func:`_fold`), not its rows: that
+    is all :func:`~perfci.covariance.estimate_targets` reads, and ``z``
+    and :meth:`rule` raise :class:`~perfci.errors.DatasetError`.  A rows
+    dataset computes its ``C`` once, when first asked.
     """
 
-    __slots__ = ("_z", "_rules", "_rule_ids", "_n", "_row_counts")
+    __slots__ = ("_z", "_rules", "_rule_ids", "_n", "_c")
 
     def __init__(self, z: np.ndarray, rules: dict[str, np.ndarray]):
         self._z = z
         self._rules = rules
         self._rule_ids = tuple(rules)
         self._n = int(z.shape[0])
-        self._row_counts: tuple[np.ndarray, np.ndarray] | None = None
+        self._c: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -198,10 +204,11 @@ class BinaryDataset:
         ``patterns`` is an ``(m, 1 + R)`` array of 0/1 rows, ``z`` first and
         then the rules in ``rule_ids`` order, and ``counts`` the ``(m,)``
         non-negative integers that say how often each row occurs; ``n`` is
-        their sum.  Repeated patterns are added up and zero counts dropped,
-        so :meth:`row_counts` is that of the table the counts describe.  A
-        pattern's cells follow the cell rule of :meth:`from_arrays`, and a
-        bad one is reported at its pattern's row.
+        their sum.  Each pattern adds its count times its indicator
+        products into ``C``, so repeated patterns simply add up, and the
+        result is that of the table the counts describe.  A pattern's cells
+        follow the cell rule of :meth:`from_arrays`, and a bad one is
+        reported at its pattern's row.
         """
         rule_ids = tuple(rule_ids)
         check_rule_ids(rule_ids)
@@ -223,18 +230,16 @@ class BinaryDataset:
             raise TooFewRowsError(n)
         if n >= 2**53:
             raise DatasetError(f"n = {n} is not below 2**53, where the fit's sums are exact")
-        seen = counts > 0
-        keys, counts = _merged((_row_keys([c[seen] for c in columns], 0), counts[seen].astype(np.int64)))
-        return cls._trusted_counts(rule_ids, _key_rows(keys, len(columns)), counts)
+        return cls._trusted_counts(rule_ids, n, _cross_products(columns, counts[np.newaxis])[0])
 
     @classmethod
-    def _trusted_counts(cls, rule_ids, patterns: np.ndarray, counts: np.ndarray) -> "BinaryDataset":
-        """The counts-only dataset of ``row_counts()`` ``(patterns, counts)``, trusted."""
+    def _trusted_counts(cls, rule_ids, n: int, c: np.ndarray) -> "BinaryDataset":
+        """The counts-only dataset of ``n`` rows whose cross-products are ``c``, trusted."""
         data = cls.__new__(cls)
         data._z = data._rules = None
         data._rule_ids = tuple(rule_ids)
-        data._n = int(counts.sum())
-        data._row_counts = (patterns, counts)
+        data._n = n
+        data._c = c
         return data
 
     # -- basic accessors ---------------------------------------------------
@@ -260,15 +265,11 @@ class BinaryDataset:
             raise _counts_only(f"rule {rule_id!r}")
         return self._rules[rule_id]
 
-    def row_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(m, 1 + R)`` distinct rows (``z`` first, then rules in
-        ``rule_ids`` order) as ``uint8``, in lexicographic order, and their
-        ``(m,)`` ``int64`` counts, cached.  The row order does not depend on
-        the order of the table.
-        """
-        if self._row_counts is None:
-            self._row_counts = _distinct_rows((self._z, *self._rules.values()))
-        return self._row_counts
+    def _cross_products(self) -> np.ndarray:
+        """The ``(2R + 1, 2R + 1)`` int64 ``C`` of the table (see :func:`_fold`), cached."""
+        if self._c is None:
+            self._c = _fold([(self._z, *self._rules.values())], 1 + len(self._rules), self._n, 0)[1]
+        return self._c
 
     def __repr__(self) -> str:
         return f"BinaryDataset(n={self.n}, rules={list(self._rule_ids)})"
@@ -276,30 +277,28 @@ class BinaryDataset:
 
 def _counts_only(column: str) -> DatasetError:
     return DatasetError(
-        f"this dataset holds counts only, not the column {column}; use row_counts()"
+        f"this dataset holds counts only, not the column {column}; "
+        "read the table with read_csv to keep its rows"
     )
-
-
-def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of equal-length 0/1 ``columns``, in lexicographic
-    order, and how many times each occurs."""
-    return _count_rows([columns], len(columns), len(columns[0]), 0)
 
 
 # the most bins, one per possible row, that rows are counted in
 _MAX_BINS = 1 << 20
+# bytes of the float matrices of indicator rows that one product takes
+_FIT_BYTES = 1 << 20
 
 
-def _count_rows(blocks, width: int, n: int | None, zero: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``blocks``, each a list of ``width`` equal-length
-    columns whose cells are ``zero`` or ``zero + 1``, as uint8 rows of 0/1 in
-    lexicographic order, and their int64 counts.  While the ``2**width``
-    possible rows fit in ``min(_MAX_BINS, 2 n)`` bins, for about ``n`` rows,
-    each row's code goes into its bin; else, and when ``n`` is None (not
-    known), each block's distinct rows are merged into sorted runs.  Both
-    give the same counts.  Memory is one block's codes plus the bins and
-    fewer than ``bins / 2`` codes of earlier blocks, or plus at most twice
-    the distinct rows."""
+def _fold(blocks, width: int, n: int | None, zero: int) -> tuple[int, np.ndarray]:
+    """The row count and the int64 cross-products ``C`` of the rows of
+    ``blocks``, each a sequence of ``width`` equal-length columns, ``z``
+    first, whose cells are ``zero`` or ``zero + 1``.  While the ``2**width``
+    possible rows fit in ``min(_MAX_BINS, 2 n)`` bins, for about ``n`` rows
+    (None where it is not known), each row's code goes into its bin and
+    ``C`` is :func:`_cross_products` of the bins; else every block is added
+    into ``C`` as float32 products ``x^T x`` of its :func:`_indicators`,
+    which are exact as each holds fewer than ``2**24`` rows.  Memory is one
+    block's codes plus the bins and fewer than ``bins / 2`` codes of
+    earlier blocks, or one block plus ``_FIT_BYTES``."""
     bins = 1 << width
     if n is not None and bins <= min(_MAX_BINS, 2 * n):
         dtype = np.min_scalar_type(bins - 1)
@@ -315,40 +314,70 @@ def _count_rows(blocks, width: int, n: int | None, zero: int) -> tuple[np.ndarra
                 batch, rows = [], 0
         if batch:
             counts += np.bincount(np.concatenate(batch), minlength=bins)
-        keys = np.flatnonzero(counts).astype(np.uint64)
-        counts = counts[keys]
-        keys <<= np.uint64(64 - width)
-    else:
-        # each run shorter than the one before: a row is merged about
-        # log2(m) times, and the runs hold at most 2m rows
-        runs = []
-        for columns in blocks:
-            runs.append(np.unique(_row_keys(columns, zero), return_counts=True))
-            while len(runs) > 1 and len(runs[-2][0]) <= len(runs[-1][0]):
-                runs[-2:] = [_merged(*runs[-2:])]
-        if not runs:  # no rows
-            runs.append((np.zeros(0, np.uint64), np.zeros(0, np.int64)))
-        keys, counts = runs[0] if len(runs) == 1 else _merged(*runs)
-    return _key_rows(keys, width), counts
+        seen = np.flatnonzero(counts)
+        return int(counts.sum()), _cross_products(_code_columns(seen, width), counts[seen][np.newaxis])[0]
+    c = np.zeros((2 * width - 1, 2 * width - 1), np.int64)
+    rows, step = 0, max(1, _FIT_BYTES // (4 * (2 * width - 1)))
+    for columns in blocks:
+        for start in range(0, len(columns[0]), step):
+            x = _indicators([column[start : start + step] for column in columns], zero, np.float32)
+            c += (x.T @ x).astype(np.int64)
+            rows += len(x)
+    return rows, c
 
 
-def _table_counts(tables) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The row counts of ``B`` tables of ``n`` rows each, every table a
-    list of its ``1 + R`` 0/1 columns, ``z`` first, as ``(patterns,
-    counts)`` pairs: ``(m, 1 + R)`` rows and their counts in each of the
-    pair's tables, one row of ``counts`` per table, the tables in order.
+def _indicators(columns, zero: int, dtype) -> np.ndarray:
+    """The ``(rows, 2R + 1)`` indicator rows ``z*a_1..z*a_R, a_1..a_R, z``,
+    the layout of ``C``, of ``1 + R`` columns, ``z`` first, whose cells are
+    ``zero`` or ``zero + 1``, as ``dtype``."""
+    rules = len(columns) - 1
+    x = np.empty((len(columns[0]), 2 * rules + 1), dtype)
+    x[:, rules : 2 * rules] = np.transpose(columns[1:])
+    x[:, 2 * rules] = columns[0]
+    if zero:
+        x[:, rules:] -= zero
+    np.multiply(x[:, rules : 2 * rules], x[:, 2 * rules :], out=x[:, :rules])
+    return x
+
+
+def _moment_columns(rules, n_rules: int):
+    """The columns of ``C`` (see :func:`_indicators`) that hold ``z*a_r``,
+    ``a_r`` and ``z`` for the rule positions ``rules``, an int or an array,
+    of ``n_rules`` rules."""
+    return rules, n_rules + rules, 2 * n_rules
+
+
+def _cross_products(columns, counts: np.ndarray) -> np.ndarray:
+    """The ``(B, 2R + 1, 2R + 1)`` int64 cross-products ``C`` of ``B`` tables
+    of the ``m`` 0/1 rows of ``1 + R`` ``columns``, ``z`` first, where row
+    ``i`` occurs ``counts[b, i]`` times in table ``b``.  They are summed
+    over chunks of the rows, so the float matrices take at most about
+    ``_FIT_BYTES``."""
+    width = 2 * len(columns) - 1
+    c = np.zeros((len(counts), width, width), np.int64)
+    step = max(1, _FIT_BYTES // (8 * (len(counts) + 1) * width))
+    for start in range(0, len(columns[0]), step):
+        x = _indicators([column[start : start + step] for column in columns], 0, float)
+        # 0/1 products weighted by counts: the float sums are exact below 2**53
+        c += ((x * counts[:, start : start + step, np.newaxis]).transpose(0, 2, 1) @ x).astype(np.int64)
+    return c
+
+
+def _table_cross_products(tables) -> np.ndarray:
+    """The ``(B, 2R + 1, 2R + 1)`` cross-products of ``B`` tables of ``n``
+    rows each, every table a list of its ``1 + R`` 0/1 columns, ``z`` first.
     While the ``B * 2**(1 + R)`` possible (table, row) pairs fit in
-    ``min(_MAX_BINS, 2 B n)`` bins, as in :func:`_count_rows`, one
-    ``np.bincount`` counts the whole stack into one pair of every possible
-    row; else each table's distinct rows are counted alone, a pair each."""
+    ``min(_MAX_BINS, 2 B n)`` bins, as in :func:`_fold`, one
+    ``np.bincount`` counts the whole stack into one bin per pair; else
+    each table is folded alone."""
     width, rows = len(tables[0]), len(tables[0][0])
     bins = len(tables) << width
     if bins > min(_MAX_BINS, 2 * len(tables) * rows):
-        return [(patterns, counts[np.newaxis]) for patterns, counts in map(_distinct_rows, tables)]
+        return np.stack([_fold([table], width, rows, 0)[1] for table in tables])
     codes = _row_codes([np.concatenate(column) for column in zip(*tables)], np.intp, 0)
     codes += np.repeat(np.arange(len(tables)) << width, rows)
-    every = np.arange(1 << width, dtype=np.uint64) << np.uint64(64 - width)
-    return [(_key_rows(every, width), np.bincount(codes, minlength=bins).reshape(len(tables), -1))]
+    counts = np.bincount(codes, minlength=bins).reshape(len(tables), -1)
+    return _cross_products(_code_columns(np.arange(1 << width), width), counts)
 
 
 def _row_codes(columns, dtype, zero: int) -> np.ndarray:
@@ -364,36 +393,10 @@ def _row_codes(columns, dtype, zero: int) -> np.ndarray:
     return code
 
 
-def _row_keys(columns, zero: int) -> np.ndarray:
-    """One key per row of ``columns`` whose order is the rows' lexicographic
-    order: the :func:`_row_codes` bits in the highest bits of 64-bit words;
-    a ``uint64`` for up to 64 columns, else a void of the words in
-    big-endian byte order."""
-    words = []
-    for i in range(0, len(columns), 64):
-        part = columns[i : i + 64]
-        words.append(_row_codes(part, np.uint64, zero) << np.uint64(64 - len(part)))
-    if len(words) == 1:
-        return words[0]
-    return np.column_stack(words).astype(">u8").view(np.dtype((np.void, 8 * len(words))))[:, 0]
-
-
-def _key_rows(keys: np.ndarray, width: int) -> np.ndarray:
-    """The ``(m, width)`` rows of :func:`_row_keys` ``keys``."""
-    words = keys.astype(">u8") if keys.dtype == np.uint64 else keys
-    return np.unpackbits(words.view(np.uint8).reshape(len(keys), words.itemsize), axis=1, count=width)
-
-
-def _merged(*runs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys of ``(keys, counts)`` runs, sorted, and the sum of
-    the counts of each."""
-    keys, counts = (np.concatenate(arrays) for arrays in zip(*runs))
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    first = np.ones(len(keys), bool)
-    first[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(counts, first)
+def _code_columns(codes: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` uint8 0/1 columns, as one ``(width, m)`` array, of the
+    rows whose :func:`_row_codes` are ``codes``."""
+    return (codes >> np.arange(width - 1, -1, -1)[:, np.newaxis] & 1).astype(np.uint8)
 
 
 def check_rule_ids(rule_ids: Iterable[str]) -> None:
@@ -548,13 +551,13 @@ def _stacked(names: list[str], n, zero: int, blocks) -> BinaryDataset:
 
 
 def _counted(names: list[str], n, zero: int, blocks) -> BinaryDataset:
-    """The counts-only dataset of a table source's rows, by :func:`_count_rows`
+    """The counts-only dataset of a table source's rows, by :func:`_fold`
     of each block's cells, ``z`` first."""
     order = _z_first(names)
-    patterns, counts = _count_rows(([b[:, j] for j in order] for b in blocks), len(order), n, zero)
-    if (total := int(counts.sum())) < MIN_ROWS:
-        raise TooFewRowsError(total)
-    return BinaryDataset._trusted_counts([names[j] for j in order[1:]], patterns, counts)
+    rows, c = _fold(([b[:, j] for j in order] for b in blocks), len(order), n, zero)
+    if rows < MIN_ROWS:
+        raise TooFewRowsError(rows)
+    return BinaryDataset._trusted_counts([names[j] for j in order[1:]], rows, c)
 
 
 def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
@@ -572,15 +575,13 @@ def read_csv(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
 def read_counts(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     """Read and validate an evaluation table into the counts-only form.
 
-    The result has the ``rule_ids``, ``n`` and :meth:`~BinaryDataset.row_counts`
-    of :func:`read_csv`, and every error is that of :func:`read_csv`.  The
-    table is folded into the counts one block at a time: about
-    ``_BLOCK_CHARS`` bytes of a canonical file, or ``_BLOCK_CHARS // 16``
-    cell strings of any other input, and the block's row codes.  A
-    canonical file's counts take one bin per possible row while there are
-    at most ``min(_MAX_BINS, 2 n)`` (see :func:`_count_rows`), else, as for
-    any other input, the sorted distinct rows, at most ``min(n, 2**width)``.
-    So up to 20 columns its memory does not grow with ``n``.
+    The result has the ``rule_ids``, ``n`` and cross-products of
+    :func:`read_csv`, and every error is that of :func:`read_csv`.  The
+    table is folded into ``C`` one block at a time (see :func:`_fold`):
+    about ``_BLOCK_CHARS`` bytes of a canonical file, or ``_BLOCK_CHARS //
+    16`` cell strings of any other input, with the block's row codes and
+    bins or its indicator rows.  So memory does not grow with ``n`` at any
+    width.
     """
     return _read_table(source, _counted)
 
@@ -676,15 +677,10 @@ def _blocks(fh, row: np.ndarray, end: bytes, lines: int) -> Iterator[np.ndarray]
 
 def compute_moments(data: BinaryDataset, rule_id: str) -> MomentTriple:
     """Plug-in moment triple for one rule: sample means of ZA, A, Z, taken
-    as integer counts over the distinct rows divided by ``n``."""
+    as integer sums, the diagonal of the table's cross-products, divided by
+    ``n``."""
     if rule_id not in data.rule_ids:
         raise UnknownRuleError(rule_id, data.rule_ids)
-    patterns, counts = data.row_counts()
-    z = patterns[:, 0]
-    a = patterns[:, 1 + data.rule_ids.index(rule_id)]
-    n = data.n
-    return MomentTriple(
-        m_za=int(counts @ (z & a)) / n,
-        m_a=int(counts @ a) / n,
-        m_z=int(counts @ z) / n,
-    )
+    s, n = np.diagonal(data._cross_products()).tolist(), data.n
+    za, a, z = _moment_columns(data.rule_ids.index(rule_id), len(data.rule_ids))
+    return MomentTriple(m_za=s[za] / n, m_a=s[a] / n, m_z=s[z] / n)

@@ -107,7 +107,9 @@ class IntervalSpec:
             raise ValueError(f"mode must be 'individual' or 'joint', got {self.mode!r}")
         if self.choice not in (CHOICE_PLUGIN, CHOICE_CORRECTED):
             raise ValueError(f"choice must be 1 or 2, got {self.choice!r}")
-        check_draws_and_seed(self.draws, self.seed)
+        draws, seed = check_draws_and_seed(self.draws, self.seed)
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,8 @@ def analyze(
 ) -> IntervalReport:
     """End-to-end report for a dataset and an ordered target list.
 
-    Pipeline: estimates, gradients and plug-in covariance from the counts
-    of distinct rows (:func:`~perfci.covariance.estimate_targets`), then
+    Pipeline: estimates, gradients and plug-in covariance from the table's
+    cross-products (:func:`~perfci.covariance.estimate_targets`), then
     :func:`set_report` over every target, in order.  Per-target failures
     (unknown ids, domain violations, singular variances) become inline
     error rows; :class:`NoUsableTargetsError` fires only if nothing

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -148,9 +149,19 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``, which refuses a float that
+    ``int`` would truncate; ``ValueError`` naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_draws_and_seed(draws: int, seed: int) -> tuple[int, int]:
-    """``draws`` and ``seed`` as ints; ``ValueError`` unless ``draws >= MIN_DRAWS`` and ``seed >= 0``."""
-    draws, seed = int(draws), int(seed)
+    """``draws`` and ``seed`` as ints (see :func:`_index`); ``ValueError``
+    unless ``draws >= MIN_DRAWS`` and ``seed >= 0``."""
+    draws, seed = _index(draws, "draws"), _index(seed, "seed")
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}, got {draws}")
     if seed < 0:
@@ -334,7 +345,7 @@ class QuantileRequest:
     def __post_init__(self):
         alpha = check_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        draws = int(self.draws)
+        draws = _index(self.draws, "draws")
         shape = np.shape(getattr(self.corr, "values", self.corr))
         if len(shape) == 2 and shape[0] == shape[1]:
             check_budget(shape[0], draws)  # before validation copies the matrix

@@ -12,9 +12,9 @@ Three coverage notions are reported:
 
 :func:`run_coverage` works in blocks of 64 replications.  A block's
 samples are counted together, with one ``np.bincount`` while the block's
-possible (replication, row) pairs are few (else each replication's
-distinct rows are counted alone), and fitted together, as stacked arrays
-(:func:`perfci.covariance._fit`).  Its asks then go to the body that
+possible (replication, row) pairs are few (else each replication is
+folded into its cross-products alone), and fitted together, as stacked
+arrays (:func:`perfci.covariance._fit`).  Its asks then go to the body that
 :func:`perfci.intervals.set_reports` and ``perfci analyze`` use, one set
 at a time over the whole block, and come back as arrays.  So it scores
 the intervals ``analyze`` reports, bit for bit, and holds one block's
@@ -50,16 +50,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import _cross_products, _fit
+from .covariance import _fit
 from .dataset import (
-    BinaryDataset, EvaluationTarget, _table_counts, check_rule_ids, compute_moments,
+    BinaryDataset, EvaluationTarget, _table_cross_products, check_rule_ids, compute_moments,
     make_joint_sets, make_targets,
 )
 from .errors import PerfciError
 from .intervals import IntervalSpec, _answers
 from .measures import MeasureCatalog, MomentTriple, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
-from .quantiles import _seed_sequence, _substream, check_alpha, check_draws_and_seed, norm_cdf
+from .quantiles import _index, _seed_sequence, _substream, check_alpha, check_draws_and_seed, norm_cdf
 
 __all__ = [
     "SampleBatch",
@@ -339,6 +339,8 @@ class CoverageConfig:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "measure_ids", tuple(self.measure_ids))
+        object.__setattr__(self, "n", _index(self.n, "n"))
+        object.__setattr__(self, "replications", _index(self.replications, "replications"))
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replications < 1:
@@ -349,7 +351,9 @@ class CoverageConfig:
         if not self.rules or not self.measure_ids:
             raise ValueError("need at least one rule and one measure")
         check_rule_ids(rule.id for rule in self.rules)
-        check_draws_and_seed(self.draws, self.seed)
+        draws, seed = check_draws_and_seed(self.draws, self.seed)
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,8 +486,7 @@ def run_coverage(config: CoverageConfig) -> CoverageResult:
             batch = config.process.sample(config.n, _substream(config.seed, rep, 0))
             columns = (batch.z, *(rule.predict(batch) for rule in rules))
             tables.append([np.asarray(column, dtype=np.uint8) for column in columns])
-        c = np.concatenate([_cross_products(*pair) for pair in _table_counts(tables)])
-        fits = _fit(c, config.n, tuple(rule.id for rule in rules), targets)
+        fits = _fit(_table_cross_products(tables), config.n, tuple(rule.id for rule in rules), targets)
         asks = [(fits, range(n_targets), individual, [individual.seed] * len(block))]
         asks += [(fits, idx, spec, [_substream_seed(config.seed, rep, 1 + i) for rep in block])
                  for i, (_, idx) in enumerate(sets)]

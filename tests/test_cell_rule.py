@@ -1,7 +1,7 @@
 """The 0/1 cell rule shared by CSV tables and arrays, against a per-cell oracle,
 also across ``validate_table``'s chunks of cells, the byte reader of
 canonical CSV files against ``validate_table`` on whole-file ``csv.reader``
-rows, and ``read_counts`` against ``read_csv``'s row counts."""
+rows, and ``read_counts`` against ``read_csv``'s cross-products."""
 
 import csv
 import io
@@ -278,18 +278,18 @@ def reference_csv(stream):
 
 
 def read_outcome(read, open_source):
-    """``outcome`` of ``read`` with the row counts, from a fresh stream."""
+    """``outcome`` of ``read`` with the cross-products, from a fresh stream."""
     try:
         with open_source() as stream:
             data = read(stream)
     except Exception as exc:  # the outcomes are compared, whatever they are
         return ("error", type(exc), str(exc))
-    patterns, counts = data.row_counts()
+    c = data._cross_products()
     return (
         "ok",
         data.rule_ids,
         [(col.dtype, col.tolist()) for col in (data.z, *map(data.rule, data.rule_ids))],
-        (patterns.dtype, patterns.tolist(), counts.dtype, counts.tolist()),
+        (c.dtype, c.tolist()),
     )
 
 
@@ -494,8 +494,10 @@ def test_read_csv_reads_a_canonical_file_as_a_byte_matrix(tmp_path):
     assert data.rule_ids == ("r", "s")
     assert data.z.tolist() == [1, 1, 1, 0]
     assert data.rule("r").tolist() == [1, 0, 1, 0] and data.rule("s").tolist() == [0, 1, 0, 0]
-    patterns, counts = data.row_counts()
-    assert patterns.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 0]] and counts.tolist() == [1, 1, 2]
+    # indicator columns z*r, z*s, r, s, z
+    assert data._cross_products().tolist() == [
+        [2, 0, 2, 0, 2], [0, 1, 0, 1, 1], [2, 0, 2, 0, 2], [0, 1, 0, 1, 1], [2, 1, 2, 1, 3]
+    ]
 
 
 def test_read_csv_reads_every_row_of_a_fifo(tmp_path):
@@ -541,15 +543,27 @@ def test_read_csv_reads_a_file_whose_size_is_wrong(tmp_path, size):
     assert data.z.tolist() == [1, 0, 1, 0] and data.rule("r").tolist() == [0, 1, 1, 0]
 
 
+def tally(grid):
+    """The cross-products of the indicator columns ``z*a, a, z`` of a ``(rows,
+    1 + R)`` 0/1 ``grid``, ``z`` first, as lists of ints: float64 sums of
+    0/1 products over chunks of rows, exact below 2**53."""
+    c = np.zeros((2 * grid.shape[1] - 1,) * 2)
+    for chunk in np.array_split(grid, len(grid) // 65536 + 1):
+        z, a = chunk[:, :1].astype(float), chunk[:, 1:].astype(float)
+        x = np.hstack([z * a, a, z])
+        c += x.T @ x
+    return c.astype(np.int64).tolist()
+
+
 def counts_outcome(read, source):
-    """``read(source)`` as its counts: rule ids, ``n`` and the row counts with
-    their dtypes, or the error."""
+    """``read(source)`` as its counts: rule ids, ``n`` and the cross-products
+    with their dtype, or the error."""
     try:
         data = read(source)
     except Exception as exc:  # the outcomes are compared, whatever they are
         return ("error", type(exc), str(exc))
-    patterns, counts = data.row_counts()
-    return ("ok", data.rule_ids, data.n, patterns.dtype, patterns.tolist(), counts.dtype, counts.tolist())
+    c = data._cross_products()
+    return ("ok", data.rule_ids, data.n, c.dtype, c.tolist())
 
 
 @st.composite
@@ -568,7 +582,7 @@ def _table_bytes(names, grid):
     return (",".join(names) + "\n").encode() + b"".join((",".join(map(str, row)) + "\n").encode() for row in grid)
 
 
-# 70 columns, z the 31st: row keys of two 64-bit words, past the 62 bits of one int64 code
+# 70 columns, z the 31st: 139 indicator columns, far past the bins' cap
 _WIDE_GRID = np.random.default_rng(11).integers(0, 2, (5, 70))[np.random.default_rng(12).integers(0, 5, 40)]
 WIDE_FILE = _table_bytes([f"r{j}" for j in range(30)] + ["z"] + [f"r{j}" for j in range(30, 69)], _WIDE_GRID)
 
@@ -578,13 +592,13 @@ WIDE_FILE = _table_bytes([f"r{j}" for j in range(30)] + ["z"] + [f"r{j}" for j i
 @example(WIDE_FILE, 64)  # a line per block
 @example(WIDE_FILE, 1 << 20)  # one block
 @example(_table_bytes(["z", "r0"], [[1, 0], [0, 0], [1, 1], [1, 0]]), 64)  # 4 bins for 4 rows: bincount
-@example(_table_bytes(["r0", "z", "r1"], [[1, 0, 1], [0, 0, 1], [1, 0, 1]]), 6)  # 8 bins for 3 rows: sorted
+@example(_table_bytes(["r0", "z", "r1"], [[1, 0, 1], [0, 0, 1], [1, 0, 1]]), 6)  # 8 bins for 3 rows: products
 @example(_table_bytes(["r0", "z", "r1"], [[1, 0, 1], [0, 0, 1], [1, 1, 1]] * 2 + [[0, 1, 0]]), 6)  # binned 4 + 3
 def test_read_counts_counts_as_read_csv_rows(tmp_path_factory, text, block):
     # rows go to one bin per possible row when there are at most 2n bins,
-    # binned in batches of at least half as many rows as bins, else into
-    # sorted runs of distinct rows; blocks of 1 to 64 bytes put block ends
-    # on every line, between the batches and between the runs
+    # binned in batches of at least half as many rows as bins, else each
+    # block is added into the cross-products; blocks of 1 to 64 bytes put
+    # block ends on every line, between the batches and between the products
     path = tmp_path_factory.getbasetemp() / "table.csv"
     path.write_bytes(text)
     with mock.patch.object(dataset, "_BLOCK_CHARS", block):
@@ -595,8 +609,8 @@ def test_read_counts_counts_as_read_csv_rows(tmp_path_factory, text, block):
             read_counts(path).z
 
 
-def test_read_counts_merges_sorted_runs_of_distinct_rows(tmp_path):
-    # 24 columns are past the bins' cap; one row per block makes a run each
+def test_read_counts_adds_wide_blocks_into_the_cross_products(tmp_path):
+    # 24 columns are past the bins' cap; one row per block makes a product each
     grid = np.random.default_rng(4).integers(0, 2, (6, 24))[np.random.default_rng(5).integers(0, 6, 200)]
     path = tmp_path / "table.csv"
     path.write_bytes(_table_bytes(["z"] + [f"r{j}" for j in range(23)], grid))
@@ -634,18 +648,20 @@ def test_a_refused_header_fails_as_csv_reader_rows(tmp_path, text):
 
 
 @pytest.mark.parametrize("stream", [False, True])
-def test_read_counts_merges_sorted_runs_of_csv_reader_rows(tmp_path, stream):
-    # csv.reader rows, whose count is not known, are counted in sorted runs,
-    # as 2**24 possible rows would be at any n; a chunk of one row makes a run each
+def test_read_counts_adds_csv_reader_chunks_into_the_cross_products(tmp_path, stream):
+    # csv.reader rows, whose count is not known, are added into the
+    # cross-products, as 2**24 possible rows would be at any n; a chunk of
+    # one row makes a product each
     grid = np.random.default_rng(4).integers(0, 2, (6, 24))[np.random.default_rng(5).integers(0, 6, 200)]
     path = tmp_path / "table.csv"
     path.write_text("z," + ",".join(f"r{j}" for j in range(23)) + "\n"
                     + "".join(",".join(f"{cell:.1f}" for cell in row) + "\n" for row in grid))
     source = (lambda: io.StringIO(path.read_text())) if stream else (lambda: path)
     with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * 24):
-        with mock.patch.object(dataset, "_merged", wraps=dataset._merged) as merged:
+        with mock.patch.object(dataset, "_indicators", wraps=dataset._indicators) as indicators:
             got = counts_outcome(read_counts, source())
-        assert merged.called
+        assert indicators.call_count == 200  # no bins: every row is one float32 product
+        assert all(call.args[2] is np.float32 for call in indicators.call_args_list)
         assert got == counts_outcome(read_csv, source())
     assert got[:3] == ("ok", tuple(f"r{j}" for j in range(23)), 200)
 
@@ -660,6 +676,7 @@ def test_read_counts_of_csv_reader_rows_holds_one_chunk(tmp_path):
     text[:, -1] = ord("\n")
     path = tmp_path / "table.csv"
     path.write_bytes((",".join(["z"] + [f"rule{j}" for j in range(10)]) + "\n").encode() + text.tobytes())
+    want = tally(text[:, 0::4] - ord("0"))
     del text
     tracemalloc.start()
     try:
@@ -668,7 +685,7 @@ def test_read_counts_of_csv_reader_rows_holds_one_chunk(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.n == rows and data.row_counts()[1].sum() == rows
+    assert data.n == rows and data._cross_products().tolist() == want
     assert peak < 1e6
 
 
@@ -696,6 +713,7 @@ def test_read_counts_memory_does_not_grow_with_n(tmp_path):
     text[:, -1] = ord("\n")
     path = tmp_path / "table.csv"
     path.write_bytes((",".join(["z"] + [f"rule{j}" for j in range(10)]) + "\n").encode() + text.tobytes())
+    want = tally(text[:, 0::2] - ord("0"))
     del text
     tracemalloc.start()
     try:
@@ -703,5 +721,29 @@ def test_read_counts_memory_does_not_grow_with_n(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.n == rows and data.row_counts()[1].sum() == rows
+    assert data.n == rows and data._cross_products().tolist() == want
     assert peak < 8 * 2**20
+
+
+def test_read_counts_memory_does_not_grow_with_n_past_the_bins(tmp_path):
+    # 31 columns of random rows, nearly all distinct: the sorted distinct
+    # rows that were kept past the bins' cap grew with n; the products of
+    # one block do not
+    peaks = []
+    for rows in (50_000, 200_000):
+        text = np.empty((rows, 62), np.uint8)
+        text[:, 0::2] = np.random.default_rng(rows).integers(0, 2, (rows, 31), np.uint8) + ord("0")
+        text[:, 1::2] = ord(",")
+        text[:, -1] = ord("\n")
+        path = tmp_path / f"wide{rows}.csv"
+        path.write_bytes((",".join(["z"] + [f"rule{j}" for j in range(30)]) + "\n").encode() + text.tobytes())
+        want = tally(text[:, 0::2] - ord("0"))
+        del text
+        tracemalloc.start()
+        try:
+            data = read_counts(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert data.n == rows and data._cross_products().tolist() == want
+    assert peaks[1] < peaks[0] + 2**18, peaks

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from perfci import cli
 from perfci.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, main
 from perfci.dataset import make_joint_sets, make_targets
 from perfci.quantiles import inv_norm_cdf, two_sided_quantile
@@ -216,6 +217,24 @@ def test_analyze_output_is_byte_deterministic(tmp_path):
     assert main(argv + ["--output", str(first)]) == EXIT_OK
     assert main(argv + ["--output", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_main_parses_with_one_parser_that_keeps_no_flag(tmp_path, capsys):
+    # the parser was built anew on every call; now one process builds it
+    # once, and a call's flags must not carry over into the next call
+    table = write(tmp_path, "two.csv", TWO_RULES)
+    clamped = tmp_path / "clamped.json"
+    argv = ["analyze", table, "--format", "json", "--draws", "5000"]
+    cli._parser.cache_clear()
+    assert main(argv + ["--clamp", "--output", str(clamped)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(argv) == EXIT_OK
+    second = capsys.readouterr().out
+    assert cli._parser.cache_info().misses == 1  # one parser for both calls
+    cli._parser.cache_clear()
+    assert main(argv) == EXIT_OK
+    assert second == capsys.readouterr().out  # as from a fresh parser
+    assert json.loads(second) != json.loads(clamped.read_text())  # --clamp moved a bound
 
 
 def test_quantile_identity_dimension(capsys):

@@ -1,8 +1,8 @@
 """Property tests: the count-based core against the per-row reference.
 
-``estimate_targets`` works on the distinct ``(z, a_1..a_R)`` rows of a
-table with their counts; ``influence`` plus ``covariance_from_influences``
-is the per-row form of the same formulas.  Tables are random, with
+``estimate_targets`` works on the cross-products of a table's indicator
+columns, which one fold builds from every table; ``influence`` plus
+``covariance_from_influences`` is the per-row form of the same formulas.  Tables are random, with
 degenerate columns mixed in (constant ``z``, constant ``a``, ``a == z``,
 ``a == 1 - z``), and every built-in measure is a target.  Further
 properties: the plug-in covariance is positive semidefinite, the
@@ -11,10 +11,13 @@ of the rule columns, and every JSON report of ``perfci analyze``,
 ``perfci coverage`` and ``perfci quantile`` parses with a strict parser.
 """
 
+import csv
 import dataclasses
+import io
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from perfci.covariance import (
     estimate_targets,
     influence,
 )
-from perfci.dataset import BinaryDataset, _distinct_rows, make_targets
+from perfci import dataset
+from perfci.dataset import BinaryDataset, make_targets
 from perfci.errors import DomainError, UnknownMeasureError, UnknownRuleError
 from perfci.intervals import CHOICE_CORRECTED, CHOICE_PLUGIN, IntervalSpec, analyze, set_report
 from perfci.measures import builtin_measures
@@ -215,7 +219,20 @@ def test_all_positive_labels_give_exact_zero_lift_and_overlap_variance():
         assert row.error.startswith("SingularVarianceError")
 
 
-def test_row_counts_match_a_direct_tally_past_the_code_width():
+def int_tally(rows, width: int) -> list[list[int]]:
+    """The cross-products of the indicator columns ``z*a_1..z*a_R, a_1..a_R,
+    z`` of 0/1 ``rows`` of ``width`` cells, ``z`` first, in Python ints."""
+    c = [[0] * (2 * width - 1) for _ in range(2 * width - 1)]
+    for row, count in Counter(map(tuple, rows)).items():
+        z, a = row[0], row[1:]
+        x = [z * v for v in a] + list(a) + [z]
+        for i, xi in enumerate(x):
+            for j, xj in enumerate(x):
+                c[i][j] += count * xi * xj
+    return c
+
+
+def test_cross_products_match_a_direct_tally_past_the_code_width():
     # 70 rules plus z exceed the 62 bits one int64 row code can hold;
     # rows repeat a few random patterns, with small bit flips
     rng = np.random.default_rng(7)
@@ -225,31 +242,45 @@ def test_row_counts_match_a_direct_tally_past_the_code_width():
     z = grid[:, 0]
     cols = {f"r{j}": grid[:, 1 + j] for j in range(rules)}
     data = BinaryDataset.from_arrays(z, cols)
-    patterns, counts = data.row_counts()
-    assert data.row_counts()[0] is patterns  # cached
-    got = Counter()
-    for row, count in zip(patterns, counts):
-        got[tuple(map(int, row))] += int(count)
-    want = Counter(
-        (int(z[i]), *(int(cols[r][i]) for r in data.rule_ids)) for i in range(n)
-    )
-    assert got == want
-    assert len(got) == counts.size  # rows are distinct
+    c = data._cross_products()
+    assert data._cross_products() is c  # cached
+    assert (data.n, data.rule_ids, c.dtype) == (n, tuple(cols), np.int64)
+    assert c.tolist() == int_tally(grid.tolist(), 1 + rules)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 80), width=st.integers(1, 9), distinct=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=64, width=64, distinct=2, seed=0)  # past 62 bits the codes are relabelled
-def test_distinct_rows_counted_as_sorted(n, width, distinct, seed):
-    # rows are counted in 2**width bins when those are at most 2n, and
-    # sorted by np.unique otherwise; both branches give the sorted tally
+@given(rows=st.integers(0, 80), rules=st.integers(1, 70), distinct=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), block=st.integers(1, 64), canonical=st.booleans(),
+       known=st.booleans(), fit_bytes=st.sampled_from([1, 1 << 24]))
+# 64 bins for 80 rows, and 2**71 possible rows, from each block source
+@example(rows=80, rules=5, distinct=8, seed=0, block=1, canonical=True, known=True, fit_bytes=1 << 24)
+@example(rows=80, rules=5, distinct=8, seed=0, block=64, canonical=False, known=True, fit_bytes=1)
+@example(rows=64, rules=70, distinct=2, seed=0, block=1, canonical=True, known=True, fit_bytes=1 << 24)
+@example(rows=64, rules=70, distinct=2, seed=0, block=64, canonical=False, known=False, fit_bytes=1)
+def test_the_fold_matches_a_python_int_tally(tmp_path_factory, rows, rules, distinct, seed, block, canonical,
+                                              known, fit_bytes):
+    # rows go to 2**width bins when n is known and those are at most
+    # min(_MAX_BINS, 2n), else each block is added into C as float32
+    # products; blocks of 1 to 64 bytes or cells put block ends on every
+    # line, and 1 fit byte makes every row a product of its own
     rng = np.random.default_rng(seed)
-    grid = rng.integers(0, 2, (distinct, width), dtype=np.uint8)[rng.integers(0, distinct, n)]
-    patterns, counts = _distinct_rows(tuple(grid.T))
-    assert patterns.dtype == np.uint8 and counts.dtype == np.intp
-    tally = sorted(Counter(map(tuple, grid.tolist())).items())
-    assert [(tuple(p), c) for p, c in zip(patterns.tolist(), counts.tolist())] == tally
+    width = 1 + rules
+    grid = rng.integers(0, 2, (distinct, width), dtype=np.uint8)[rng.integers(0, distinct, rows)]
+    names = ["z"] + [f"r{j}" for j in range(rules)]
+    body = "".join(",".join(map(str, row)) + "\n" for row in grid.tolist())
+    path = tmp_path_factory.getbasetemp() / "fold.csv"
+    path.write_text(",".join(names) + "\n" + body)
+    with open(path, "rb") as fh, mock.patch.object(dataset, "_BLOCK_CHARS", block), \
+            mock.patch.object(dataset, "_FIT_BYTES", fit_bytes), \
+            mock.patch.object(dataset, "_row_codes", wraps=dataset._row_codes) as row_codes:
+        if canonical:
+            _, _, zero, blocks = dataset._canonical_blocks(fh)
+        else:
+            _, _, zero, blocks = dataset._cell_blocks(names, csv.reader(io.StringIO(body)))
+        got_rows, c = dataset._fold((b.T for b in blocks), width, rows if known else None, zero)
+    assert row_codes.called == (known and 2**width <= min(dataset._MAX_BINS, 2 * rows))
+    assert got_rows == rows and c.dtype == np.int64
+    assert c.tolist() == int_tally(grid.tolist(), width)
 
 
 def test_estimate_targets_records_each_target_failure():

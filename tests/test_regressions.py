@@ -23,7 +23,7 @@ from perfci.dataset import BinaryDataset, EvaluationTarget, make_joint_sets, mak
 from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, set_report
 from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures
-from perfci.quantiles import two_sided_quantile
+from perfci.quantiles import QuantileRequest, two_sided_quantile
 from perfci.simulation import (
     CoverageConfig,
     GaussianMixtureProcess,
@@ -390,7 +390,9 @@ def test_covariance_memory_stays_below_one_target_by_row_matrix():
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(~fit.failed) == len(targets) == 270
-    assert data.row_counts()[1].size > 49_000
+    columns = np.column_stack([data.z, *map(data.rule, data.rule_ids)]).astype(float)
+    x = np.hstack([columns[:, :1] * columns[:, 1:], columns[:, 1:], columns[:, :1]])
+    assert data._cross_products().tolist() == (x.T @ x).astype(np.int64).tolist()
     assert peak < 270 * 50_000 * 8
 
 
@@ -402,7 +404,6 @@ def test_fit_memory_does_not_grow_with_the_distinct_rows():
     patterns = np.unpackbits(bits, axis=1)[:, 32 - width :]
     counts = np.random.default_rng(3).integers(1, 5, len(patterns))
     data = BinaryDataset.from_counts([f"r{j}" for j in range(width - 1)], patterns, counts)
-    data.row_counts()
     targets = make_targets(data.rule_ids, ["accuracy", "f1"])
     tracemalloc.start()
     try:
@@ -416,14 +417,16 @@ def test_fit_memory_does_not_grow_with_the_distinct_rows():
 
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 9 * 7])
 def test_fit_sums_chunks_of_distinct_rows_exactly(chunk_bytes):
-    # chunks of one and of seven distinct rows give the bits of one chunk
+    # chunks of one and of seven of the 32 bins give the bits of one chunk
     rng = np.random.default_rng(8)
-    data = BinaryDataset.from_arrays(rng.integers(0, 2, 3000), {f"r{j}": rng.integers(0, 2, 3000) for j in range(4)})
+    columns = rng.integers(0, 2, 3000), {f"r{j}": rng.integers(0, 2, 3000) for j in range(4)}
+    data, fresh = BinaryDataset.from_arrays(*columns), BinaryDataset.from_arrays(*columns)
     targets = make_targets(data.rule_ids, [m.id for m in builtin_measures()])
     want = estimate_targets(data, targets)
-    with mock.patch("perfci.covariance._FIT_BYTES", chunk_bytes):
-        got = estimate_targets(data, targets)
-    assert data.row_counts()[1].size == 32
+    with mock.patch("perfci.dataset._FIT_BYTES", chunk_bytes):
+        got = estimate_targets(fresh, targets)
+    assert (fresh.n, fresh.rule_ids) == (data.n, data.rule_ids)
+    assert np.array_equal(fresh._cross_products(), data._cross_products())
     assert np.array_equal(got.estimates, want.estimates, equal_nan=True)
     assert np.array_equal(got.v, want.v)
 
@@ -489,20 +492,20 @@ def test_analyze_checks_draws_and_seed_when_no_target_is_usable(tmp_path, capsys
             assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_a_fit_reads_the_row_counts_once():
+def test_a_fit_reads_the_cross_products_once():
     rng = np.random.default_rng(3)
     z = rng.integers(0, 2, 200)
     data = BinaryDataset.from_arrays(z, {f"r{j}": rng.integers(0, 2, 200) for j in range(4)})
     targets = make_targets(data.rule_ids, ["accuracy", "f1", "jaccard", "lift"])
     with mock.patch.object(
-        BinaryDataset, "row_counts", autospec=True, side_effect=BinaryDataset.row_counts
-    ) as row_counts:
+        BinaryDataset, "_cross_products", autospec=True, side_effect=BinaryDataset._cross_products
+    ) as cross_products:
         fit = estimate_targets(data, targets)
         assert np.count_nonzero(~fit.failed) == len(targets)
-        assert row_counts.call_count == 1
+        assert cross_products.call_count == 1
         # the per-row reference reads rows only
         influence(data, targets[0])
-        assert row_counts.call_count == 1
+        assert cross_products.call_count == 1
 
 
 def test_covariance_is_exact_past_the_int64_range_of_n_times_c():
@@ -558,3 +561,28 @@ def test_reports_of_the_same_failed_set_compare_equal():
     assert first != dataclasses.replace(first, q=1.0)
     assert dataclasses.replace(first, q=1.0) != first
     assert first != dataclasses.replace(first, rows=())
+
+
+def _mixture_config(**sizes):
+    return CoverageConfig(process=GaussianMixtureProcess(), rules=(ThresholdRule(0.5),),
+                          measure_ids=("accuracy",), **{"n": 50, **sizes})
+
+
+@pytest.mark.parametrize("build, field, value", [
+    pytest.param(lambda v: QuantileRequest(0.05, np.eye(3), draws=v, seed=1), "draws", 30000.9,
+                 id="QuantileRequest.draws"),
+    pytest.param(lambda v: QuantileRequest(0.05, np.eye(3), draws=30000, seed=v), "seed", 1.7,
+                 id="QuantileRequest.seed"),
+    pytest.param(lambda v: IntervalSpec(draws=v, seed=2), "draws", 5000.5, id="IntervalSpec.draws"),
+    pytest.param(lambda v: IntervalSpec(draws=5000, seed=v), "seed", 2.9, id="IntervalSpec.seed"),
+    pytest.param(lambda v: _mixture_config(n=v), "n", 50.7, id="CoverageConfig.n"),
+    pytest.param(lambda v: _mixture_config(replications=v), "replications", 3.5, id="CoverageConfig.replications"),
+])
+def test_a_size_that_is_not_an_integer_is_refused_by_name(build, field, value):
+    # operator.index refuses what int() truncated (draws 30000.9 ran 30000
+    # draws, IntervalSpec recorded seed 2.9) or numpy failed on deep inside
+    # (n = 50.7 raised a bare TypeError)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        build(value)
+    made = build(np.int64(7000))
+    assert type(getattr(made, field)) is int and getattr(made, field) == 7000

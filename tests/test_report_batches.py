@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfci import intervals, simulation
-from perfci.covariance import _cross_products, _fit, correct, estimate_targets
+from perfci.covariance import _fit, correct, estimate_targets
 from perfci.dataset import BinaryDataset, make_joint_sets, make_targets
 from perfci.errors import DimensionMismatchError
 from perfci.intervals import IntervalSpec, set_report, set_reports
@@ -157,8 +157,8 @@ def test_a_report_refuses_a_fit_of_two_tables():
     # this raised a bare IndexError on the seed of the second table
     data = _two_rules()
     targets = make_targets(data.rule_ids, ("accuracy", "f1"))
-    patterns, counts = data.row_counts()
-    stack = _fit(_cross_products(patterns, np.stack([counts, counts])), data.n, data.rule_ids, targets)
+    c = data._cross_products()
+    stack = _fit(np.stack([c, c]), data.n, data.rule_ids, targets)
     with pytest.raises(DimensionMismatchError, match="a fit of one table, got 2 tables"):
         set_report(stack, [0, 1], IntervalSpec())
     with pytest.raises(DimensionMismatchError, match="one table"):
