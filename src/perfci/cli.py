@@ -35,7 +35,7 @@ from .covariance import estimate_targets
 from .dataset import make_joint_sets, make_targets, read_counts, read_csv
 from .errors import PerfciError
 from .intervals import IntervalReport, IntervalSpec, set_reports
-from .measures import resolve_measure
+from .measures import _float_text, resolve_measure
 from .quantiles import DEFAULT_DRAWS, QuantileRequest, check_budget, max_abs_quantile
 from .simulation import (
     CoverageConfig,
@@ -237,7 +237,7 @@ def _report_table(
     first = reports[0]
     methods = dict.fromkeys(r.quantile_method for r in reports if r.quantile_method)
     lines = [
-        f"n={first.n}  alpha={first.alpha:g}  choice={first.choice}  mode={first.mode}  "
+        f"n={first.n}  alpha={_float_text(first.alpha)}  choice={first.choice}  mode={first.mode}  "
         f"method={','.join(methods) or '-'}"
     ]
     rows: dict[tuple[str, str], tuple[IntervalReport, dict[str, str]]] = {}
@@ -385,7 +385,7 @@ def _rule_argument(token: str, cast: type, ok, need: str):
 
 def _coverage_table(result) -> str:
     lines = [
-        f"n={result.n}  replications={result.replications}  alpha={result.alpha:g}  "
+        f"n={result.n}  replications={result.replications}  alpha={_float_text(result.alpha)}  "
         f"choice={result.choice}  seed={result.seed}"
     ]
     rows = [["target", "true", "indiv_cov", "avg_len", "errors"]]
@@ -460,7 +460,7 @@ def _quantile_cmd(args) -> int:
     else:
         text = (
             f"q={result.q:.6f}  mc_stderr={result.mc_stderr:.3g}  "
-            f"alpha={result.alpha:g}  dim={result.dim}  draws={result.draws}  "
+            f"alpha={_float_text(result.alpha)}  dim={result.dim}  draws={result.draws}  "
             f"seed={result.seed}  method={result.method}\n"
         )
     _emit(text, args.output)

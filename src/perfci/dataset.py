@@ -473,7 +473,9 @@ def _z_first(names: list[str]) -> list[int]:
     return [names.index("z")] + [j for j, name in enumerate(names) if name != "z"]
 
 
-_BLOCK_CHARS = 1 << 20
+# a canonical block's bytes, masked copy, mask and template take about 1 MiB
+# together, so they stay in a core's cache while the block is checked and coded
+_BLOCK_CHARS = 1 << 18
 
 
 def validate_table(
@@ -486,7 +488,7 @@ def validate_table(
     cells, too few rows.  Blank rows are skipped.  An error raised while
     iterating ``rows``, before their end or a ragged row, comes first, then
     the first bad cell, then a ragged row.  The cells are read in chunks of
-    whole rows, each of at least ``_BLOCK_CHARS // 16`` cells (65,536), so
+    whole rows, each of at least ``_BLOCK_CHARS // 4`` cells (65,536), so
     one chunk of cells is held at a time besides two bytes per cell.
     """
     return _stacked(*_cell_blocks(header, rows))
@@ -495,7 +497,7 @@ def validate_table(
 def _cell_blocks(header: Sequence[str], rows: Iterable[Sequence[str]]):
     """The table source of ``header`` and ``rows`` (see :func:`_read_table`):
     the checked names, no row count, and the rows coded 0/1 in chunks of
-    whole rows, each of at least ``_BLOCK_CHARS // 16`` cells.  Once
+    whole rows, each of at least ``_BLOCK_CHARS // 4`` cells.  Once
     ``rows`` are drained the blocks raise the first bad cell's error, else
     that of the first ragged row, where ``rows`` stop being read."""
     names = _column_names(header)
@@ -503,7 +505,7 @@ def _cell_blocks(header: Sequence[str], rows: Iterable[Sequence[str]]):
 
     def blocks():
         done, bad, ragged = 0, None, []  # rows yielded, first bad cell's error, ragged row's fields
-        for cells in _row_chunks(rows, width, max(1, _BLOCK_CHARS // 16), ragged):
+        for cells in _row_chunks(rows, width, max(1, _BLOCK_CHARS // 4), ragged):
             if bad is None:
                 try:
                     codes = _binary_codes(cells, read, lambda i: NonBinaryValueError(
@@ -578,10 +580,10 @@ def read_counts(source: str | os.PathLike | io.TextIOBase) -> BinaryDataset:
     The result has the ``rule_ids``, ``n`` and cross-products of
     :func:`read_csv`, and every error is that of :func:`read_csv`.  The
     table is folded into ``C`` one block at a time (see :func:`_fold`):
-    about ``_BLOCK_CHARS`` bytes of a canonical file, or ``_BLOCK_CHARS //
-    16`` cell strings of any other input, with the block's row codes and
-    bins or its indicator rows.  So memory does not grow with ``n`` at any
-    width.
+    at most ``_BLOCK_CHARS`` bytes (256 KiB) of a canonical file, or
+    ``_BLOCK_CHARS // 4`` cell strings (65,536) of any other input, with
+    the block's row codes and bins or its indicator rows.  So memory does
+    not grow with ``n`` at any width.
     """
     return _read_table(source, _counted)
 

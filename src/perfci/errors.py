@@ -137,11 +137,11 @@ class NoUsableTargetsError(PerfciError):
 
 
 class OutOfRangeError(PerfciError, ValueError):
-    """Probability argument outside the open interval (0, 1)."""
+    """Probability argument outside the open interval (0, 1), named ``name``."""
 
-    def __init__(self, p: float):
+    def __init__(self, p: float, name: str = "probability"):
         self.p = p
-        super().__init__(f"probability must lie strictly inside (0, 1), got {p!r}")
+        super().__init__(f"{name} must lie strictly inside (0, 1), got {p!r}")
 
 
 class NotPositiveSemidefiniteError(PerfciError, ArithmeticError):

@@ -299,6 +299,14 @@ def _measure(measure_id, value, domain, unit_range=True, params=(), gradient_dom
     return spec
 
 
+def _float_text(x: float) -> str:
+    """``x`` as ``:g`` writes it where that reads back as ``x``, else its
+    ``repr``: ids and headers stay short, and no two floats share one."""
+    x = float(x)
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _positive_marginals(m: MomentTriple) -> bool:
     return (m.m_a > 0.0) & (m.m_z > 0.0)
 
@@ -317,7 +325,7 @@ def make_f_beta(beta: float) -> MeasureSpec:
     wa = 1.0 / (1.0 + beta * beta)
     wz = 1.0 - wa
     return _measure(
-        "f1" if beta == 1.0 else f"f_beta({beta:g})",
+        "f1" if beta == 1.0 else f"f_beta({_float_text(beta)})",
         lambda m: m.m_za / (wa * m.m_a + wz * m.m_z),
         lambda m: wa * m.m_a + wz * m.m_z > 0.0,
         params=(beta,),
@@ -345,7 +353,7 @@ def make_tversky(a: float, b: float) -> MeasureSpec:
         return (1.0 - a - b) * m.m_za + a * m.m_a + b * m.m_z
 
     return _measure(
-        f"tversky({a:g},{b:g})",
+        f"tversky({_float_text(a)},{_float_text(b)})",
         lambda m: m.m_za / den_of(m),
         lambda m: den_of(m) > 0.0,
         params=(a, b),

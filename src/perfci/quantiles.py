@@ -143,7 +143,7 @@ def check_alpha(alpha: float) -> float:
     which leaves no tail to invert."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):  # NaN fails both comparisons
-        raise OutOfRangeError(alpha)
+        raise OutOfRangeError(alpha, "alpha")
     if alpha / 2.0 == 0.0:
         raise ValueError(f"alpha = {alpha!r} is too small: the smallest alpha accepted is 1e-323")
     return alpha
@@ -356,7 +356,7 @@ class QuantileRequest:
         if self.tier == "monte_carlo" and alpha * draws < 1.0:
             needed = 1.0 / alpha  # inf for alpha below about 5.6e-309
             raise ValueError(
-                f"alpha = {alpha:g} needs at least {math.ceil(needed) if needed < math.inf else needed:,}"
+                f"alpha = {alpha!r} needs at least {math.ceil(needed) if needed < math.inf else needed:,}"
                 f" draws (alpha * draws >= 1) to simulate its quantile, got {draws:,}"
             )
         object.__setattr__(self, "draws", draws)

@@ -57,7 +57,7 @@ from .dataset import (
 )
 from .errors import PerfciError
 from .intervals import IntervalSpec, _answers
-from .measures import MeasureCatalog, MomentTriple, resolve_measure
+from .measures import MeasureCatalog, MomentTriple, _float_text, resolve_measure
 from .quantiles import max_abs_quantile  # noqa: F401  (bench/spans.py wraps it in this namespace)
 from .quantiles import _index, _seed_sequence, _substream, check_alpha, check_draws_and_seed, norm_cdf
 
@@ -163,7 +163,7 @@ class ThresholdRule:
 
     def __init__(self, theta: float, rule_id: str | None = None):
         self.theta = float(theta)
-        self.id = rule_id if rule_id is not None else f"threshold({self.theta:g})"
+        self.id = rule_id if rule_id is not None else f"threshold({_float_text(self.theta)})"
 
     def predict(self, batch: SampleBatch) -> np.ndarray:
         if batch.x is None:
@@ -171,7 +171,7 @@ class ThresholdRule:
         return (batch.x > self.theta).astype(np.uint8)
 
     def __repr__(self) -> str:
-        return f"ThresholdRule({self.theta:g})"
+        return f"ThresholdRule({_float_text(self.theta)})"
 
 
 class OneNNRule:

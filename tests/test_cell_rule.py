@@ -131,11 +131,11 @@ def test_validate_table_matches_the_per_cell_oracle(table):
 @settings(max_examples=400, deadline=None)
 @given(tables(), st.integers(1, 12))
 def test_validate_table_matches_the_per_cell_oracle_across_chunks(table, chunk):
-    # chunks of at least 1 to 12 cells (_BLOCK_CHARS // 16) put a chunk end
+    # chunks of at least 1 to 12 cells (_BLOCK_CHARS // 4) put a chunk end
     # after any row of these tables of up to 18 cells, so the first bad
     # cell and a ragged row fall in one chunk or in two
     header, rows = table
-    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * chunk):
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 4 * chunk):
         assert outcome(validate_table, header, rows) == outcome(oracle_table, header, rows)
 
 
@@ -146,7 +146,7 @@ def test_validate_table_holds_one_chunk_of_cells():
     header = ["z", *(f"r{j}" for j in range(9))]
     tracemalloc.start()
     try:
-        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 16):  # 4,096 cells
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 14):  # 4,096 cells
             data = validate_table(header, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -165,7 +165,7 @@ def test_validate_table_keeps_the_error_order_across_chunks():
         raise csv.Error("bad stream")
         yield
 
-    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * 4):
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 4 * 4):
         # rows are drained past the first bad cell: a later stream error wins
         with pytest.raises(csv.Error, match="bad stream"):
             validate_table(["z", "r"], rows(stream_error()))
@@ -657,7 +657,7 @@ def test_read_counts_adds_csv_reader_chunks_into_the_cross_products(tmp_path, st
     path.write_text("z," + ",".join(f"r{j}" for j in range(23)) + "\n"
                     + "".join(",".join(f"{cell:.1f}" for cell in row) + "\n" for row in grid))
     source = (lambda: io.StringIO(path.read_text())) if stream else (lambda: path)
-    with mock.patch.object(dataset, "_BLOCK_CHARS", 16 * 24):
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 4 * 24):
         with mock.patch.object(dataset, "_indicators", wraps=dataset._indicators) as indicators:
             got = counts_outcome(read_counts, source())
         assert indicators.call_count == 200  # no bins: every row is one float32 product
@@ -680,7 +680,7 @@ def test_read_counts_of_csv_reader_rows_holds_one_chunk(tmp_path):
     del text
     tracemalloc.start()
     try:
-        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 14):  # 1,024 cells
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 1 << 12):  # 1,024 cells
             data = read_counts(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -747,3 +747,49 @@ def test_read_counts_memory_does_not_grow_with_n_past_the_bins(tmp_path):
             tracemalloc.stop()
         assert data.n == rows and data._cross_products().tolist() == want
     assert peaks[1] < peaks[0] + 2**18, peaks
+
+
+def _bench_layout(rows, seed, end=b"\n"):
+    """A header and ``rows`` random lines of z and 10 rules in the benchmark's
+    byte layout, with line ends ``end``, and the cells as a 0/1 grid."""
+    grid = np.random.default_rng(seed).integers(0, 2, (rows, 11), np.uint8)
+    text = np.empty((rows, 21 + len(end)), np.uint8)
+    text[:, 0:21:2] = grid + ord("0")
+    text[:, 1:20:2] = ord(",")
+    text[:, 21:] = np.frombuffer(end, np.uint8)
+    header = ",".join(["z"] + [f"rule{j}" for j in range(10)]).encode() + end
+    return header + text.tobytes(), grid
+
+
+def test_read_counts_at_the_default_block_size_stays_in_cache(tmp_path):
+    # 10**6 rows in blocks of at most _BLOCK_CHARS bytes: a block, its masked
+    # copy, the mask and the template took 4.6 MiB in 1 MiB blocks, more
+    # than a core's 2 MiB L2 cache
+    text, grid = _bench_layout(10**6, 9)
+    path = tmp_path / "table.csv"
+    path.write_bytes(text)
+    want = tally(grid)
+    del text, grid
+    tracemalloc.start()
+    try:
+        data = read_counts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n == 10**6 and data._cross_products().tolist() == want
+    assert peak < 2 * 2**20
+
+
+def test_read_counts_of_many_default_blocks_is_read_csv(tmp_path):
+    # 50,000 "\r\n" lines, the last one without its end, are at least four
+    # blocks of _BLOCK_CHARS bytes, none of them cut by a test
+    text, _ = _bench_layout(50_000, 10, b"\r\n")
+    path = tmp_path / "table.csv"
+    path.write_bytes(text[:-2])
+    assert path.stat().st_size >= 4 * dataset._BLOCK_CHARS
+    opened = lambda: open(path, newline="", encoding="utf-8-sig")
+    want = read_outcome(reference_csv, opened)
+    assert want[0] == "ok" and len(want[2][0][1]) == 50_000
+    with mock.patch.object(dataset, "_read_csv_stream", side_effect=AssertionError):
+        assert read_outcome(lambda _: read_csv(path), opened) == want
+        assert counts_outcome(read_counts, path) == counts_outcome(read_csv, path)

@@ -261,8 +261,9 @@ def test_the_fold_matches_a_python_int_tally(tmp_path_factory, rows, rules, dist
                                               known, fit_bytes):
     # rows go to 2**width bins when n is known and those are at most
     # min(_MAX_BINS, 2n), else each block is added into C as float32
-    # products; blocks of 1 to 64 bytes or cells put block ends on every
-    # line, and 1 fit byte makes every row a product of its own
+    # products; blocks of 1 to 64 bytes, or chunks of 1 to 16 cells
+    # (_BLOCK_CHARS // 4), put block ends on every line, and 1 fit byte
+    # makes every row a product of its own
     rng = np.random.default_rng(seed)
     width = 1 + rules
     grid = rng.integers(0, 2, (distinct, width), dtype=np.uint8)[rng.integers(0, distinct, rows)]

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import perfci
-from perfci.cli import EXIT_HARD, EXIT_OK, _split_csv_list, main
+from perfci.cli import EXIT_HARD, EXIT_OK, EXIT_PARTIAL, _split_csv_list, main
 from perfci.covariance import estimate_targets, influence
 from perfci.dataset import BinaryDataset, EvaluationTarget, make_joint_sets, make_targets, read_csv
-from perfci.errors import DimensionMismatchError, DuplicateRuleIdError
+from perfci.errors import DimensionMismatchError, DuplicateRuleIdError, OutOfRangeError
 from perfci.intervals import CHOICE_CORRECTED, IntervalSpec, analyze, set_report
-from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures
-from perfci.quantiles import QuantileRequest, two_sided_quantile
+from perfci.measures import GradientTriple, MeasureCatalog, MeasureSpec, builtin_measures, resolve_measure
+from perfci.quantiles import QuantileRequest, inv_norm_cdf, two_sided_quantile
 from perfci.simulation import (
     CoverageConfig,
     GaussianMixtureProcess,
@@ -156,14 +156,21 @@ def test_coverage_rejects_duplicate_rule_ids(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "duplicate rule" in captured.err and "threshold(0.3)" in captured.err
-    # thresholds that print alike share the id "threshold(0.3)", too
+    # the library refuses the repeat too; thresholds 1e-7 apart have ids of their own
     with pytest.raises(DuplicateRuleIdError):
         CoverageConfig(
             process=GaussianMixtureProcess(),
-            rules=(ThresholdRule(0.3), ThresholdRule(0.3000001)),
+            rules=(ThresholdRule(0.3), ThresholdRule(0.3)),
             measure_ids=("accuracy",),
             n=50,
         )
+    config = CoverageConfig(
+        process=GaussianMixtureProcess(),
+        rules=(ThresholdRule(0.3), ThresholdRule(0.3000001)),
+        measure_ids=("accuracy",),
+        n=50,
+    )
+    assert [rule.id for rule in config.rules] == ["threshold(0.3)", "threshold(0.3000001)"]
 
 
 @pytest.mark.parametrize(
@@ -586,3 +593,52 @@ def test_a_size_that_is_not_an_integer_is_refused_by_name(build, field, value):
         build(value)
     made = build(np.int64(7000))
     assert type(getattr(made, field)) is int and getattr(made, field) == 7000
+
+
+def test_parameter_ids_and_alpha_headers_keep_every_float_apart(tmp_path, capsys):
+    # ids, the headers' alpha and the draws refusal's alpha were written with
+    # :g, 6 significant digits, so two parameters 1e-7 apart shared an id and
+    # alpha 0.9999999 read "1"
+    assert [ThresholdRule(t).id for t in (0.5, float("inf"), 0.1234567, 0.1234568)] == [
+        "threshold(0.5)", "threshold(inf)", "threshold(0.1234567)", "threshold(0.1234568)"]
+    assert repr(ThresholdRule(0.1234567)) == "ThresholdRule(0.1234567)"
+    assert [resolve_measure(m).id for m in ("f_beta(0.5)", "f_beta(0.1234567)", "tversky(0.3,0.1234567)")] == [
+        "f_beta(0.5)", "f_beta(0.1234567)", "tversky(0.3,0.1234567)"]
+    argv = ["coverage", "--process", "mixture", "--rules", "threshold(0.1234567),threshold(0.1234568)",
+            "--measures", "accuracy", "--n", "50", "--replications", "2", "--draws", "1000", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    rules = {row["rule"] for row in json.loads(capsys.readouterr().out)["targets"]}
+    assert rules == {"threshold(0.1234567)", "threshold(0.1234568)"}
+    table = tmp_path / "t.csv"
+    table.write_text(TOY)
+    argv = ["analyze", str(table), "--measures", "f_beta(0.1234567),f_beta(0.1234568)", "--joint", "none"]
+    assert main(argv + ["--format", "json"]) in (EXIT_OK, EXIT_PARTIAL)
+    measures = [row["measure"] for row in json.loads(capsys.readouterr().out)["targets"]]
+    assert measures == ["f_beta(0.1234567)", "f_beta(0.1234568)"]
+    main(argv + ["--alpha", "0.05"])
+    assert "alpha=0.05  " in capsys.readouterr().out
+    assert main(["quantile", "--dim", "2", "--alpha", "0.9999999"]) == EXIT_OK
+    assert "alpha=0.9999999  " in capsys.readouterr().out
+    assert main(["quantile", "--dim", "3", "--alpha", "0.00012345678", "--draws", "1000"]) == EXIT_HARD
+    assert "alpha = 0.00012345678 needs at least 8,101 draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, alpha", [
+    (["analyze", "{table}", "--alpha", "1.5"], "1.5"),
+    (["coverage", "--rules", "threshold(0.5)", "--n", "50", "--alpha", "2"], "2.0"),
+    (["quantile", "--dim", "2", "--alpha", "0"], "0.0"),
+])
+def test_an_alpha_out_of_range_is_refused_by_name(tmp_path, capsys, argv, alpha):
+    table = tmp_path / "t.csv"
+    table.write_text(TOY)
+    assert main([arg.format(table=table) for arg in argv]) == EXIT_HARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: alpha must lie strictly inside (0, 1), got {alpha}\n"
+
+
+def test_an_alpha_is_named_alpha_and_a_probability_a_probability():
+    with pytest.raises(OutOfRangeError, match=r"^alpha must lie strictly inside \(0, 1\), got 1\.5$"):
+        IntervalSpec(alpha=1.5)
+    with pytest.raises(OutOfRangeError, match=r"^probability must lie strictly inside \(0, 1\), got 1\.5$"):
+        inv_norm_cdf(1.5)
